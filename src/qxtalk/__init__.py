@@ -15,7 +15,7 @@ ablation), :mod:`qxtalk.synth` (mechanistic benchmark tissue), and
 :mod:`qxtalk.cli` (command line).
 """
 
-from .cost import CostReport, Problem, evaluate, evaluate_batch, kl_divergence
+from .cost import CostReport, Problem, evaluate, kl_divergence
 from .ingest import (
     AmplitudeVector,
     ExpressionMatrix,
@@ -93,7 +93,6 @@ __all__ = [
     "contribution_analysis",
     "delta_rho",
     "evaluate",
-    "evaluate_batch",
     "export_network",
     "extract_candidates",
     "from_amplitudes",

@@ -1,0 +1,202 @@
+"""In-place, batched statevector kernel behind every hot loop.
+
+``qsim.apply_gate`` is the public reference: each call copies the state and
+returns a new, validated ``StateVector``.  This module works on raw complex
+arrays whose last axis holds the 2**n amplitudes of a state and whose leading
+axis stacks k states.  A gate updates every stacked state in place, through
+views fixed by its (control, target) qubits, or through per-row index pairs
+when each state gets a different CRX.  The 2x2 update is the expression
+``m00 * a0 + m01 * a1`` of ``apply_gate`` with the same matrix, evaluated
+element by element, so a state built here holds the same bits as one built
+gate by gate with the reference.  The one exception is where ``apply_gate``
+selects single amplitudes (a one-qubit state, or a controlled gate on two
+qubits): it then multiplies numpy scalars, which round differently from
+numpy's array loops, and the two agree to within a few ulps.
+
+A :class:`Kernel` binds this to one ``Problem``: its initial state, its
+targets smoothed once, and the scoring of a (k, 2**n) stack of final states.
+Scoring keeps the arithmetic of ``marginal_probabilities`` and
+``kl_divergence``, including the summation order of each KL sum, so a score
+does not depend on the batch it was computed in and no tie-break can flip.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from .cost import CostReport
+from .qsim import _H_MATRIX, GateSpec, _check_qubits, _rotation_entries
+
+_H_ENTRIES = tuple(_H_MATRIX.ravel())
+
+
+@lru_cache(maxsize=None)
+def _fold(n: int, target: int, control: int | None) -> tuple[tuple, tuple, tuple]:
+    """Shape that folds the amplitude axis around a gate's qubits, and the selectors
+    of its target-0 and target-1 amplitudes (with the control set, if any).
+
+    Qubit q is bit q of the amplitude index, so the axis that holds it splits
+    the 2**(n-1-q) higher states from the 2**q lower ones.  Folding every
+    other qubit into three or five axes keeps the strided views small.
+    """
+    qubits = sorted((target,) if control is None else (target, control), reverse=True)
+    shape, width = [], n
+    for q in qubits:
+        shape += [1 << (width - 1 - q), 2]
+        width = q
+    shape.append(1 << width)
+    lo: list = [slice(None)] * len(shape)
+    if control is not None:
+        lo[2 * qubits.index(control) + 1] = 1
+    hi = list(lo)
+    lo[2 * qubits.index(target) + 1] = 0
+    hi[2 * qubits.index(target) + 1] = 1
+    return tuple(shape), (Ellipsis, *lo), (Ellipsis, *hi)
+
+
+def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | None = None,
+          angle: float | None = None) -> None:
+    """Apply one gate in place to each n-qubit state stacked in ``states``.
+
+    ``states`` must be C-contiguous, so that its folded view writes through
+    to it.  Qubits are not range-checked here.
+    """
+    if not states.flags.c_contiguous:
+        raise ValueError("the kernel updates C-contiguous state arrays only")
+    shape, lo, hi = _fold(n, target, control)
+    psi = states.reshape(states.shape[:-1] + shape)
+    if kind == "CNOT":
+        a0 = psi[lo].copy()
+        psi[lo] = psi[hi]
+        psi[hi] = a0
+        return
+    m00, m01, m10, m11 = _H_ENTRIES if kind == "H" else _rotation_entries(kind, angle)
+    a0, a1 = psi[lo], psi[hi]
+    new0 = m00 * a0 + m01 * a1
+    new1 = m10 * a0 + m11 * a1
+    psi[lo] = new0
+    psi[hi] = new1
+
+
+def _smoothed(target, smoothing: float) -> np.ndarray:
+    """The epsilon-smoothed target of ``kl_divergence``."""
+    qv = target.probabilities + smoothing
+    return qv / qv.sum()
+
+
+def _marginals(probs: np.ndarray, axis: int) -> np.ndarray:
+    """Row-normalized register marginals of a (k, 2**n_ct2, 2**n_ct1) probability stack."""
+    marg = probs.sum(axis=axis)
+    return marg / marg.sum(axis=1, keepdims=True)
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D_KL(p_i || q) for each row p_i, summed exactly as ``kl_divergence`` sums.
+
+    ``kl_divergence`` adds the terms of p > 0 with ``np.sum``, whose pairwise
+    grouping depends on how many terms there are.  Rows are therefore summed
+    in groups of equal term count, each row over exactly its own terms.
+    """
+    mask = p > 0
+    if mask.all():
+        return (p * np.log(p / q)).sum(axis=1)
+    terms = p[mask] * np.log((p / q)[mask])
+    counts = mask.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    out = np.empty(len(p), dtype=np.float64)
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        out[rows] = terms[starts[rows][:, None] + np.arange(m)].sum(axis=1)
+    return out
+
+
+class Kernel:
+    """One problem's initial state, smoothed targets, and batched gates and scoring."""
+
+    def __init__(self, problem):
+        layout = problem.layout
+        self.n = layout.num_qubits
+        self._split = (1 << layout.n_ct2, 1 << layout.n_ct1)
+        self._initial = problem.initial_state.amplitudes.reshape(1, -1).copy()
+        self._targets = (
+            _smoothed(problem.target_ct1, problem.smoothing),
+            _smoothed(problem.target_ct2, problem.smoothing),
+        )
+        self._shots = None if problem.eval_mode == "exact" else (problem.nshots, problem.shots_seed)
+        self._pair_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def start(self, rows: int = 1) -> np.ndarray:
+        """``rows`` copies of the initial state, shape (rows, 2**n)."""
+        return np.repeat(self._initial, rows, axis=0)
+
+    def apply(self, states: np.ndarray, gate: GateSpec, angle: float | None = None) -> None:
+        """Apply a range-checked gate in place, at ``angle`` instead of its own when given."""
+        _check_qubits(gate, self.n)
+        apply(states, self.n, gate.kind, gate.target, gate.control,
+              gate.angle if angle is None else float(angle))
+
+    def run(self, gates, angles=None) -> np.ndarray:
+        """The (1, 2**n) final state of a gate sequence, optionally at other angles.
+
+        ``angles`` replaces the gates' own angles one for one, so a tuning
+        objective builds no ``GateSpec``.
+        """
+        states = self.start()
+        for i, gate in enumerate(gates):
+            self.apply(states, gate, None if angles is None else angles[i])
+        return states
+
+    def _indices(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        found = self._pair_index.get(pair)
+        if found is None:
+            control, target = pair
+            _check_qubits(GateSpec(kind="CRX", target=target, control=control, angle=0.0), self.n)
+            idx = np.arange(1 << self.n)
+            lo = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
+            found = self._pair_index[pair] = (lo, lo | (1 << target))
+        return found
+
+    def extend(self, state: np.ndarray, pairs, angle: float) -> np.ndarray:
+        """One row per (control, target) pair: ``state`` followed by CRX(angle) on that pair."""
+        states = np.repeat(state.reshape(1, -1), len(pairs), axis=0)
+        if not pairs:
+            return states
+        index = [self._indices(p) for p in pairs]
+        rows = np.arange(len(pairs))[:, None]
+        lo = np.array([i[0] for i in index])
+        hi = np.array([i[1] for i in index])
+        m00, m01, m10, m11 = _rotation_entries("CRX", angle)
+        a0, a1 = states[rows, lo], states[rows, hi]
+        states[rows, lo] = m00 * a0 + m01 * a1
+        states[rows, hi] = m10 * a0 + m11 * a1
+        return states
+
+    def deletions(self, gates) -> np.ndarray:
+        """Row r: the initial state after every gate of ``gates`` except gate r."""
+        states = self.start(len(gates))
+        for j, gate in enumerate(gates):
+            for block in (states[:j], states[j + 1:]):
+                if len(block):
+                    self.apply(block, gate)
+        return states
+
+    def divergences(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(kl_ct1, kl_ct2) of each final state in a (k, 2**n) stack."""
+        probs = (np.abs(states) ** 2).reshape((len(states),) + self._split)
+        out = []
+        for offset, target in enumerate(self._targets):
+            # CT1 holds the low qubits, the last axis, so its marginal sums axis 1.
+            marg = _marginals(probs, 1 + offset)
+            if self._shots is not None:
+                # Every state is sampled with the problem's fixed seed (CT2: seed + 1).
+                nshots, seed = self._shots
+                draws = [np.random.default_rng(seed + offset).multinomial(nshots, row) for row in marg]
+                marg = np.array(draws) / nshots
+            out.append(_kl_rows(marg, target))
+        return out[0], out[1]
+
+    def reports(self, states: np.ndarray) -> list[CostReport]:
+        kl1, kl2 = self.divergences(states)
+        return [CostReport.from_parts(float(a), float(b)) for a, b in zip(kl1, kl2)]

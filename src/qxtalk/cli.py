@@ -73,7 +73,6 @@ class RunConfig:
     nshots: int = 8192
     seed: int = 0
     top_k: int = 4
-    workers: int = 1
     out: str = "runs/latest"
 
     def __post_init__(self):
@@ -98,13 +97,15 @@ class RunReport:
     contributions: ContributionTable
     edges: list[tune.NetworkEdge]
     wall_time_s: float
+    # (matrices, truth, co-culture run) of a synthetic run, which ``run`` writes out.
+    synthetic: tuple | None = None
 
 
 # --- configuration handling ----------------------------------------------
 
 _LIST_FIELDS = {"ct1_genes", "ct2_genes"}
 _BOOL_FIELDS = {"synthetic", "five_gene_ct2"}
-_INT_FIELDS = {"n_choose", "n_epochs", "max_depth", "nshots", "seed", "top_k", "workers"}
+_INT_FIELDS = {"n_choose", "n_epochs", "max_depth", "nshots", "seed", "top_k"}
 _FLOAT_FIELDS = {"threshold", "kl_tol", "eps_prune"}
 
 
@@ -175,7 +176,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "threshold": "threshold",
         "kl_tol": "kl_tol",
         "nshots": "nshots",
-        "workers": "workers",
         "out": "out",
     }
     for attr, key in flag_map.items():
@@ -233,18 +233,39 @@ def synthetic_matrices(cfg: RunConfig):
         "co_ct1": _cells_of(co, (synth.GROUP_INTERACTING_SENDER,)),
         "co_ct2": _cells_of(co, (synth.GROUP_INTERACTING_RECEIVER,)),
     }
-    return matrices, (ct1_sel, ct2_sel), truth, mono, co
+    return matrices, (ct1_sel, ct2_sel), truth, co
+
+
+def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput) -> None:
+    """The four simulated matrices, the co-culture cell labels and the true edges."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for key, matrix in matrices.items():
+        write_matrix_csv(outdir / f"{key}.csv", matrix)
+    with (outdir / "labels.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell_index", "group", "x", "y"])
+        for i, (label, pos) in enumerate(zip(co.cell_labels, co.positions)):
+            writer.writerow([i, label, repr(float(pos[0])), repr(float(pos[1]))])
+    with (outdir / "ground_truth.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["source", "target", "kind"])
+        for edge in truth:
+            writer.writerow([edge.source, edge.target, edge.kind])
 
 
 def load_matrices(cfg: RunConfig):
-    """The four input matrices plus gene selections, from files or the preset."""
+    """The four input matrices plus gene selections, from files or the preset.
+
+    The last item is, for synthetic inputs, the (matrices, truth, co-culture
+    run) triple that :func:`write_synthetic` takes, and None for files.
+    """
     if cfg.synthetic:
-        matrices, (ct1_sel, ct2_sel), _, _, _ = synthetic_matrices(cfg)
+        matrices, (ct1_sel, ct2_sel), truth, co = synthetic_matrices(cfg)
         if cfg.ct1_genes:
             ct1_sel = GeneSelection(cell_type_label=cfg.ct1_label, genes=list(cfg.ct1_genes))
         if cfg.ct2_genes:
             ct2_sel = GeneSelection(cell_type_label=cfg.ct2_label, genes=list(cfg.ct2_genes))
-        return matrices, ct1_sel, ct2_sel
+        return matrices, ct1_sel, ct2_sel, (matrices, truth, co)
     paths = {
         "mono_ct1": cfg.mono_ct1,
         "mono_ct2": cfg.mono_ct2,
@@ -262,7 +283,7 @@ def load_matrices(cfg: RunConfig):
     matrices = {key: ingest.load_matrix(path, delimiter=delim) for key, path in paths.items()}
     ct1_sel = GeneSelection(cell_type_label=cfg.ct1_label, genes=list(cfg.ct1_genes))
     ct2_sel = GeneSelection(cell_type_label=cfg.ct2_label, genes=list(cfg.ct2_genes))
-    return matrices, ct1_sel, ct2_sel
+    return matrices, ct1_sel, ct2_sel, None
 
 
 @dataclass
@@ -369,7 +390,7 @@ def run_strategy(problem: Problem, cands: prune.CandidateSet, cfg: RunConfig) ->
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Full pipeline on one configuration; deterministic for exact evaluation."""
     started = time.perf_counter()
-    matrices, ct1_sel, ct2_sel = _stage("ingest", load_matrices, cfg)
+    matrices, ct1_sel, ct2_sel, synthetic = _stage("ingest", load_matrices, cfg)
     enc = _stage("encode", encode_inputs, matrices, ct1_sel, ct2_sel)
     problem = _stage("encode", build_problem, enc, cfg)
     cands = _stage("prune", extract_candidate_pairs, enc, cfg)
@@ -406,6 +427,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         contributions=contributions,
         edges=edges,
         wall_time_s=wall,
+        synthetic=synthetic,
     )
 
 
@@ -553,8 +575,8 @@ def _require_artifact(path: Path, producer: str) -> None:
 def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = run_pipeline(cfg)
     outdir = _outdir(cfg)
-    if cfg.synthetic:
-        cmd_simulate(cfg, args, quiet=True)
+    if report.synthetic is not None:
+        write_synthetic(outdir, *report.synthetic)
     write_report_files(report, outdir)
     print(_format_report_text(report), end="")
     print(f"wall time: {report.wall_time_s:.2f}s")
@@ -562,27 +584,14 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, quiet: bool = False) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.synthetic:
         raise PipelineError("simulate", "simulate requires synthetic = true")
-    matrices, _, truth, mono, co = _stage("simulate", synthetic_matrices, cfg)
+    matrices, _, truth, co = _stage("simulate", synthetic_matrices, cfg)
     outdir = _outdir(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for key, matrix in matrices.items():
-        write_matrix_csv(outdir / f"{key}.csv", matrix)
-    with (outdir / "labels.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", "group", "x", "y"])
-        for i, (label, pos) in enumerate(zip(co.cell_labels, co.positions)):
-            writer.writerow([i, label, repr(float(pos[0])), repr(float(pos[1]))])
-    with (outdir / "ground_truth.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "kind"])
-        for edge in truth:
-            writer.writerow([edge.source, edge.target, edge.kind])
-    if not quiet:
-        sparsity = float((co.observed == 0).mean())
-        print(f"wrote {len(matrices)} matrices to {outdir} (co-run sparsity {sparsity:.1%})")
+    write_synthetic(outdir, matrices, truth, co)
+    sparsity = float((co.observed == 0).mean())
+    print(f"wrote {len(matrices)} matrices to {outdir} (co-run sparsity {sparsity:.1%})")
     return EXIT_OK
 
 
@@ -649,9 +658,9 @@ def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
             file_cfg = dataclasses.replace(
                 file_cfg, ct1_genes=list(ct1_sel.genes), ct2_genes=list(ct2_sel.genes)
             )
-        matrices, ct1_sel, ct2_sel = _stage("ingest", load_matrices, file_cfg)
+        matrices, ct1_sel, ct2_sel, _ = _stage("ingest", load_matrices, file_cfg)
     else:
-        matrices, ct1_sel, ct2_sel = _stage("ingest", load_matrices, cfg)
+        matrices, ct1_sel, ct2_sel, _ = _stage("ingest", load_matrices, cfg)
     enc = _stage("encode", encode_inputs, matrices, ct1_sel, ct2_sel)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "encoded.json").write_text(
@@ -771,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kl-tol", dest="kl_tol", type=float, help="search acceptance tolerance")
     common.add_argument("--nshots", type=int, help="shots per evaluation in shots mode")
     common.add_argument("--exact", action="store_true", help="force exact evaluation mode")
-    common.add_argument("--workers", type=int, help="worker count for batched evaluation")
     common.add_argument("--out", help="run directory for artifacts")
     common.add_argument("--synthetic", action="store_true", help="use the built-in benchmark tissue")
     parser = argparse.ArgumentParser(

@@ -9,14 +9,13 @@ the P side contribute nothing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._bits import bitstring_to_index
 from .ingest import TargetDistribution
-from .qsim import RegisterLayout, StateVector, Topology, run_circuit, marginal_probabilities, sample_counts
+from .qsim import RegisterLayout, StateVector, Topology
 
 DEFAULT_SMOOTHING = 1e-9
 DEFAULT_NSHOTS = 8192
@@ -53,6 +52,18 @@ class Problem:
         if self.smoothing <= 0:
             raise ValueError("smoothing epsilon must be positive")
 
+    def __setattr__(self, name, value):
+        # The kernel caches the initial state, targets and settings; drop it on any change.
+        self.__dict__.pop("kernel", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def kernel(self):
+        """The in-place batched simulation and scoring kernel, built on first use."""
+        from ._kernel import Kernel  # the kernel module imports CostReport from here
+
+        return Kernel(self)
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -80,36 +91,13 @@ def kl_divergence(p: TargetDistribution, q: TargetDistribution, smoothing: float
     return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
 
 
-def _register_distribution(problem: Problem, final: StateVector, qubits, seed: int) -> TargetDistribution:
-    if problem.eval_mode == "exact":
-        return marginal_probabilities(final, qubits)
-    hist = sample_counts(final, qubits, problem.nshots, seed)
-    probs = np.zeros(1 << hist.num_genes, dtype=np.float64)
-    for state, count in hist.counts.items():
-        probs[bitstring_to_index(state)] = count / problem.nshots
-    return TargetDistribution(num_qubits=hist.num_genes, probabilities=probs)
-
-
 def evaluate(problem: Problem, topology: Topology) -> CostReport:
     """Run the circuit and score both register marginals against their targets.
 
     Shots mode reuses the problem's fixed seed (CT2 uses seed + 1), so the
-    cost of a given topology is deterministic for a given problem.
+    cost of a given topology is deterministic for a given problem.  Scoring
+    goes through the problem's kernel as a batch of one, the same path every
+    batched search phase takes, so a topology gets the same bits either way.
     """
-    final = run_circuit(problem.initial_state, topology)
-    p_ct1 = _register_distribution(problem, final, problem.layout.ct1_qubits, problem.shots_seed)
-    p_ct2 = _register_distribution(problem, final, problem.layout.ct2_qubits, problem.shots_seed + 1)
-    kl1 = kl_divergence(p_ct1, problem.target_ct1, problem.smoothing)
-    kl2 = kl_divergence(p_ct2, problem.target_ct2, problem.smoothing)
-    return CostReport.from_parts(kl1, kl2)
-
-
-def evaluate_batch(problem: Problem, topologies, workers: int = 1) -> list[CostReport]:
-    """Evaluate several topologies; results keep input order regardless of workers."""
-    topologies = list(topologies)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(topologies) < 2:
-        return [evaluate(problem, t) for t in topologies]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: evaluate(problem, t), topologies))
+    kernel = problem.kernel
+    return kernel.reports(kernel.run(topology))[0]

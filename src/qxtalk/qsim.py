@@ -5,6 +5,12 @@ Supports up to 12 qubits with the little-endian convention from
 Internally a state is reshaped to ``[2] * n`` so qubit k lives on axis
 ``n - 1 - k``; gates are applied by slicing that axis, which keeps every
 operation a pair of vectorized 2x2 updates.
+
+:func:`apply_gate` is the public reference oracle: it never mutates its
+input and checks the norm of every state it returns.  The search, tuning,
+ablation and variational loops run on the internal kernel in ``_kernel``
+instead, which applies the same 2x2 updates in place to stacks of raw
+amplitude arrays; the equivalence tests compare it against this module.
 """
 
 from __future__ import annotations
@@ -166,27 +172,36 @@ def _take(psi: np.ndarray, fixed: dict[int, int], n: int) -> tuple:
     return tuple(sel)
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+def _rotation_entries(kind: str, angle: float) -> tuple:
+    """Row-major entries of a rotation's 2x2 matrix, as Python scalars."""
     half = angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if kind in ("RX", "CRX"):
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+        return c, -1j * s, -1j * s, c
     if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return c, -s, s, c
     if kind == "RZ":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]], dtype=np.complex128)
+        return c - 1j * s, 0.0, 0.0, c + 1j * s
     raise ValueError(f"not a rotation kind: {kind}")
+
+
+def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+    return np.array(_rotation_entries(kind, angle), dtype=np.complex128).reshape(2, 2)
 
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Apply one gate and return the new statevector (the input is not mutated)."""
-    n = state.num_qubits
+def _check_qubits(gate: GateSpec, n: int) -> None:
     for qubit in (gate.target, gate.control):
         if qubit is not None and not 0 <= qubit < n:
             raise ValueError(f"gate {gate.kind} addresses qubit {qubit} outside 0..{n - 1}")
+
+
+def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
+    """Apply one gate and return the new statevector (the input is not mutated)."""
+    n = state.num_qubits
+    _check_qubits(gate, n)
     psi = state.amplitudes.reshape([2] * n).copy()
     if gate.kind == "CNOT":
         lo = _take(psi, {gate.control: 1, gate.target: 0}, n)

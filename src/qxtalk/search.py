@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .cost import CostReport, Problem, evaluate
 from .prune import CandidateSet
-from .qsim import GateSpec, StateVector, Topology, apply_gate
+from .qsim import GateSpec, Topology
 from .tune import minimize_simplex
 
 SEARCH_ANGLE = math.pi / 2.0
@@ -75,15 +76,27 @@ class SearchResult:
 
 
 class Evaluator:
-    """Counts cost evaluations; no caching, so counts reflect real calls."""
+    """Counts scored topologies; no caching, so counts reflect real work.
+
+    Batched phases build their final states on the problem's kernel and
+    score them with :meth:`score`, which counts one evaluation per state.
+    """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.calls = 0
 
+    @property
+    def kernel(self):
+        return self.problem.kernel
+
     def __call__(self, topology: Topology) -> CostReport:
         self.calls += 1
         return evaluate(self.problem, topology)
+
+    def score(self, states: np.ndarray) -> list[CostReport]:
+        self.calls += len(states)
+        return self.kernel.reports(states)
 
 
 def gate_for_pair(pair: tuple[int, int], angle: float = SEARCH_ANGLE) -> GateSpec:
@@ -100,6 +113,30 @@ def _unused(seq: Topology, cands: CandidateSet) -> list[tuple[int, int]]:
     return [p for p in cands.pairs if p not in used]
 
 
+def _lowest(scored: list[tuple[Topology, CostReport]]) -> int:
+    """Index of the entry with the lowest total; the first one wins ties."""
+    return min(range(len(scored)), key=lambda i: scored[i][1].total)
+
+
+def _extensions(
+    ev: Evaluator, seq: Topology, state: np.ndarray, pairs: list[tuple[int, int]]
+) -> tuple[np.ndarray, list[tuple[Topology, CostReport]]]:
+    """``seq`` followed by each pair's search gate, scored from ``seq``'s final state."""
+    states = ev.kernel.extend(state, pairs, SEARCH_ANGLE)
+    scored = [
+        (Topology(gates=seq.gates + (gate_for_pair(p),)), r) for p, r in zip(pairs, ev.score(states))
+    ]
+    return states, scored
+
+
+def _deletions(ev: Evaluator, seq: Topology) -> list[tuple[Topology, CostReport]]:
+    """``seq`` without each of its gates in turn, scored in one batch."""
+    reports = ev.score(ev.kernel.deletions(seq.gates))
+    return [
+        (Topology(gates=seq.gates[:pos] + seq.gates[pos + 1 :]), r) for pos, r in enumerate(reports)
+    ]
+
+
 def best_insertion(
     problem: Problem,
     seq: Topology,
@@ -113,18 +150,25 @@ def best_insertion(
     candidate order, then by lower insertion index.
     """
     ev = evaluator or Evaluator(problem)
-    best: tuple[Topology, CostReport] | None = None
-    for pair in _unused(seq, cands):
-        gate = gate_for_pair(pair)
-        for pos in range(len(seq) + 1):
-            gates = seq.gates[:pos] + (gate,) + seq.gates[pos:]
-            candidate = Topology(gates=gates)
-            report = ev(candidate)
-            if best is None or report.total < best[1].total:
-                best = (candidate, report)
-    if best is None:
+    unused = _unused(seq, cands)
+    if not unused:
         return seq, ev(seq)
-    return best
+    kernel = ev.kernel
+    prefix = kernel.start()
+    by_pos = []
+    for pos in range(len(seq) + 1):
+        states = kernel.extend(prefix, unused, SEARCH_ANGLE)
+        for gate in seq.gates[pos:]:
+            kernel.apply(states, gate)
+        by_pos.append(ev.score(states))
+        if pos < len(seq):
+            kernel.apply(prefix, seq.gates[pos])
+    scored = [
+        (Topology(gates=seq.gates[:pos] + (gate_for_pair(pair),) + seq.gates[pos:]), reports[i])
+        for i, pair in enumerate(unused)
+        for pos, reports in enumerate(by_pos)
+    ]
+    return scored[_lowest(scored)]
 
 
 def best_permutation_addition(
@@ -146,14 +190,17 @@ def best_permutation_addition(
     unused = _unused(seq, cands)
     if len(unused) < n:
         return seq, ev(seq)
-    best: tuple[Topology, CostReport] | None = None
-    for combo in itertools.permutations(unused, n):
-        gates = seq.gates + tuple(gate_for_pair(p) for p in combo)
-        candidate = Topology(gates=gates)
-        report = ev(candidate)
-        if best is None or report.total < best[1].total:
-            best = (candidate, report)
-    return best
+    base = ev.kernel.run(seq.gates)
+    scored = []
+    # itertools.permutations(unused, n) order: each (n-1)-prefix in turn, then
+    # every remaining candidate as the last gate, in candidate order.
+    for head in itertools.permutations(unused, n - 1):
+        prefix = Topology(gates=seq.gates + tuple(gate_for_pair(p) for p in head))
+        state = base.copy()
+        for gate in prefix.gates[len(seq):]:
+            ev.kernel.apply(state, gate)
+        scored += _extensions(ev, prefix, state, [p for p in unused if p not in head])[1]
+    return scored[_lowest(scored)]
 
 
 def best_deletion(
@@ -165,14 +212,8 @@ def best_deletion(
     ev = evaluator or Evaluator(problem)
     if len(seq) == 0:
         return seq, ev(seq)
-    best: tuple[Topology, CostReport] | None = None
-    for pos in range(len(seq)):
-        gates = seq.gates[:pos] + seq.gates[pos + 1 :]
-        candidate = Topology(gates=gates)
-        report = ev(candidate)
-        if best is None or report.total < best[1].total:
-            best = (candidate, report)
-    return best
+    scored = _deletions(ev, seq)
+    return scored[_lowest(scored)]
 
 
 def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -229,17 +270,17 @@ def _greedy_forward(
     max_depth: int,
     history: list[HistoryEntry],
 ) -> tuple[Topology, CostReport]:
+    state = ev.kernel.run(seq.gates)
     while len(seq) < max_depth:
-        best: tuple[Topology, CostReport] | None = None
-        for pair in _unused(seq, cands):
-            candidate = Topology(gates=seq.gates + (gate_for_pair(pair),))
-            report = ev(candidate)
-            history.append(HistoryEntry(candidate, report, "forward"))
-            if best is None or report.total < best[1].total:
-                best = (candidate, report)
-        if best is None or best[1].total >= cost.total:
+        unused = _unused(seq, cands)
+        if not unused:
             break
-        seq, cost = best
+        states, scored = _extensions(ev, seq, state, unused)
+        history.extend(HistoryEntry(t, r, "forward") for t, r in scored)
+        i = _lowest(scored)
+        if scored[i][1].total >= cost.total:
+            break
+        (seq, cost), state = scored[i], states[i : i + 1]
     return seq, cost
 
 
@@ -251,16 +292,12 @@ def _greedy_removal(
     history: list[HistoryEntry],
 ) -> tuple[Topology, CostReport]:
     while len(seq) >= 1:
-        best: tuple[Topology, CostReport] | None = None
-        for pos in range(len(seq)):
-            candidate = Topology(gates=seq.gates[:pos] + seq.gates[pos + 1 :])
-            report = ev(candidate)
-            history.append(HistoryEntry(candidate, report, "refine"))
-            if best is None or report.total < best[1].total:
-                best = (candidate, report)
-        if best is None or best[1].total >= cost.total - delta:
+        scored = _deletions(ev, seq)
+        history.extend(HistoryEntry(t, r, "refine") for t, r in scored)
+        i = _lowest(scored)
+        if scored[i][1].total >= cost.total - delta:
             break
-        seq, cost = best
+        seq, cost = scored[i]
     return seq, cost
 
 
@@ -342,13 +379,11 @@ def build_kl_matrix(
     if baseline is None:
         baseline = ev(Topology(())).total
     m = np.zeros((n, n), dtype=np.float64)
+    singles = ev.kernel.extend(ev.kernel.start(), cands.pairs, SEARCH_ANGLE)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                topo = Topology(gates=(gate_for_pair(cands.pairs[i]),))
-            else:
-                topo = Topology(gates=(gate_for_pair(cands.pairs[i]), gate_for_pair(cands.pairs[j])))
-            m[i, j] = ev(topo).total
+        states = ev.kernel.extend(singles[i], cands.pairs, SEARCH_ANGLE)
+        states[i] = singles[i]
+        m[i] = [r.total for r in ev.score(states)]
     return m, float(baseline)
 
 
@@ -486,50 +521,38 @@ def _variational_energies(qp: QuboProblem) -> np.ndarray:
     return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
 
 
-def _uniform_plus_state(n: int) -> StateVector:
-    amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-    return StateVector(num_qubits=n, amplitudes=amps)
-
-
-def _zero_state(n: int) -> StateVector:
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits=n, amplitudes=amps)
-
-
-def _vqe_state(params: np.ndarray, n: int) -> StateVector:
-    """Two entangling layers of RY rotations + CNOT chains, plus a final RY layer."""
-    state = _zero_state(n)
+def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes after two entangling layers of RY rotations + CNOT chains, plus a final RY layer."""
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[0] = 1.0
     theta = params.reshape(3, n)
     for layer in range(2):
         for i in range(n):
-            state = apply_gate(state, GateSpec(kind="RY", target=i, angle=float(theta[layer, i])))
+            _kernel.apply(psi, n, "RY", i, angle=float(theta[layer, i]))
         for i in range(n - 1):
-            state = apply_gate(state, GateSpec(kind="CNOT", target=i + 1, control=i))
+            _kernel.apply(psi, n, "CNOT", i + 1, control=i)
     for i in range(n):
-        state = apply_gate(state, GateSpec(kind="RY", target=i, angle=float(theta[2, i])))
-    return state
+        _kernel.apply(psi, n, "RY", i, angle=float(theta[2, i]))
+    return psi
 
 
-def _qaoa_state(params: np.ndarray, n: int, h: np.ndarray, j: np.ndarray) -> StateVector:
-    """Depth-2 alternating cost/mixer circuit for the Ising image of the QUBO."""
-    state = _uniform_plus_state(n)
+def _qaoa_state(params: np.ndarray, n: int, h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Amplitudes of the depth-2 alternating cost/mixer circuit for the Ising image of the QUBO."""
+    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for layer in range(2):
         gamma, beta = float(params[2 * layer]), float(params[2 * layer + 1])
         for i in range(n):
             if h[i] != 0.0:
-                state = apply_gate(state, GateSpec(kind="RZ", target=i, angle=2.0 * gamma * h[i]))
+                _kernel.apply(psi, n, "RZ", i, angle=2.0 * gamma * h[i])
         for a in range(n):
             for b in range(a + 1, n):
                 if j[a, b] != 0.0:
-                    state = apply_gate(state, GateSpec(kind="CNOT", target=b, control=a))
-                    state = apply_gate(
-                        state, GateSpec(kind="RZ", target=b, angle=2.0 * gamma * j[a, b])
-                    )
-                    state = apply_gate(state, GateSpec(kind="CNOT", target=b, control=a))
+                    _kernel.apply(psi, n, "CNOT", b, control=a)
+                    _kernel.apply(psi, n, "RZ", b, angle=2.0 * gamma * j[a, b])
+                    _kernel.apply(psi, n, "CNOT", b, control=a)
         for i in range(n):
-            state = apply_gate(state, GateSpec(kind="RX", target=i, angle=2.0 * beta))
-    return state
+            _kernel.apply(psi, n, "RX", i, angle=2.0 * beta)
+    return psi
 
 
 def _ising_coefficients(qp: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -592,7 +615,7 @@ def solve_qubo_heuristic(
         make_state = lambda p: _qaoa_state(p, n, h, j)
 
     def objective(params: np.ndarray) -> float:
-        return float(make_state(params).probabilities() @ energies)
+        return float(np.abs(make_state(params)) ** 2 @ energies)
 
     best_params, best_val = None, math.inf
     for _ in range(2):
@@ -600,7 +623,7 @@ def solve_qubo_heuristic(
         params, val, _ = minimize_simplex(objective, x0, max_evals=300 * n_params)
         if val < best_val:
             best_params, best_val = params, val
-    probs = make_state(best_params).probabilities()
+    probs = np.abs(make_state(best_params)) ** 2
     return _top_k_probable(probs, energies, n, top_k)
 
 
@@ -652,6 +675,11 @@ def qubo_search(
     The baseline empty circuit always competes, so the returned cost never
     exceeds it.
     """
+    if solver == "exact" and len(cands.pairs) > EXACT_SOLVER_MAX_VARS:
+        raise ValueError(
+            f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, "
+            f"got {len(cands.pairs)} candidates"
+        )
     cfg = cfg or SearchConfig()
     ev = Evaluator(problem)
     empty = Topology(())

@@ -181,9 +181,10 @@ def optimize_angles(
     _check_rotations(topology)
     if len(topology) == 0:
         return AngleVector(values=np.zeros(0)), evaluate(problem, topology)
+    kernel = problem.kernel
 
     def objective(theta: np.ndarray) -> float:
-        return evaluate(problem, _with_angles(topology, theta)).total
+        return kernel.reports(kernel.run(topology.gates, theta))[0].total
 
     if start is None:
         x0 = np.zeros(len(topology))
@@ -228,7 +229,8 @@ def contribution_analysis(
 ) -> ContributionTable:
     """Per-gate KL deltas from prefix evaluation at the tuned angles.
 
-    Row i scores the circuit truncated after gate i; its delta is the KL
+    Row i scores the circuit truncated after gate i, read off one running
+    state, so the table costs one gate application per row; its delta is the KL
     change versus the previous prefix (row 1 compares to the bare encoded
     state), and the percent column is |delta| / baseline * 100.  The
     deltas telescope to final-minus-baseline by construction.
@@ -238,22 +240,22 @@ def contribution_analysis(
             f"got {len(angles.values)} angles for {len(topology)} gates"
         )
     _check_rotations(topology)
-    tuned = _with_angles(topology, angles.values)
-    baseline = evaluate(problem, Topology(())).total
     labels = _labels(topology, gene_map)
+    kernel = problem.kernel
+    state = kernel.start()
+    baseline = kernel.reports(state)[0].total
     rows = []
     previous = baseline
-    for i in range(1, len(tuned.gates) + 1):
-        prefix = Topology(gates=tuned.gates[:i])
-        kl = evaluate(problem, prefix).total
+    for gate, angle, (src, dst) in zip(topology.gates, angles.values, labels):
+        kernel.apply(state, gate, angle)
+        kl = kernel.reports(state)[0].total
         delta = kl - previous
         percent = percent_of_baseline(delta, baseline)
-        src, dst = labels[i - 1]
         rows.append(
             ContributionRow(
                 source=src,
                 target=dst,
-                angle=float(angles.values[i - 1]),
+                angle=float(angle),
                 kl_after_prefix=kl,
                 kl_delta=delta,
                 percent_contribution=percent,

@@ -19,6 +19,7 @@ from qxtalk.cli import (
     parse_config_file,
     resolve_config,
 )
+from qxtalk import synth
 from qxtalk.qsim import GateSpec
 
 SMALL_CONFIG = """\
@@ -194,6 +195,25 @@ class TestFullRun:
         assert report["timing"]["wall_time_s"] > 0
         captured = capsys.readouterr()
         assert "wall time" in captured.out
+
+    def test_run_simulates_each_tissue_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", config, "--out", str(sim)]) == EXIT_OK
+        calls = []
+        simulate = synth.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["interaction_enabled"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "simulate", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert sorted(calls) == [False, True]
+        for name in ("mono_ct1.csv", "mono_ct2.csv", "co_ct1.csv", "co_ct2.csv",
+                     "labels.csv", "ground_truth.csv"):
+            assert (out / name).read_bytes() == (sim / name).read_bytes(), name
 
     def test_contribution_deltas_telescope_in_report(self, tmp_path):
         config = write_config(tmp_path)

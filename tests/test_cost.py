@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qxtalk.cost import CostReport, Problem, evaluate, evaluate_batch, kl_divergence
+from qxtalk.cost import CostReport, Problem, evaluate, kl_divergence
 from qxtalk.ingest import AmplitudeVector, TargetDistribution
 from qxtalk.qsim import (
     GateSpec,
@@ -157,6 +157,17 @@ class TestEvaluate:
         noisy = evaluate(shots_problem, topo).total
         assert abs(exact - noisy) < 0.02
 
+    def test_settings_changed_after_an_evaluation_take_effect(self):
+        rng = np.random.default_rng(21)
+        problem = make_problem(rng)
+        topo = Topology((gate_for_pair((0, 2)),))
+        exact = evaluate(problem, topo)
+        problem.eval_mode, problem.nshots = "shots", 64
+        sampled = evaluate(problem, topo)
+        rng = np.random.default_rng(21)
+        assert sampled == evaluate(make_problem(rng, eval_mode="shots", nshots=64), topo)
+        assert sampled != exact
+
     def test_problem_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -182,25 +193,3 @@ class TestCostReport:
         assert report.total == pytest.approx(0.75)
         assert report.kl_ct1 == 0.25
         assert report.kl_ct2 == 0.5
-
-
-class TestEvaluateBatch:
-    def test_matches_serial_and_preserves_order(self):
-        rng = np.random.default_rng(9)
-        problem = make_problem(rng)
-        topologies = [
-            Topology(()),
-            Topology((gate_for_pair((0, 2)),)),
-            Topology((gate_for_pair((0, 2)), gate_for_pair((2, 1)))),
-            Topology((gate_for_pair((3, 0)),)),
-        ]
-        serial = evaluate_batch(problem, topologies, workers=1)
-        threaded = evaluate_batch(problem, topologies, workers=4)
-        assert [r.total for r in serial] == [r.total for r in threaded]
-        assert serial[1].total == evaluate(problem, topologies[1]).total
-
-    def test_worker_count_validated(self):
-        rng = np.random.default_rng(9)
-        problem = make_problem(rng)
-        with pytest.raises(ValueError):
-            evaluate_batch(problem, [Topology(())], workers=0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qxtalk._kernel import Kernel
 from qxtalk.cost import Problem, evaluate
 from qxtalk.ingest import AmplitudeVector, StateHistogram, TargetDistribution, amplitudes
 from qxtalk.prune import CandidateSet
@@ -20,6 +21,7 @@ from qxtalk.qsim import (
 )
 from qxtalk.search import (
     DEFAULT_KL_TOL,
+    EXACT_SOLVER_MAX_VARS,
     SEARCH_ANGLE,
     Evaluator,
     QuboProblem,
@@ -702,6 +704,24 @@ class TestQuboSearch:
         result = qubo_search(problem, cands, solver="exact")
         assert result.cost.total < 0.01
         assert (0, 2) in [(g.control, g.target) for g in result.topology]
+
+    def test_exact_cap_checked_before_any_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        problem = product_problem(rng, 3, 3)
+        count = EXACT_SOLVER_MAX_VARS + 1
+        pairs = [(c, t) for c in range(6) for t in range(6) if c != t][:count]
+        scored = []
+        divergences = Kernel.divergences
+
+        def counting(self, states):
+            scored.append(len(states))
+            return divergences(self, states)
+
+        monkeypatch.setattr(Kernel, "divergences", counting)
+        cands = CandidateSet(pairs=pairs, threshold_used=0.01)
+        with pytest.raises(ValueError, match=rf"capped at {EXACT_SOLVER_MAX_VARS}\b.*got {count}\b"):
+            qubo_search(problem, cands, solver="exact")
+        assert scored == []
 
     def test_solver_name_validated(self):
         rng = np.random.default_rng(46)
