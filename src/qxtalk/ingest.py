@@ -130,12 +130,49 @@ def _sniff_delimiter(header: str) -> str:
     return "\t" if "\t" in header else ","
 
 
+def _reads_as_number(raw: str) -> bool:
+    """Whether numpy's text parser reads ``raw`` as a float.
+
+    It reads what Python's ``float`` reads, less digit-group underscores
+    (``1_000``) and non-ASCII digits.
+    """
+    text = raw.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_rows(path: str, body: list[str], delim: str, header: list[str], labeled: bool) -> None:
+    """Raise for the first row with a wrong field count or a non-numeric cell."""
+    expected_fields = len(header) + (1 if labeled else 0)
+    for row_no, line in enumerate(body, start=2):
+        fields = line.split(delim)
+        if len(fields) != expected_fields:
+            raise ValueError(
+                f"{path}: row {row_no} has {len(fields)} fields, expected {expected_fields}"
+            )
+        for col, raw in enumerate(fields[1:] if labeled else fields):
+            if not _reads_as_number(raw):
+                raise ValueError(
+                    f"{path}: non-numeric value {raw.strip()!r} at row {row_no}, column {header[col]!r}"
+                )
+
+
 def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
     """Read a delimited text matrix (header row = gene names, one row per cell).
 
-    ``delimiter=None`` auto-detects tab vs comma from the header line.
-    Parse failures report the offending row/column.
+    ``delimiter=None`` auto-detects tab vs comma from the header line; an
+    explicit delimiter must be one character.  Blank lines are skipped
+    and row numbers count non-blank lines.  The body is parsed by numpy's
+    C reader, with no comment character; parse failures report the
+    offending row/column.
     """
+    if delimiter is not None and len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -158,31 +195,29 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
                 f"{path}: duplicate gene name {name!r} in header (columns {seen[name] + 1} and {col + 1})"
             )
         seen[name] = col
-    rows = []
+    body = lines[1:]
+    if not body:
+        raise ValueError(f"{path}: no cell rows found")
     # The first data row decides whether rows carry a leading label column;
     # every later row must then match that shape exactly.
-    labeled = len(lines) > 1 and len(lines[1].split(delim)) == len(header) + 1
+    labeled = body[0].count(delim) == len(header)
     expected_fields = len(header) + (1 if labeled else 0)
-    for row_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(delim)
-        if len(fields) != expected_fields:
-            raise ValueError(
-                f"{path}: row {row_no} has {len(fields)} fields, expected {expected_fields}"
-            )
-        if labeled:
-            fields = fields[1:]
-        parsed = np.empty(len(header), dtype=np.float64)
-        for col, raw in enumerate(fields):
-            try:
-                parsed[col] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {raw.strip()!r} at row {row_no}, column {header[col]!r}"
-                ) from None
-        rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no cell rows found")
-    values = np.vstack(rows)
+    # Name the first offending row and cell, in file order.  numpy names
+    # neither the gene nor a row with extra fields beyond ``usecols``.
+    if any(line.count(delim) != expected_fields - 1 for line in body):
+        _check_rows(path, body, delim, header, labeled)
+    try:
+        values = np.loadtxt(
+            body,
+            dtype=np.float64,
+            delimiter=delim,
+            comments=None,
+            ndmin=2,
+            usecols=range(1, len(header) + 1) if labeled else None,
+        )
+    except ValueError:
+        _check_rows(path, body, delim, header, labeled)
+        raise
     if values.min() < 0:
         bad = np.argwhere(values < 0)[0]
         raise ValueError(

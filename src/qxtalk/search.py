@@ -536,36 +536,30 @@ def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
-def _qaoa_state(params: np.ndarray, n: int, h: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Amplitudes of the depth-2 alternating cost/mixer circuit for the Ising image of the QUBO."""
+def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
+    """Amplitudes of the depth-2 alternating cost/mixer circuit.
+
+    The cost layer exp(-i gamma H) is diagonal in the computational basis,
+    so it is applied as one phase per basis state, exp(-i gamma E(x)).
+    That equals the gate-level RZ/CNOT-RZ-CNOT circuit on the Ising image of
+    the QUBO up to a global phase (Farhi, Goldstone & Gutmann, 2014).
+    """
     psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for layer in range(2):
         gamma, beta = float(params[2 * layer]), float(params[2 * layer + 1])
-        for i in range(n):
-            if h[i] != 0.0:
-                _kernel.apply(psi, n, "RZ", i, angle=2.0 * gamma * h[i])
-        for a in range(n):
-            for b in range(a + 1, n):
-                if j[a, b] != 0.0:
-                    _kernel.apply(psi, n, "CNOT", b, control=a)
-                    _kernel.apply(psi, n, "RZ", b, angle=2.0 * gamma * j[a, b])
-                    _kernel.apply(psi, n, "CNOT", b, control=a)
+        psi *= np.exp(-1j * gamma * energies)
         for i in range(n):
             _kernel.apply(psi, n, "RX", i, angle=2.0 * beta)
     return psi
 
 
-def _ising_coefficients(qp: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Map x_i = (1 - z_i) / 2, giving field and coupling terms over spins."""
-    diag = np.diag(qp.q)
-    off = qp.q - np.diag(diag)
-    h = -diag / 2.0 - off.sum(axis=1) / 4.0
-    j = off / 4.0
-    return h, j
-
-
 def _top_k_probable(probs: np.ndarray, energies: np.ndarray, n: int, k: int) -> list[tuple[np.ndarray, float]]:
-    order = np.argsort(-probs, kind="stable")[:k]
+    """The k most probable assignments; ties break to the lower basis index.
+
+    Probabilities are ranked rounded to 12 decimals, so states of equal
+    probability that differ only by rounding keep index order.
+    """
+    order = np.argsort(-np.round(probs, 12), kind="stable")[:k]
     out = []
     for idx in order:
         bits = ((int(idx) >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
@@ -610,9 +604,8 @@ def solve_qubo_heuristic(
         n_params = 3 * n
         make_state = lambda p: _vqe_state(p, n)
     else:
-        h, j = _ising_coefficients(qp)
         n_params = 4
-        make_state = lambda p: _qaoa_state(p, n, h, j)
+        make_state = lambda p: _qaoa_state(p, n, energies)
 
     def objective(params: np.ndarray) -> float:
         return float(np.abs(make_state(params)) ** 2 @ energies)
@@ -675,9 +668,16 @@ def qubo_search(
     The baseline empty circuit always competes, so the returned cost never
     exceeds it.
     """
+    # Size caps fail before the pairwise matrix is built, so no work is lost
+    # when the caller falls back to another solver.
     if solver == "exact" and len(cands.pairs) > EXACT_SOLVER_MAX_VARS:
         raise ValueError(
             f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, "
+            f"got {len(cands.pairs)} candidates"
+        )
+    if solver in ("vqe", "qaoa") and len(cands.pairs) > VARIATIONAL_MAX_VARS:
+        raise ValueError(
+            f"variational solvers are capped at {VARIATIONAL_MAX_VARS} variables, "
             f"got {len(cands.pairs)} candidates"
         )
     cfg = cfg or SearchConfig()

@@ -1,7 +1,12 @@
 """Matrix loading, normalization, binarization and amplitude encoding."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qxtalk.ingest import (
     MAX_GENES_PER_TYPE,
@@ -65,6 +70,11 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="row 3"):
             load_matrix(path)
 
+    def test_labeled_row_with_an_extra_field_rejected(self, tmp_path):
+        path = write(tmp_path, "gA,gB\nc0,1,2\nc1,3,4,5\n")
+        with pytest.raises(ValueError, match="row 3 has 4 fields, expected 3"):
+            load_matrix(path)
+
     def test_non_numeric_reports_row_and_gene(self, tmp_path):
         path = write(tmp_path, "gA,gB\n1,huh\n")
         with pytest.raises(ValueError, match="row 2.*'gB'"):
@@ -72,18 +82,51 @@ class TestLoadMatrix:
 
     def test_negative_value_rejected(self, tmp_path):
         path = write(tmp_path, "gA,gB\n1,-2\n")
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"negative value at row 2, column 'gB'"):
             load_matrix(path)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="file is empty"):
             load_matrix(path)
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "gA,gB\n")
         with pytest.raises(ValueError, match="no cell rows"):
             load_matrix(path)
+
+    def test_blank_only_file_is_empty(self, tmp_path):
+        path = write(tmp_path, "\n  \n\t\n")
+        with pytest.raises(ValueError, match="file is empty"):
+            load_matrix(path)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(b"gA,gB\r\n\r\n1,2\r\n  \r\n3,4\r\n")
+        m = load_matrix(str(path))
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_hash_in_a_field_is_data(self, tmp_path):
+        path = write(tmp_path, "gA,gB\n1,2\n3,4#note\n")
+        with pytest.raises(ValueError, match=r"non-numeric value '4#note' at row 3, column 'gB'"):
+            load_matrix(path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        path = write(tmp_path, "gA,gB\n1,x\n1,2,3\n")
+        with pytest.raises(ValueError, match=r"non-numeric value 'x' at row 2"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("literal", ["1_000", "\u0661", "\uff11"])
+    def test_literals_numpy_does_not_read_are_non_numeric(self, tmp_path, literal):
+        # Python's float() reads these; the matrix parser does not.
+        path = write(tmp_path, f"gA,gB\n1,2\n{literal},4\n")
+        with pytest.raises(ValueError, match=rf"non-numeric value '{literal}' at row 3, column 'gA'"):
+            load_matrix(path)
+
+    def test_multi_character_delimiter_rejected(self, tmp_path):
+        path = write(tmp_path, "gA;;gB\n1;;2\n")
+        with pytest.raises(ValueError, match="single character"):
+            load_matrix(path, delimiter=";;")
 
 
 class TestLogNormalize:
@@ -215,3 +258,135 @@ class TestValidation:
     def test_target_distribution_sums_to_one(self):
         with pytest.raises(ValueError):
             TargetDistribution(num_qubits=1, probabilities=np.array([0.3, 0.3]))
+
+
+def per_cell_load_matrix(path, delimiter=None):
+    """The per-cell parser ``load_matrix`` replaced, kept as a reference."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    lines = [line for line in lines if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: file is empty")
+    delim = delimiter if delimiter is not None else ("\t" if "\t" in lines[0] else ",")
+    header = [name.strip() for name in lines[0].split(delim)]
+    if header and header[0] == "":
+        header = header[1:]
+    rows = []
+    labeled = len(lines) > 1 and len(lines[1].split(delim)) == len(header) + 1
+    expected_fields = len(header) + (1 if labeled else 0)
+    for row_no, line in enumerate(lines[1:], start=2):
+        fields = line.split(delim)
+        if len(fields) != expected_fields:
+            raise ValueError(
+                f"{path}: row {row_no} has {len(fields)} fields, expected {expected_fields}"
+            )
+        if labeled:
+            fields = fields[1:]
+        parsed = np.empty(len(header), dtype=np.float64)
+        for col, raw in enumerate(fields):
+            try:
+                parsed[col] = float(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric value {raw.strip()!r} at row {row_no}, column {header[col]!r}"
+                ) from None
+        rows.append(parsed)
+    if not rows:
+        raise ValueError(f"{path}: no cell rows found")
+    values = np.vstack(rows)
+    if values.min() < 0:
+        bad = np.argwhere(values < 0)[0]
+        raise ValueError(
+            f"{path}: negative value at row {int(bad[0]) + 2}, column {header[int(bad[1])]!r}"
+        )
+    return ExpressionMatrix(values=values, gene_names=header)
+
+
+def _outcome(loader, path):
+    try:
+        m = loader(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return m.values.tobytes(), m.gene_names
+
+
+_cell_text = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e6, allow_nan=False).map(repr),
+    st.floats(0, 1e3, allow_nan=False).map(lambda v: f"{v:.3e}"),
+    st.sampled_from([" 7 ", "+3", ".5", "5.", "1E2", "-0.0"]),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    n_genes = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 6))
+    delim = draw(st.sampled_from([",", "\t"]))
+    labeled = draw(st.booleans())
+    header = [f"g{i}" for i in range(n_genes)]
+    if labeled and draw(st.booleans()):
+        header = [""] + header
+    rows = [draw(st.lists(_cell_text, min_size=n_genes, max_size=n_genes)) for _ in range(n_rows)]
+    # At most one value that parses but is not a valid expression level.
+    special = draw(st.none() | st.sampled_from(["-2", "-0.5", "-inf", "inf", "nan"]))
+    if special is not None:
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_genes - 1))] = special
+    if labeled:
+        rows = [[f"cell{r}"] + row for r, row in enumerate(rows)]
+    lines = [delim.join(header)] + [delim.join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+def _write_temp(text):
+    handle = tempfile.NamedTemporaryFile("wb", suffix=".csv", delete=False)
+    with handle:
+        handle.write(text.encode("utf-8"))
+    return handle.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=matrix_texts())
+def test_load_matrix_matches_per_cell_parser(text):
+    path = _write_temp(text)
+    try:
+        outcome = _outcome(load_matrix, path)
+        assert outcome == _outcome(per_cell_load_matrix, path)
+    finally:
+        Path(path).unlink()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    text=matrix_texts(),
+    bad=st.sampled_from(["x", "1..2", "", " ", "1#", "#1", "--1", "0x10", "'3'", "1_0", "\u0661"]),
+    row=st.integers(0, 10**6),
+    col=st.integers(0, 10**6),
+)
+def test_one_bad_cell_is_named_like_the_per_cell_parser(text, bad, row, col):
+    newline = "\r\n" if text.endswith("\r\n") else "\n"
+    lines = text.split(newline)
+    nonblank = [i for i, line in enumerate(lines) if line.strip()]
+    delim = "\t" if "\t" in lines[nonblank[0]] else ","
+    genes = [name for name in lines[nonblank[0]].split(delim) if name]
+    row = nonblank[1:][row % (len(nonblank) - 1)]
+    fields = lines[row].split(delim)
+    # Gene columns are the last len(genes) fields; a label column comes first.
+    fields[len(fields) - 1 - col % len(genes)] = bad
+    lines[row] = delim.join(fields)
+    path = _write_temp(newline.join(lines))
+    try:
+        outcome = _outcome(load_matrix, path)
+        if bad in ("1_0", "\u0661"):
+            # float() reads these literals; the matrix parser rejects them
+            # exactly where the per-cell parser rejects any other non-number.
+            fields[len(fields) - 1 - col % len(genes)] = "x"
+            lines[row] = delim.join(fields)
+            Path(path).write_text(newline.join(lines), encoding="utf-8")
+        kind, message = _outcome(per_cell_load_matrix, path)
+        assert outcome == (kind, message.replace("'x'", repr(bad)))
+    finally:
+        Path(path).unlink()

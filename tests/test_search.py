@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from qxtalk import search
 from qxtalk._kernel import Kernel
+from qxtalk.cli import RunConfig, run_strategy
 from qxtalk.cost import Problem, evaluate
 from qxtalk.ingest import AmplitudeVector, StateHistogram, TargetDistribution, amplitudes
 from qxtalk.prune import CandidateSet
@@ -23,6 +25,7 @@ from qxtalk.search import (
     DEFAULT_KL_TOL,
     EXACT_SOLVER_MAX_VARS,
     SEARCH_ANGLE,
+    VARIATIONAL_MAX_VARS,
     Evaluator,
     QuboProblem,
     SearchConfig,
@@ -642,6 +645,29 @@ class TestSolveQuboHeuristic:
         with pytest.raises(ValueError):
             solve_qubo_heuristic(qp, mode="quantum", seed=0)
 
+    def test_degenerate_states_rank_in_index_order(self):
+        # Permuting the variables leaves this QUBO unchanged, so every state
+        # of one Hamming weight has the same QAOA probability; rounding must
+        # not decide their order.
+        n = 4
+        q = np.full((n, n), 0.75)
+        np.fill_diagonal(q, -1.0)
+        qp = QuboProblem(size=n, q=q, baseline=0.0, penalty=1.0)
+        results = solve_qubo_heuristic(qp, mode="qaoa", seed=0, top_k=1 << n)
+        indices = [int(x @ (1 << np.arange(n))) for x, _ in results]
+        assert sorted(indices) == list(range(1 << n))
+        for weight in range(n + 1):
+            same = [i for i in indices if bin(i).count("1") == weight]
+            assert same == sorted(same)
+
+    def test_top_k_ties_within_rounding_break_to_lower_index(self):
+        ulp = np.spacing(0.3)
+        probs = np.array([0.1, 0.3, 0.3 + ulp, 0.3 - ulp])
+        energies = np.arange(4, dtype=np.float64)
+        top = search._top_k_probable(probs, energies, 2, 3)
+        assert [e for _, e in top] == [1.0, 2.0, 3.0]
+        assert [x.tolist() for x, _ in top] == [[1, 0], [0, 1], [1, 1]]
+
     def test_top_k_validated(self):
         qp = QuboProblem(size=2, q=np.zeros((2, 2)), baseline=0.0, penalty=1.0)
         with pytest.raises(ValueError):
@@ -722,6 +748,25 @@ class TestQuboSearch:
         with pytest.raises(ValueError, match=rf"capped at {EXACT_SOLVER_MAX_VARS}\b.*got {count}\b"):
             qubo_search(problem, cands, solver="exact")
         assert scored == []
+
+    @pytest.mark.parametrize("strategy", ["qubo-vqe", "qubo-qaoa"])
+    def test_variational_fallback_builds_the_pair_matrix_once(self, monkeypatch, strategy):
+        rng = np.random.default_rng(55)
+        problem = product_problem(rng, 2, 3)
+        pairs = [(c, t) for c in range(5) for t in range(5) if c != t][: VARIATIONAL_MAX_VARS + 1]
+        cands = CandidateSet(pairs=pairs, threshold_used=0.01)
+        annealed = qubo_search(problem, cands, solver="annealing")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1].pairs))
+            return build_kl_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(search, "build_kl_matrix", counting)
+        result = run_strategy(problem, cands, RunConfig(strategy=strategy))
+        assert calls == [len(pairs)]
+        assert result.evaluations == annealed.evaluations
+        assert result.topology.gates == annealed.topology.gates
 
     def test_solver_name_validated(self):
         rng = np.random.default_rng(46)
