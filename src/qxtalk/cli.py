@@ -1,10 +1,12 @@
 """Config-driven command line for the full pipeline and its stages.
 
 ``run`` executes ingest -> encode -> prune -> search -> tune -> ablate ->
-export in one process; the stage subcommands persist their outputs under
-the run directory so later stages can resume from the written artifacts.
-Configuration is a flat ``key = value`` text file, overridable first by
-``QXTALK_<KEY>`` environment variables and then by command-line flags.
+export in one process.  Each stage subcommand loads its predecessor's
+artifacts from the run directory, calls the same stage function as ``run``
+and writes its output through the same writer, so a staged run leaves the
+same stage artifacts as ``run``.  Configuration is a flat ``key = value``
+text file, overridable first by ``QXTALK_<KEY>`` environment variables and
+then by command-line flags.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import ingest, prune, search, synth, tune
 from .cost import CostReport, Problem, evaluate
-from .ingest import GeneSelection, TargetDistribution
-from .qsim import GateSpec, RegisterLayout, Topology, from_amplitudes, tensor
+from .ingest import GeneSelection
+from .qsim import GateSpec, RegisterLayout, StateVector, Topology, from_amplitudes, tensor
 from .search import SearchConfig, SearchResult
 from .tune import AngleVector, ContributionTable
 
@@ -33,6 +36,7 @@ log = logging.getLogger("qxtalk")
 
 ENV_PREFIX = "QXTALK_"
 STRATEGIES = ("local", "multi-epoch", "qubo-exact", "qubo-annealing", "qubo-vqe", "qubo-qaoa")
+MATRIX_KEYS = ("mono_ct1", "mono_ct2", "co_ct1", "co_ct2")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,10 +91,9 @@ class RunReport:
     """Everything a finished run reports; serialized to report.json/report.txt."""
 
     config: dict
-    ct1_genes: list[str]
-    ct2_genes: list[str]
+    encoded: EncodedInputs
     baseline: CostReport
-    candidate_pairs: list[tuple[int, int]]
+    candidates: prune.CandidateSet
     search_result: SearchResult
     angles: AngleVector
     tuned: CostReport
@@ -99,6 +102,14 @@ class RunReport:
     wall_time_s: float
     # (matrices, truth, co-culture run) of a synthetic run, which ``run`` writes out.
     synthetic: tuple | None = None
+
+    @property
+    def ct1_genes(self) -> list[str]:
+        return list(self.encoded.ct1_sel.genes)
+
+    @property
+    def ct2_genes(self) -> list[str]:
+        return list(self.encoded.ct2_sel.genes)
 
 
 # --- configuration handling ----------------------------------------------
@@ -170,16 +181,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
     values.update(env_overrides())
-    flag_map = {
-        "strategy": "strategy",
-        "seed": "seed",
-        "threshold": "threshold",
-        "kl_tol": "kl_tol",
-        "nshots": "nshots",
-        "out": "out",
-    }
-    for attr, key in flag_map.items():
-        flag = getattr(args, attr, None)
+    for key in ("strategy", "seed", "threshold", "kl_tol", "nshots", "out"):
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     if getattr(args, "exact", False):
@@ -189,14 +192,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-# --- shared pipeline pieces ----------------------------------------------
+# --- stages -----------------------------------------------------------------
 
 
-def _stage(stage: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(stage: str):
+    """Report a ValueError raised inside the block as a failure of ``stage``."""
     try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
+        yield
     except ValueError as exc:
         raise PipelineError(stage, str(exc)) from exc
 
@@ -219,10 +222,12 @@ def _cells_of(output: synth.TissueOutput, groups: tuple[str, ...]) -> ingest.Exp
 
 
 def synthetic_matrices(cfg: RunConfig):
-    """Benchmark tissues for both conditions, split into the four input matrices."""
-    tissue_cfg, (ct1_sel, ct2_sel), truth = synth.benchmark_preset(
-        five_gene_ct2=cfg.five_gene_ct2, seed=cfg.seed
-    )
+    """Benchmark tissues for both conditions, split into the four input matrices.
+
+    Returns the (matrices, truth, co-culture run) triple that
+    :func:`write_synthetic` takes.
+    """
+    tissue_cfg, _, truth = synth.benchmark_preset(five_gene_ct2=cfg.five_gene_ct2, seed=cfg.seed)
     mono = synth.simulate(tissue_cfg, interaction_enabled=False)
     co = synth.simulate(tissue_cfg, interaction_enabled=True)
     sender_groups = (synth.GROUP_INTERACTING_SENDER, synth.GROUP_LONE_SENDER)
@@ -233,7 +238,7 @@ def synthetic_matrices(cfg: RunConfig):
         "co_ct1": _cells_of(co, (synth.GROUP_INTERACTING_SENDER,)),
         "co_ct2": _cells_of(co, (synth.GROUP_INTERACTING_RECEIVER,)),
     }
-    return matrices, (ct1_sel, ct2_sel), truth, co
+    return matrices, truth, co
 
 
 def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput) -> None:
@@ -253,50 +258,65 @@ def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput)
             writer.writerow([edge.source, edge.target, edge.kind])
 
 
-def load_matrices(cfg: RunConfig):
-    """The four input matrices plus gene selections, from files or the preset.
+def gene_panels(cfg: RunConfig) -> tuple[GeneSelection, GeneSelection]:
+    """The configured gene panels; synthetic inputs take the preset's for an unset one."""
+    ct1_genes, ct2_genes = cfg.ct1_genes, cfg.ct2_genes
+    if cfg.synthetic:
+        _, (ct1_preset, ct2_preset), _ = synth.benchmark_preset(
+            five_gene_ct2=cfg.five_gene_ct2, seed=cfg.seed
+        )
+        ct1_genes, ct2_genes = ct1_genes or ct1_preset.genes, ct2_genes or ct2_preset.genes
+    elif not ct1_genes or not ct2_genes:
+        raise ValueError("ct1_genes and ct2_genes must be set for file inputs")
+    return (
+        GeneSelection(cell_type_label=cfg.ct1_label, genes=list(ct1_genes)),
+        GeneSelection(cell_type_label=cfg.ct2_label, genes=list(ct2_genes)),
+    )
 
-    The last item is, for synthetic inputs, the (matrices, truth, co-culture
-    run) triple that :func:`write_synthetic` takes, and None for files.
+
+def load_matrices(cfg: RunConfig) -> dict:
+    """The four input matrices from the configured files.
+
+    For synthetic inputs these are the CSVs ``simulate`` wrote to the run directory.
     """
     if cfg.synthetic:
-        matrices, (ct1_sel, ct2_sel), truth, co = synthetic_matrices(cfg)
-        if cfg.ct1_genes:
-            ct1_sel = GeneSelection(cell_type_label=cfg.ct1_label, genes=list(cfg.ct1_genes))
-        if cfg.ct2_genes:
-            ct2_sel = GeneSelection(cell_type_label=cfg.ct2_label, genes=list(cfg.ct2_genes))
-        return matrices, ct1_sel, ct2_sel, (matrices, truth, co)
-    paths = {
-        "mono_ct1": cfg.mono_ct1,
-        "mono_ct2": cfg.mono_ct2,
-        "co_ct1": cfg.co_ct1,
-        "co_ct2": cfg.co_ct2,
-    }
-    missing = [key for key, path in paths.items() if not path]
-    if missing:
-        raise ValueError(
-            f"missing input matrix path(s) {missing}; set them in the config or use synthetic = true"
-        )
-    if not cfg.ct1_genes or not cfg.ct2_genes:
-        raise ValueError("ct1_genes and ct2_genes must be set for file inputs")
+        paths = {key: Path(cfg.out) / f"{key}.csv" for key in MATRIX_KEYS}
+        for path in paths.values():
+            _require_artifact(path, "simulate")
+    else:
+        paths = {key: getattr(cfg, key) for key in MATRIX_KEYS}
+        missing = [key for key, path in paths.items() if not path]
+        if missing:
+            raise ValueError(
+                f"missing input matrix path(s) {missing}; "
+                "set them in the config or use synthetic = true"
+            )
     delim = cfg.delimiter or None
-    matrices = {key: ingest.load_matrix(path, delimiter=delim) for key, path in paths.items()}
-    ct1_sel = GeneSelection(cell_type_label=cfg.ct1_label, genes=list(cfg.ct1_genes))
-    ct2_sel = GeneSelection(cell_type_label=cfg.ct2_label, genes=list(cfg.ct2_genes))
-    return matrices, ct1_sel, ct2_sel, None
+    return {key: ingest.load_matrix(str(path), delimiter=delim) for key, path in paths.items()}
 
 
 @dataclass
 class EncodedInputs:
-    """Everything downstream stages need: histograms, amplitudes and targets."""
+    """State histograms of the four inputs and the two joint states encoded from them."""
 
     ct1_sel: GeneSelection
     ct2_sel: GeneSelection
-    layout: RegisterLayout
-    hist_mono_ct1: ingest.StateHistogram
-    hist_mono_ct2: ingest.StateHistogram
-    hist_co_ct1: ingest.StateHistogram
-    hist_co_ct2: ingest.StateHistogram
+    histograms: dict[str, ingest.StateHistogram]  # keyed by MATRIX_KEYS
+    layout: RegisterLayout = field(init=False)
+    mono: StateVector = field(init=False)
+    co: StateVector = field(init=False)
+
+    def __post_init__(self):
+        self.layout = RegisterLayout(n_ct1=len(self.ct1_sel.genes), n_ct2=len(self.ct2_sel.genes))
+        self.mono = self._joint_state("mono")
+        self.co = self._joint_state("co")
+
+    def _joint_state(self, condition: str) -> StateVector:
+        ct1, ct2 = (
+            from_amplitudes(ingest.amplitudes(self.histograms[f"{condition}_{ct}"]))
+            for ct in ("ct1", "ct2")
+        )
+        return tensor(ct1, ct2, self.layout)
 
     @property
     def gene_map(self) -> dict[int, str]:
@@ -305,38 +325,24 @@ class EncodedInputs:
 
 
 def encode_inputs(matrices: dict, ct1_sel: GeneSelection, ct2_sel: GeneSelection) -> EncodedInputs:
-    layout = RegisterLayout(n_ct1=len(ct1_sel.genes), n_ct2=len(ct2_sel.genes))
-    hists = {}
-    for key, sel in (
-        ("mono_ct1", ct1_sel),
-        ("mono_ct2", ct2_sel),
-        ("co_ct1", ct1_sel),
-        ("co_ct2", ct2_sel),
-    ):
-        prepared = ingest.log_normalize(_drop_empty_cells(matrices[key], key))
-        hists[key] = ingest.binarize(prepared, sel)
-    return EncodedInputs(
-        ct1_sel=ct1_sel,
-        ct2_sel=ct2_sel,
-        layout=layout,
-        hist_mono_ct1=hists["mono_ct1"],
-        hist_mono_ct2=hists["mono_ct2"],
-        hist_co_ct1=hists["co_ct1"],
-        hist_co_ct2=hists["co_ct2"],
-    )
+    """Binarize each input matrix over its panel, skipping cells with a zero total.
+
+    A gene is active when its raw count is above 0.  Median scaling and
+    log1p keep that sign, so the counts are binarized without normalizing.
+    """
+    histograms = {}
+    for key in MATRIX_KEYS:
+        sel = ct1_sel if key.endswith("ct1") else ct2_sel
+        histograms[key] = ingest.binarize(_drop_empty_cells(matrices[key], key), sel)
+    return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
 
 
 def build_problem(enc: EncodedInputs, cfg: RunConfig) -> Problem:
-    mono_state = tensor(
-        from_amplitudes(ingest.amplitudes(enc.hist_mono_ct1)),
-        from_amplitudes(ingest.amplitudes(enc.hist_mono_ct2)),
-        enc.layout,
-    )
     return Problem(
-        initial_state=mono_state,
+        initial_state=enc.mono,
         layout=enc.layout,
-        target_ct1=ingest.target_distribution(enc.hist_co_ct1),
-        target_ct2=ingest.target_distribution(enc.hist_co_ct2),
+        target_ct1=ingest.target_distribution(enc.histograms["co_ct1"]),
+        target_ct2=ingest.target_distribution(enc.histograms["co_ct2"]),
         eval_mode=cfg.eval_mode,
         nshots=cfg.nshots,
         shots_seed=cfg.seed,
@@ -344,17 +350,7 @@ def build_problem(enc: EncodedInputs, cfg: RunConfig) -> Problem:
 
 
 def extract_candidate_pairs(enc: EncodedInputs, cfg: RunConfig) -> prune.CandidateSet:
-    mono_state = tensor(
-        from_amplitudes(ingest.amplitudes(enc.hist_mono_ct1)),
-        from_amplitudes(ingest.amplitudes(enc.hist_mono_ct2)),
-        enc.layout,
-    )
-    co_state = tensor(
-        from_amplitudes(ingest.amplitudes(enc.hist_co_ct1)),
-        from_amplitudes(ingest.amplitudes(enc.hist_co_ct2)),
-        enc.layout,
-    )
-    dr = prune.delta_rho(mono_state, co_state)
+    dr = prune.delta_rho(enc.mono, enc.co)
     return prune.extract_candidates(dr, enc.layout, threshold=cfg.threshold)
 
 
@@ -387,46 +383,61 @@ def run_strategy(problem: Problem, cands: prune.CandidateSet, cfg: RunConfig) ->
     return search.qubo_search(problem, cands, scfg, solver=solver, seed=cfg.seed, top_k=cfg.top_k)
 
 
+def tune_angles(
+    problem: Problem, topology: Topology, searched: CostReport
+) -> tuple[AngleVector, CostReport]:
+    """Tune the topology's angles from zero, never ending above the searched cost.
+
+    When the zero-start optimizer lands above ``searched``, the angles are
+    polished from the searched ones instead; if that lands above too, the
+    searched angles stand.
+    """
+    angles, tuned = tune.optimize_angles(problem, topology)
+    if tuned.total > searched.total and len(topology) > 0:
+        log.info("zero-start tuning landed at %.6f (search found %.6f); re-tuning "
+                 "from the searched angles", tuned.total, searched.total)
+        start = AngleVector(values=np.array([g.angle for g in topology], dtype=np.float64))
+        angles, tuned = tune.optimize_angles(problem, topology, start)
+        if tuned.total > searched.total:
+            angles, tuned = start, searched
+    return angles, tuned
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Full pipeline on one configuration; deterministic for exact evaluation."""
     started = time.perf_counter()
-    matrices, ct1_sel, ct2_sel, synthetic = _stage("ingest", load_matrices, cfg)
-    enc = _stage("encode", encode_inputs, matrices, ct1_sel, ct2_sel)
-    problem = _stage("encode", build_problem, enc, cfg)
-    cands = _stage("prune", extract_candidate_pairs, enc, cfg)
+    with _stage("ingest"):
+        panels = gene_panels(cfg)
+        if cfg.synthetic:
+            synthetic = synthetic_matrices(cfg)
+            matrices = synthetic[0]
+        else:
+            synthetic, matrices = None, load_matrices(cfg)
+    with _stage("encode"):
+        enc = encode_inputs(matrices, *panels)
+        problem = build_problem(enc, cfg)
+    with _stage("prune"):
+        cands = extract_candidate_pairs(enc, cfg)
     baseline = evaluate(problem, Topology(()))
-    result = _stage("search", run_strategy, problem, cands, cfg)
-    angles, tuned = _stage("tune", tune.optimize_angles, problem, result.topology)
-    if tuned.total > result.cost.total and len(result.topology) > 0:
-        # The zero-start optimizer landed above the discrete search point;
-        # polish from the searched fixed angles instead so tuning never regresses.
-        log.info("zero-start tuning landed at %.6f (search found %.6f); re-tuning "
-                 "from the searched angles", tuned.total, result.cost.total)
-        searched = AngleVector(
-            values=np.array([g.angle for g in result.topology], dtype=np.float64)
-        )
-        angles, tuned = _stage(
-            "tune", tune.optimize_angles, problem, result.topology, searched
-        )
-        if tuned.total > result.cost.total:
-            angles, tuned = searched, result.cost
-    contributions = _stage(
-        "ablate", tune.contribution_analysis, problem, result.topology, angles, enc.gene_map
-    )
-    edges = _stage("export", tune.export_network, result.topology, angles, enc.gene_map, enc.layout)
-    wall = time.perf_counter() - started
+    with _stage("search"):
+        result = run_strategy(problem, cands, cfg)
+    with _stage("tune"):
+        angles, tuned = tune_angles(problem, result.topology, result.cost)
+    with _stage("ablate"):
+        contributions = tune.contribution_analysis(problem, result.topology, angles, enc.gene_map)
+    with _stage("export"):
+        edges = tune.export_network(result.topology, angles, enc.gene_map, enc.layout)
     return RunReport(
         config=dataclasses.asdict(cfg),
-        ct1_genes=list(ct1_sel.genes),
-        ct2_genes=list(ct2_sel.genes),
+        encoded=enc,
         baseline=baseline,
-        candidate_pairs=list(cands.pairs),
+        candidates=cands,
         search_result=result,
         angles=angles,
         tuned=tuned,
         contributions=contributions,
         edges=edges,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - started,
         synthetic=synthetic,
     )
 
@@ -453,7 +464,7 @@ def report_to_dict(report: RunReport) -> dict:
         "config": report.config,
         "registers": {"ct1_genes": report.ct1_genes, "ct2_genes": report.ct2_genes},
         "baseline": _cost_dict(report.baseline),
-        "candidates": [list(p) for p in report.candidate_pairs],
+        "candidates": [list(p) for p in report.candidates.pairs],
         "search": {
             "strategy": report.config["strategy"],
             "cost": _cost_dict(report.search_result.cost),
@@ -481,7 +492,7 @@ def _format_report_text(report: RunReport) -> str:
         f"baseline KL: total={report.baseline.total:.6f} "
         f"(ct1={report.baseline.kl_ct1:.6f}, ct2={report.baseline.kl_ct2:.6f})"
     )
-    lines.append(f"candidate pairs: {report.candidate_pairs}")
+    lines.append(f"candidate pairs: {report.candidates.pairs}")
     lines.append(
         f"searched topology ({len(report.search_result.topology)} gates, "
         f"{report.search_result.evaluations} evaluations): total={report.search_result.cost.total:.6f}"
@@ -509,44 +520,115 @@ def write_matrix_csv(path: Path, matrix: ingest.ExpressionMatrix) -> None:
             writer.writerow([("%g" % v) for v in row])
 
 
-def write_report_files(report: RunReport, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    payload = report_to_dict(report)
-    (outdir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _require_artifact(path: Path, producer: str) -> None:
+    if not path.exists():
+        raise ValueError(f"missing artifact {path.name} (run the {producer} stage first)")
+
+
+def _read_json(path: Path, producer: str) -> dict:
+    _require_artifact(path, producer)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_encoded(enc: EncodedInputs, outdir: Path) -> None:
+    _write_json(outdir / "encoded.json", {
+        "ct1": {"label": enc.ct1_sel.cell_type_label, "genes": enc.ct1_sel.genes},
+        "ct2": {"label": enc.ct2_sel.cell_type_label, "genes": enc.ct2_sel.genes},
+        "histograms": {
+            key: {"num_genes": h.num_genes, "counts": h.counts} for key, h in enc.histograms.items()
+        },
+    })
+
+
+def load_encoded(outdir: Path) -> EncodedInputs:
+    data = _read_json(outdir / "encoded.json", "encode")
+    ct1_sel, ct2_sel = (
+        GeneSelection(cell_type_label=data[ct]["label"], genes=list(data[ct]["genes"]))
+        for ct in ("ct1", "ct2")
     )
+    histograms = {}
+    for key in MATRIX_KEYS:
+        raw = data["histograms"][key]
+        histograms[key] = ingest.StateHistogram(
+            num_genes=raw["num_genes"], counts={k: int(v) for k, v in raw["counts"].items()}
+        )
+    return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
+
+
+def write_candidates(cands: prune.CandidateSet, gene_map: dict[int, str], outdir: Path) -> None:
+    _write_json(outdir / "candidates.json",
+                {"threshold": cands.threshold_used, "pairs": [list(p) for p in cands.pairs]})
+    with (outdir / "candidates.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["control_gene", "target_gene"])
+        for control, target in cands.pairs:
+            writer.writerow([gene_map[control], gene_map[target]])
+
+
+def load_candidates(outdir: Path) -> prune.CandidateSet:
+    data = _read_json(outdir / "candidates.json", "prune")
+    pairs = [tuple(p) for p in data["pairs"]]
+    return prune.CandidateSet(pairs=pairs, threshold_used=data["threshold"])
+
+
+def write_search(result: SearchResult, outdir: Path) -> None:
+    _write_json(outdir / "topology.json", {
+        "topology": [gate_to_dict(g) for g in result.topology],
+        "cost": _cost_dict(result.cost),
+        "evaluations": result.evaluations,
+    })
+    write_trace(result, outdir / "trace.jsonl")
+
+
+def load_search(outdir: Path) -> tuple[Topology, CostReport]:
+    """The searched topology and its cost."""
+    data = _read_json(outdir / "topology.json", "search")
+    topology = Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
+    return topology, CostReport(**data["cost"])
+
+
+def write_tuned(angles: AngleVector, cost: CostReport, outdir: Path) -> None:
+    angle_list = [float(a) for a in angles.values]
+    _write_json(outdir / "tuned.json", {"angles": angle_list, "cost": _cost_dict(cost)})
+
+
+def load_tuned(outdir: Path) -> AngleVector:
+    data = _read_json(outdir / "tuned.json", "tune")
+    return AngleVector(values=np.array(data["angles"], dtype=np.float64))
+
+
+def write_contributions(table: ContributionTable, outdir: Path) -> None:
+    with (outdir / "contributions.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["source", "target", "angle", "kl_after_prefix", "kl_delta", "percent_contribution"]
+        )
+        for row in table.rows:
+            writer.writerow(
+                [row.source, row.target, repr(row.angle), repr(row.kl_after_prefix),
+                 repr(row.kl_delta), repr(row.percent_contribution)]
+            )
+
+
+def write_report_files(report: RunReport, outdir: Path) -> None:
+    """The report, the learned network and every stage artifact of a run."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "report.json", report_to_dict(report))
     (outdir / "report.txt").write_text(_format_report_text(report), encoding="utf-8")
     with (outdir / "edges.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "angle", "edge_class"])
         for edge in report.edges:
             writer.writerow([edge.source, edge.target, repr(edge.angle), edge.edge_class])
-    with (outdir / "contributions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["source", "target", "angle", "kl_after_prefix", "kl_delta", "percent_contribution"]
-        )
-        for row in report.contributions.rows:
-            writer.writerow(
-                [row.source, row.target, repr(row.angle), repr(row.kl_after_prefix),
-                 repr(row.kl_delta), repr(row.percent_contribution)]
-            )
-    write_trace(report.search_result, outdir / "trace.jsonl")
-    topo_payload = {
-        "topology": [gate_to_dict(g) for g in report.search_result.topology],
-        "cost": _cost_dict(report.search_result.cost),
-        "evaluations": report.search_result.evaluations,
-    }
-    (outdir / "topology.json").write_text(
-        json.dumps(topo_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tuned_payload = {
-        "angles": [float(a) for a in report.angles.values],
-        "cost": _cost_dict(report.tuned),
-    }
-    (outdir / "tuned.json").write_text(
-        json.dumps(tuned_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_encoded(report.encoded, outdir)
+    write_candidates(report.candidates, report.encoded.gene_map, outdir)
+    write_search(report.search_result, outdir)
+    write_tuned(report.angles, report.tuned, outdir)
+    write_contributions(report.contributions, outdir)
 
 
 def write_trace(result: SearchResult, path: Path) -> None:
@@ -563,18 +645,9 @@ def write_trace(result: SearchResult, path: Path) -> None:
 # --- stage subcommands ----------------------------------------------------
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    return Path(cfg.out)
-
-
-def _require_artifact(path: Path, producer: str) -> None:
-    if not path.exists():
-        raise ValueError(f"missing artifact {path.name} (run the {producer} stage first)")
-
-
-def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_run(cfg: RunConfig) -> int:
     report = run_pipeline(cfg)
-    outdir = _outdir(cfg)
+    outdir = Path(cfg.out)
     if report.synthetic is not None:
         write_synthetic(outdir, *report.synthetic)
     write_report_files(report, outdir)
@@ -584,130 +657,48 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.synthetic:
         raise PipelineError("simulate", "simulate requires synthetic = true")
-    matrices, _, truth, co = _stage("simulate", synthetic_matrices, cfg)
-    outdir = _outdir(cfg)
+    with _stage("simulate"):
+        matrices, truth, co = synthetic_matrices(cfg)
+    outdir = Path(cfg.out)
     write_synthetic(outdir, matrices, truth, co)
     sparsity = float((co.observed == 0).mean())
     print(f"wrote {len(matrices)} matrices to {outdir} (co-run sparsity {sparsity:.1%})")
     return EXIT_OK
 
 
-def _encoded_payload(enc: EncodedInputs) -> dict:
-    def hist_dict(h: ingest.StateHistogram) -> dict:
-        return {"num_genes": h.num_genes, "counts": h.counts}
-
-    return {
-        "ct1": {"label": enc.ct1_sel.cell_type_label, "genes": enc.ct1_sel.genes},
-        "ct2": {"label": enc.ct2_sel.cell_type_label, "genes": enc.ct2_sel.genes},
-        "histograms": {
-            "mono_ct1": hist_dict(enc.hist_mono_ct1),
-            "mono_ct2": hist_dict(enc.hist_mono_ct2),
-            "co_ct1": hist_dict(enc.hist_co_ct1),
-            "co_ct2": hist_dict(enc.hist_co_ct2),
-        },
-    }
-
-
-def _encoded_from_payload(data: dict) -> EncodedInputs:
-    def hist(key: str) -> ingest.StateHistogram:
-        raw = data["histograms"][key]
-        return ingest.StateHistogram(
-            num_genes=raw["num_genes"], counts={k: int(v) for k, v in raw["counts"].items()}
-        )
-
-    ct1 = GeneSelection(cell_type_label=data["ct1"]["label"], genes=list(data["ct1"]["genes"]))
-    ct2 = GeneSelection(cell_type_label=data["ct2"]["label"], genes=list(data["ct2"]["genes"]))
-    return EncodedInputs(
-        ct1_sel=ct1,
-        ct2_sel=ct2,
-        layout=RegisterLayout(n_ct1=len(ct1.genes), n_ct2=len(ct2.genes)),
-        hist_mono_ct1=hist("mono_ct1"),
-        hist_mono_ct2=hist("mono_ct2"),
-        hist_co_ct1=hist("co_ct1"),
-        hist_co_ct2=hist("co_ct2"),
-    )
-
-
-def _load_encoded(cfg: RunConfig) -> EncodedInputs:
-    path = _outdir(cfg) / "encoded.json"
-    _require_artifact(path, "encode")
-    return _encoded_from_payload(json.loads(path.read_text(encoding="utf-8")))
-
-
-def cmd_encode(cfg: RunConfig, args: argparse.Namespace) -> int:
-    outdir = _outdir(cfg)
-    if cfg.synthetic:
-        paths = {key: outdir / f"{key}.csv" for key in ("mono_ct1", "mono_ct2", "co_ct1", "co_ct2")}
-        for path in paths.values():
-            _stage("encode", _require_artifact, path, "simulate")
-        file_cfg = dataclasses.replace(
-            cfg,
-            synthetic=False,
-            mono_ct1=str(paths["mono_ct1"]),
-            mono_ct2=str(paths["mono_ct2"]),
-            co_ct1=str(paths["co_ct1"]),
-            co_ct2=str(paths["co_ct2"]),
-        )
-        if not cfg.ct1_genes or not cfg.ct2_genes:
-            _, (ct1_sel, ct2_sel), _ = synth.benchmark_preset(
-                five_gene_ct2=cfg.five_gene_ct2, seed=cfg.seed
-            )
-            file_cfg = dataclasses.replace(
-                file_cfg, ct1_genes=list(ct1_sel.genes), ct2_genes=list(ct2_sel.genes)
-            )
-        matrices, ct1_sel, ct2_sel, _ = _stage("ingest", load_matrices, file_cfg)
-    else:
-        matrices, ct1_sel, ct2_sel, _ = _stage("ingest", load_matrices, cfg)
-    enc = _stage("encode", encode_inputs, matrices, ct1_sel, ct2_sel)
+def cmd_encode(cfg: RunConfig) -> int:
+    outdir = Path(cfg.out)
+    with _stage("ingest"):
+        panels = gene_panels(cfg)
+        matrices = load_matrices(cfg)
+    with _stage("encode"):
+        enc = encode_inputs(matrices, *panels)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "encoded.json").write_text(
-        json.dumps(_encoded_payload(enc), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_encoded(enc, outdir)
     print(f"encoded histograms written to {outdir / 'encoded.json'}")
     return EXIT_OK
 
 
-def cmd_prune(cfg: RunConfig, args: argparse.Namespace) -> int:
-    enc = _stage("prune", _load_encoded, cfg)
-    cands = _stage("prune", extract_candidate_pairs, enc, cfg)
-    outdir = _outdir(cfg)
-    payload = {"threshold": cands.threshold_used, "pairs": [list(p) for p in cands.pairs]}
-    (outdir / "candidates.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    gene_map = enc.gene_map
-    with (outdir / "candidates.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["control_gene", "target_gene"])
-        for control, target in cands.pairs:
-            writer.writerow([gene_map[control], gene_map[target]])
+def cmd_prune(cfg: RunConfig) -> int:
+    outdir = Path(cfg.out)
+    with _stage("prune"):
+        enc = load_encoded(outdir)
+        cands = extract_candidate_pairs(enc, cfg)
+    write_candidates(cands, enc.gene_map, outdir)
     print(f"{len(cands.pairs)} candidate pair(s) written to {outdir / 'candidates.json'}")
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
-    enc = _stage("search", _load_encoded, cfg)
-    cand_path = _outdir(cfg) / "candidates.json"
-    _stage("search", _require_artifact, cand_path, "prune")
-    raw = json.loads(cand_path.read_text(encoding="utf-8"))
-    cands = prune.CandidateSet(
-        pairs=[tuple(p) for p in raw["pairs"]], threshold_used=raw["threshold"]
-    )
-    problem = _stage("search", build_problem, enc, cfg)
-    result = _stage("search", run_strategy, problem, cands, cfg)
-    outdir = _outdir(cfg)
-    payload = {
-        "topology": [gate_to_dict(g) for g in result.topology],
-        "cost": _cost_dict(result.cost),
-        "evaluations": result.evaluations,
-    }
-    (outdir / "topology.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_trace(result, outdir / "trace.jsonl")
+def cmd_search(cfg: RunConfig) -> int:
+    outdir = Path(cfg.out)
+    with _stage("search"):
+        enc = load_encoded(outdir)
+        cands = load_candidates(outdir)
+        result = run_strategy(build_problem(enc, cfg), cands, cfg)
+    write_search(result, outdir)
     print(
         f"{cfg.strategy} selected {len(result.topology)} gate(s) at cost "
         f"{result.cost.total:.6f} ({result.evaluations} evaluations)"
@@ -715,47 +706,25 @@ def cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_topology(cfg: RunConfig) -> Topology:
-    path = _outdir(cfg) / "topology.json"
-    _require_artifact(path, "search")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
-
-
-def cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> int:
-    enc = _stage("tune", _load_encoded, cfg)
-    topology = _stage("tune", _load_topology, cfg)
-    problem = _stage("tune", build_problem, enc, cfg)
-    angles, tuned = _stage("tune", tune.optimize_angles, problem, topology)
-    outdir = _outdir(cfg)
-    payload = {"angles": [float(a) for a in angles.values], "cost": _cost_dict(tuned)}
-    (outdir / "tuned.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def cmd_tune(cfg: RunConfig) -> int:
+    outdir = Path(cfg.out)
+    with _stage("tune"):
+        enc = load_encoded(outdir)
+        topology, searched = load_search(outdir)
+        angles, tuned = tune_angles(build_problem(enc, cfg), topology, searched)
+    write_tuned(angles, tuned, outdir)
     print(f"tuned cost {tuned.total:.6f} written to {outdir / 'tuned.json'}")
     return EXIT_OK
 
 
-def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    enc = _stage("ablate", _load_encoded, cfg)
-    topology = _stage("ablate", _load_topology, cfg)
-    tuned_path = _outdir(cfg) / "tuned.json"
-    _stage("ablate", _require_artifact, tuned_path, "tune")
-    tuned_data = json.loads(tuned_path.read_text(encoding="utf-8"))
-    angles = AngleVector(values=np.array(tuned_data["angles"], dtype=np.float64))
-    problem = _stage("ablate", build_problem, enc, cfg)
-    table = _stage("ablate", tune.contribution_analysis, problem, topology, angles, enc.gene_map)
-    outdir = _outdir(cfg)
-    with (outdir / "contributions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["source", "target", "angle", "kl_after_prefix", "kl_delta", "percent_contribution"]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [row.source, row.target, repr(row.angle), repr(row.kl_after_prefix),
-                 repr(row.kl_delta), repr(row.percent_contribution)]
-            )
+def cmd_ablate(cfg: RunConfig) -> int:
+    outdir = Path(cfg.out)
+    with _stage("ablate"):
+        enc = load_encoded(outdir)
+        topology, _ = load_search(outdir)
+        angles = load_tuned(outdir)
+        table = tune.contribution_analysis(build_problem(enc, cfg), topology, angles, enc.gene_map)
+    write_contributions(table, outdir)
     print(f"contribution table written to {outdir / 'contributions.csv'}")
     return EXIT_OK
 
@@ -805,7 +774,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](cfg)
     except PipelineError as exc:
         print(f"error in {exc}", file=sys.stderr)
         return EXIT_ERROR

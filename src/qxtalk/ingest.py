@@ -2,7 +2,8 @@
 
 Cells arrive as rows of a delimited text matrix whose header names the
 genes.  A per-cell-type gene selection is binarized (a gene is "active"
-when its normalized expression is strictly positive), per-cell activity
+when its raw count is strictly positive; library-size normalization by
+:func:`log_normalize` keeps that sign for count data), per-cell activity
 bitstrings are tallied into a state histogram, and the counts are
 L2-normalized into real amplitudes.  Squaring the amplitudes yields the
 target probability mass per activity state; note this weights states by

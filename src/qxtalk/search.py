@@ -668,8 +668,12 @@ def qubo_search(
     The baseline empty circuit always competes, so the returned cost never
     exceeds it.
     """
-    # Size caps fail before the pairwise matrix is built, so no work is lost
-    # when the caller falls back to another solver.
+    # Bad arguments and size caps fail before the pairwise matrix is built, so
+    # no work is lost when the caller falls back to another solver.
+    if solver not in ("exact", "annealing", "vqe", "qaoa"):
+        raise ValueError(f"unknown solver mode {solver!r}")
+    if solver != "exact" and top_k < 1:
+        raise ValueError("top_k must be >= 1")
     if solver == "exact" and len(cands.pairs) > EXACT_SOLVER_MAX_VARS:
         raise ValueError(
             f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, "

@@ -768,13 +768,23 @@ class TestQuboSearch:
         assert result.evaluations == annealed.evaluations
         assert result.topology.gates == annealed.topology.gates
 
-    def test_solver_name_validated(self):
+    def test_solver_name_validated(self, monkeypatch):
         rng = np.random.default_rng(46)
         problem = product_problem(rng, 1, 2)
-        with pytest.raises(ValueError):
-            qubo_search(
-                problem, CandidateSet(pairs=[(0, 1)], threshold_used=0.01), solver="magic"
-            )
+        cands = CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1].pairs))
+            return build_kl_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(search, "build_kl_matrix", counting)
+        with pytest.raises(ValueError, match="unknown solver mode 'magic'"):
+            qubo_search(problem, cands, solver="magic")
+        for solver in ("annealing", "vqe", "qaoa"):
+            with pytest.raises(ValueError, match="top_k must be >= 1"):
+                qubo_search(problem, cands, solver=solver, top_k=0)
+        assert calls == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(47)
