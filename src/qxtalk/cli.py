@@ -84,6 +84,10 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.eval_mode not in ("exact", "shots"):
             raise ValueError("eval_mode must be 'exact' or 'shots'")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.n_epochs < 0:
+            raise ValueError("n_epochs must be >= 0 (0 means one epoch per candidate)")
 
 
 @dataclass
@@ -359,7 +363,7 @@ def search_config(cfg: RunConfig) -> SearchConfig:
         kl_tol=cfg.kl_tol,
         eps_prune=cfg.eps_prune,
         n_choose=cfg.n_choose,
-        n_epochs=cfg.n_epochs if cfg.n_epochs > 0 else None,
+        n_epochs=cfg.n_epochs or None,
         max_depth=cfg.max_depth,
         shuffle_seed=cfg.seed,
     )
@@ -372,14 +376,6 @@ def run_strategy(problem: Problem, cands: prune.CandidateSet, cfg: RunConfig) ->
     if cfg.strategy == "multi-epoch":
         return search.multi_epoch(problem, cands, scfg)
     solver = cfg.strategy.split("-", 1)[1]
-    if solver in ("vqe", "qaoa"):
-        try:
-            return search.qubo_search(
-                problem, cands, scfg, solver=solver, seed=cfg.seed, top_k=cfg.top_k
-            )
-        except ValueError as exc:
-            log.warning("%s solver unavailable (%s); falling back to annealing", solver, exc)
-            solver = "annealing"
     return search.qubo_search(problem, cands, scfg, solver=solver, seed=cfg.seed, top_k=cfg.top_k)
 
 

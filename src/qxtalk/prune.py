@@ -2,10 +2,12 @@
 
 Off-diagonal structure of ``|co><co| - |mono><mono|`` localizes which
 single-qubit transitions gained or lost coherence between conditions.
-Every above-threshold element whose two basis states differ in exactly
-one bit (the transition target) is turned into control/target qubit
-pairs: any other qubit that is set in both states could have gated the
-transition.
+Only elements whose two basis states differ in exactly one bit (the
+transition target) propose candidates, so :func:`delta_rho` computes
+just those n * 2**n entries, psi_r * conj(psi_c) per state, straight from
+the amplitudes.  Every above-threshold entry is turned into
+control/target qubit pairs: any other qubit that is set in both states
+could have gated the transition.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import RegisterLayout, StateVector, density_matrix
+from .qsim import RegisterLayout, StateVector
 
 
 @dataclass
@@ -36,39 +38,45 @@ class CandidateSet:
 
 
 def delta_rho(mono: StateVector, co: StateVector) -> np.ndarray:
-    """Density-matrix difference rho_co - rho_mono (Hermitian, trace ~ 0)."""
+    """Single-bit-flip entries of rho_co - rho_mono as a (2**n, n) array.
+
+    Entry [r, t] is the density-matrix element (r, r ^ 2**t).
+    """
     if mono.num_qubits != co.num_qubits:
         raise ValueError("states must have equal qubit counts")
-    return density_matrix(co) - density_matrix(mono)
+    n = co.num_qubits
+    flips = np.arange(1 << n)[:, None] ^ (1 << np.arange(n))
+    a, b = co.amplitudes, mono.amplitudes
+    return a[:, None] * np.conj(a[flips]) - b[:, None] * np.conj(b[flips])
 
 
 def extract_candidates(dr: np.ndarray, layout: RegisterLayout, threshold: float = 0.01) -> CandidateSet:
     """Scan |dr| > threshold single-bit transitions into candidate (control, target) pairs.
 
-    The scan is row-major over off-diagonal elements and keeps first-seen
-    order, which downstream search uses for deterministic tie-breaking.
+    ``dr`` is :func:`delta_rho`'s (2**n, n) array.  The scan visits row r
+    in ascending column r ^ 2**t, the row-major order of the full matrix,
+    and keeps first-seen order, which downstream search uses for
+    deterministic tie-breaking.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     n = layout.num_qubits
-    dim = 1 << n
     dr = np.asarray(dr)
-    if dr.shape != (dim, dim):
+    if dr.shape != (1 << n, n):
         raise ValueError(f"delta-rho shape {dr.shape} does not match a {n}-qubit layout")
+    hot = np.abs(dr) > threshold
+    is_set = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    # Row r's columns r ^ 2**t ascend over its set bits t from the highest
+    # down (c < r), then over its clear bits from the lowest up (c > r).
+    scan = np.hstack([(hot & is_set)[:, ::-1], hot & ~is_set])
+    targets = np.r_[np.arange(n)[::-1], np.arange(n)]
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    hot = np.argwhere(np.abs(dr) > threshold)
-    for row, col in hot:
-        r, c = int(row), int(col)
-        if r == c:
-            continue
-        diff = r ^ c
-        if diff & (diff - 1):
-            continue  # more than one bit differs
-        target = diff.bit_length() - 1
-        shared = r & c
+    for row, k in np.argwhere(scan):
+        r, target = int(row), int(targets[k])
+        shared = r & ~(1 << target)
         for control in range(n):
-            if control != target and (shared >> control) & 1:
+            if (shared >> control) & 1:
                 pair = (control, target)
                 if pair not in seen:
                     seen.add(pair)

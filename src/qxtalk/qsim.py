@@ -37,7 +37,6 @@ __all__ = [
     "run_circuit",
     "marginal_probabilities",
     "sample_counts",
-    "density_matrix",
 ]
 
 MAX_QUBITS = 12
@@ -267,9 +266,3 @@ def sample_counts(state: StateVector, qubits, nshots: int, seed: int) -> StateHi
     }
     return StateHistogram(num_genes=marginal.num_qubits, counts=counts)
 
-
-def density_matrix(state: StateVector) -> np.ndarray:
-    """Pure-state density matrix |psi><psi| (capped at 10 qubits)."""
-    if state.num_qubits > 10:
-        raise ValueError("density matrices are limited to 10 qubits")
-    return np.outer(state.amplitudes, np.conj(state.amplitudes))

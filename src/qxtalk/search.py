@@ -141,7 +141,6 @@ def best_insertion(
     problem: Problem,
     seq: Topology,
     cands: CandidateSet,
-    kl_tol: float = DEFAULT_KL_TOL,
     evaluator: Evaluator | None = None,
 ) -> tuple[Topology, CostReport]:
     """Best (unused gate, position) insertion, regardless of acceptance.
@@ -176,7 +175,6 @@ def best_permutation_addition(
     seq: Topology,
     cands: CandidateSet,
     n: int,
-    kl_tol: float = DEFAULT_KL_TOL,
     evaluator: Evaluator | None = None,
 ) -> tuple[Topology, CostReport]:
     """Best ordered n-tuple of unused gates appended to the sequence.
@@ -231,12 +229,12 @@ def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None
     improved = True
     while improved:
         improved = False
-        cand_seq, cand_cost = best_insertion(problem, seq, cands, cfg.kl_tol, ev)
+        cand_seq, cand_cost = best_insertion(problem, seq, cands, ev)
         if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
             seq, cost = cand_seq, cand_cost
             history.append(HistoryEntry(seq, cost, "insertion"))
             improved = True
-        cand_seq, cand_cost = best_permutation_addition(problem, seq, cands, cfg.n_choose, cfg.kl_tol, ev)
+        cand_seq, cand_cost = best_permutation_addition(problem, seq, cands, cfg.n_choose, ev)
         if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
             seq, cost = cand_seq, cand_cost
             history.append(HistoryEntry(seq, cost, "addition"))
@@ -448,16 +446,28 @@ def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
     return QuboProblem(size=n, q=q, baseline=base, penalty=penalty, kl_matrix=snapped)
 
 
+def _split(qp: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Q's diagonal and its off-diagonal part."""
+    diag = np.diag(qp.q)
+    return diag, qp.q - np.diag(diag)
+
+
 def qubo_energy(qp: QuboProblem, x: np.ndarray) -> float:
     """E(x) = sum_i Q_ii x_i + sum_{i<j} Q_ij x_i x_j."""
     x = np.asarray(x, dtype=np.float64)
-    diag = np.diag(qp.q)
-    off = qp.q - np.diag(diag)
+    diag, off = _split(qp)
     return float(x @ diag + 0.5 * x @ off @ x)
 
 
 def _bit_block(indices: np.ndarray, n: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
+
+
+def _energies(qp: QuboProblem, indices: np.ndarray) -> np.ndarray:
+    """E(x) for each assignment in ``indices`` (bit i of an index is x_i)."""
+    diag, off = _split(qp)
+    bits = _bit_block(indices, qp.size)
+    return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
 
 
 def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
@@ -469,16 +479,13 @@ def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
     n = qp.size
     if n > EXACT_SOLVER_MAX_VARS:
         raise ValueError(f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, got {n}")
-    diag = np.diag(qp.q)
-    off = qp.q - np.diag(diag)
     best_energy = math.inf
     best_index = 0
     chunk = 1 << 16
     total = 1 << n
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = _bit_block(idx, n)
-        energies = bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
+        energies = _energies(qp, idx)
         local = int(np.argmin(energies))
         if energies[local] < best_energy:
             best_energy = float(energies[local])
@@ -490,8 +497,7 @@ def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
 def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[tuple[int, ...], float]:
     rng = np.random.default_rng(seed)
     n = qp.size
-    diag = np.diag(qp.q).copy()
-    off = qp.q - np.diag(diag)
+    diag, off = _split(qp)
     scale = max(1.0, float(np.abs(qp.q).max()))
     t_hot, t_cold = 2.0 * scale, 1e-3 * scale
     seen: dict[tuple[int, ...], float] = {}
@@ -511,14 +517,6 @@ def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[tupl
                     if key not in seen:
                         seen[key] = qubo_energy(qp, x)
     return seen
-
-
-def _variational_energies(qp: QuboProblem) -> np.ndarray:
-    n = qp.size
-    bits = _bit_block(np.arange(1 << n, dtype=np.int64), n)
-    diag = np.diag(qp.q)
-    off = qp.q - np.diag(diag)
-    return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
 
 
 def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
@@ -598,7 +596,7 @@ def solve_qubo_heuristic(
         raise ValueError(
             f"variational solvers are capped at {VARIATIONAL_MAX_VARS} variables, got {n}"
         )
-    energies = _variational_energies(qp)
+    energies = _energies(qp, np.arange(1 << n, dtype=np.int64))
     rng = np.random.default_rng(seed)
     if mode == "vqe":
         n_params = 3 * n
@@ -668,8 +666,7 @@ def qubo_search(
     The baseline empty circuit always competes, so the returned cost never
     exceeds it.
     """
-    # Bad arguments and size caps fail before the pairwise matrix is built, so
-    # no work is lost when the caller falls back to another solver.
+    # Bad arguments and size caps fail before the pairwise matrix is built.
     if solver not in ("exact", "annealing", "vqe", "qaoa"):
         raise ValueError(f"unknown solver mode {solver!r}")
     if solver != "exact" and top_k < 1:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,14 @@ from qxtalk.cli import (
     main,
     parse_config_file,
     resolve_config,
+    run_strategy,
 )
 from qxtalk import ingest, synth
-from qxtalk.qsim import GateSpec
+from qxtalk._kernel import Kernel
+from qxtalk.cost import Problem
+from qxtalk.ingest import TargetDistribution
+from qxtalk.prune import CandidateSet
+from qxtalk.qsim import GateSpec, RegisterLayout, StateVector
 
 SMALL_CONFIG = """\
 # four-qubit benchmark slice, kept small for fast runs
@@ -39,6 +45,17 @@ seed = 0
 DEFAULT_LOCAL_CONFIG = """\
 synthetic = true
 strategy = local
+seed = 0
+"""
+
+
+# Six genes per type: the 12-qubit cap, which prune handles without a cap of its own.
+TWELVE_QUBIT_CONFIG = """\
+synthetic = true
+ct1_genes = g50, g90, g73, g74, g75, g1
+ct2_genes = g60, g70, g71, g72, g80, g2
+strategy = local
+threshold = 0.05
 seed = 0
 """
 
@@ -154,6 +171,15 @@ class TestRunConfig:
     def test_bad_eval_mode_rejected(self):
         with pytest.raises(ValueError, match="eval_mode"):
             RunConfig(eval_mode="sampled")
+
+    def test_top_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            RunConfig(top_k=0)
+
+    def test_negative_n_epochs_rejected(self):
+        assert RunConfig(n_epochs=0).n_epochs == 0
+        with pytest.raises(ValueError, match="n_epochs must be >= 0"):
+            RunConfig(n_epochs=-1)
 
     def test_all_strategies_accepted(self):
         for strategy in (
@@ -327,6 +353,7 @@ class TestStageChain:
         [
             pytest.param(SMALL_CONFIG, id="small"),
             pytest.param(DEFAULT_LOCAL_CONFIG, id="default-local"),
+            pytest.param(TWELVE_QUBIT_CONFIG, id="twelve-qubit"),
         ],
     )
     def test_stage_results_match_full_run(self, tmp_path, text):
@@ -344,6 +371,53 @@ class TestStageChain:
         searched = json.loads((staged / "topology.json").read_text(encoding="utf-8"))
         tuned = json.loads((staged / "tuned.json").read_text(encoding="utf-8"))
         assert tuned["cost"]["total"] <= searched["cost"]["total"]
+
+
+def _candidate_problem() -> Problem:
+    layout = RegisterLayout(n_ct1=3, n_ct2=3)
+    amps = np.zeros(1 << 6, dtype=complex)
+    amps[0] = 1.0
+    uniform = TargetDistribution(num_qubits=3, probabilities=np.full(8, 1 / 8))
+    return Problem(initial_state=StateVector(6, amps), layout=layout,
+                   target_ct1=uniform, target_ct2=uniform)
+
+
+@pytest.mark.parametrize(
+    "case,limit",
+    [
+        pytest.param("ct1_genes = g50, g90, g73, g74, g75, g1, g3\nct2_genes = g60, g70, g71, g72, g80, g2",
+                     r"layout needs 13 qubits, exceeding the cap of 12", id="13-qubits"),
+        pytest.param("ct1_genes = " + ", ".join(f"g{i}" for i in range(1, 10)),
+                     r"must contain 1\.\.8 genes, got 9", id="9-genes"),
+        pytest.param(("qubo-exact", 23), r"exact solver is capped at 22 variables, got 23 candidates",
+                     id="qubo-exact-23-candidates"),
+        pytest.param(("qubo-vqe", 13), r"variational solvers are capped at 12 variables, got 13 candidates",
+                     id="qubo-vqe-13-candidates"),
+        pytest.param(("qubo-qaoa", 13), r"variational solvers are capped at 12 variables, got 13 candidates",
+                     id="qubo-qaoa-13-candidates"),
+        pytest.param("strategy = qubo-vqe\ntop_k = 0", r"top_k must be >= 1", id="top_k-0"),
+    ],
+)
+def test_size_caps_fail_before_any_score(tmp_path, capsys, monkeypatch, case, limit):
+    """Every size cap fails with an error naming its limit before a circuit is scored."""
+    scored = []
+    divergences = Kernel.divergences
+
+    def counting(self, states):
+        scored.append(len(states))
+        return divergences(self, states)
+
+    monkeypatch.setattr(Kernel, "divergences", counting)
+    if isinstance(case, tuple):  # a search over a given number of candidates
+        strategy, count = case
+        pairs = [(c, t) for c in range(6) for t in range(6) if c != t][:count]
+        with pytest.raises(ValueError, match=limit):
+            run_strategy(_candidate_problem(), CandidateSet(pairs, 0.01), RunConfig(strategy=strategy))
+    else:  # a whole run of the synthetic pipeline
+        config = write_config(tmp_path, "synthetic = true\n" + case + "\n")
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert re.search(limit, capsys.readouterr().err)
+    assert scored == []
 
 
 class TestMissingArtifacts:

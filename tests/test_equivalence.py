@@ -12,7 +12,10 @@ the reference.  Every fast path is checked against them, or against
   the reference functions alone;
 * the VQE and QAOA states against their gate-level construction: VQE bit
   for bit, and QAOA, whose cost layer is one diagonal phase rather than
-  the gate-level RZ/CNOT-RZ-CNOT circuit, to 1e-12 with the same top-k.
+  the gate-level RZ/CNOT-RZ-CNOT circuit, to 1e-12 with the same top-k;
+* the single-bit-flip delta-rho prune against a scan of the dense density
+  matrix difference: the same pairs in the same order, and on real
+  amplitudes the same entries bit for bit.
 
 Where ``apply_gate`` selects single amplitudes (one qubit, or a controlled
 gate on two) it multiplies numpy scalars, which round differently from the
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 from qxtalk import _kernel, search
 from qxtalk.cost import CostReport, Problem, evaluate, kl_divergence
 from qxtalk.ingest import TargetDistribution
-from qxtalk.prune import CandidateSet
+from qxtalk.prune import CandidateSet, delta_rho, extract_candidates
 from qxtalk.qsim import (
     GateSpec,
     RegisterLayout,
@@ -359,10 +362,58 @@ def test_variational_states_match_gate_level(n, seed):
     vqe_params = rng.uniform(-math.pi, math.pi, size=3 * n)
     qaoa_params = rng.uniform(-math.pi, math.pi, size=4)
     assert np.array_equal(np.abs(search._vqe_state(vqe_params, n)) ** 2, gate_level_vqe(vqe_params, n))
-    energies = search._variational_energies(qp)
+    energies = search._energies(qp, np.arange(1 << n))
     fast = np.abs(search._qaoa_state(qaoa_params, n, energies)) ** 2
     oracle = gate_level_qaoa(qaoa_params, n, *ising_coefficients(qp))
     assert np.max(np.abs(fast - oracle)) <= 1e-12
     top = search._top_k_probable(fast, energies, n, 4)
     top_oracle = search._top_k_probable(oracle, energies, n, 4)
     assert [x.tolist() for x, _ in top] == [x.tolist() for x, _ in top_oracle]
+
+
+# --- prune: single-bit-flip entries against the dense delta-rho --------------
+
+
+def dense_candidates(mono: np.ndarray, co: np.ndarray, n: int, threshold: float):
+    """The dense rho_co - rho_mono and its row-major scan for candidate pairs."""
+    dr = np.outer(co, np.conj(co)) - np.outer(mono, np.conj(mono))
+    pairs, seen = [], set()
+    for row, col in np.argwhere(np.abs(dr) > threshold):
+        r, c = int(row), int(col)
+        diff = r ^ c
+        if r == c or diff & (diff - 1):
+            continue
+        target = diff.bit_length() - 1
+        for control in range(n):
+            if control != target and (r & c) >> control & 1 and (control, target) not in seen:
+                seen.add((control, target))
+                pairs.append((control, target))
+    return dr, pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 10),
+    data=st.data(),
+    real=st.booleans(),
+    sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.01, 1.0),
+)
+def test_prune_matches_dense_delta_rho(n, data, real, sparsity, seed, fraction):
+    n1 = data.draw(st.integers(max(1, n - 8), min(8, n - 1)))
+    layout = RegisterLayout(n_ct1=n1, n_ct2=n - n1)
+    rng = np.random.default_rng(seed)
+    mono, co = (random_state(rng, n, sparsity) for _ in range(2))
+    if real:
+        mono, co = (v.real / np.linalg.norm(v.real) for v in (mono, co))
+    dr = delta_rho(StateVector(n, mono), StateVector(n, co))
+    flips = np.arange(1 << n)[:, None] ^ (1 << np.arange(n))
+    threshold = fraction * float(np.abs(dr).max() or 1.0)
+    dense, dense_pairs = dense_candidates(mono.astype(complex), co.astype(complex), n, threshold)
+    assert extract_candidates(dr, layout, threshold).pairs == dense_pairs
+    gathered = np.take_along_axis(dense, flips, axis=1)
+    if real:
+        assert np.array_equal(dr, gathered)
+    else:  # numpy may multiply complex broadcasts and outer products in different loops
+        assert np.max(np.abs(dr - gathered)) <= 1e-15

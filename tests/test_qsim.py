@@ -13,7 +13,6 @@ from qxtalk.qsim import (
     Topology,
     apply_gate,
     bitstring_to_index,
-    density_matrix,
     from_amplitudes,
     index_to_bitstring,
     marginal_probabilities,
@@ -265,23 +264,6 @@ class TestSampling:
     def test_deterministic_state_single_bin(self):
         h = sample_counts(basis(2, 3), [0, 1], nshots=100, seed=0)
         assert h.counts == {"11": 100}
-
-
-class TestDensityMatrix:
-    def test_pure_state_projector(self):
-        rng = np.random.default_rng(2)
-        psi = random_state(rng, 3)
-        rho = density_matrix(psi)
-        assert np.allclose(rho, rho.conj().T)
-        assert np.trace(rho) == pytest.approx(1.0)
-        assert np.allclose(rho @ rho, rho)  # purity
-
-    def test_size_guard(self):
-        amps = np.zeros(1 << 11, dtype=complex)
-        amps[0] = 1.0
-        psi = StateVector(num_qubits=11, amplitudes=amps)
-        with pytest.raises(ValueError):
-            density_matrix(psi)
 
 
 class TestStateVectorValidation:

@@ -8,7 +8,6 @@ import pytest
 
 from qxtalk import search
 from qxtalk._kernel import Kernel
-from qxtalk.cli import RunConfig, run_strategy
 from qxtalk.cost import Problem, evaluate
 from qxtalk.ingest import AmplitudeVector, StateHistogram, TargetDistribution, amplitudes
 from qxtalk.prune import CandidateSet
@@ -25,7 +24,6 @@ from qxtalk.search import (
     DEFAULT_KL_TOL,
     EXACT_SOLVER_MAX_VARS,
     SEARCH_ANGLE,
-    VARIATIONAL_MAX_VARS,
     Evaluator,
     QuboProblem,
     SearchConfig,
@@ -748,25 +746,6 @@ class TestQuboSearch:
         with pytest.raises(ValueError, match=rf"capped at {EXACT_SOLVER_MAX_VARS}\b.*got {count}\b"):
             qubo_search(problem, cands, solver="exact")
         assert scored == []
-
-    @pytest.mark.parametrize("strategy", ["qubo-vqe", "qubo-qaoa"])
-    def test_variational_fallback_builds_the_pair_matrix_once(self, monkeypatch, strategy):
-        rng = np.random.default_rng(55)
-        problem = product_problem(rng, 2, 3)
-        pairs = [(c, t) for c in range(5) for t in range(5) if c != t][: VARIATIONAL_MAX_VARS + 1]
-        cands = CandidateSet(pairs=pairs, threshold_used=0.01)
-        annealed = qubo_search(problem, cands, solver="annealing")
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(len(args[1].pairs))
-            return build_kl_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(search, "build_kl_matrix", counting)
-        result = run_strategy(problem, cands, RunConfig(strategy=strategy))
-        assert calls == [len(pairs)]
-        assert result.evaluations == annealed.evaluations
-        assert result.topology.gates == annealed.topology.gates
 
     def test_solver_name_validated(self, monkeypatch):
         rng = np.random.default_rng(46)
