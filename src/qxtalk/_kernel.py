@@ -5,7 +5,8 @@ returns a new, validated ``StateVector``.  This module works on raw complex
 arrays whose last axis holds the 2**n amplitudes of a state and whose leading
 axis stacks k states.  A gate updates every stacked state in place, through
 views fixed by its (control, target) qubits, or through per-row index pairs
-when each state gets a different CRX.  The 2x2 update is the expression
+when each state gets a different CRX; a rotation may also take one angle
+per stacked state.  The 2x2 update is the expression
 ``m00 * a0 + m01 * a1`` of ``apply_gate`` with the same matrix, evaluated
 element by element, so a state built here holds the same bits as one built
 gate by gate with the reference.  The one exception is where ``apply_gate``
@@ -18,6 +19,8 @@ targets smoothed once, and the scoring of a (k, 2**n) stack of final states.
 Scoring keeps the arithmetic of ``marginal_probabilities`` and
 ``kl_divergence``, including the summation order of each KL sum, so a score
 does not depend on the batch it was computed in and no tie-break can flip.
+``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
+stack of angle vectors, from one reverse sweep over the gates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cost import CostReport
-from .qsim import _H_MATRIX, GateSpec, _check_qubits, _rotation_entries
+from .qsim import _H_MATRIX, GateSpec, _check_qubits, _half_angle_entries, _rotation_entries
 
 _H_ENTRIES = tuple(_H_MATRIX.ravel())
 
@@ -56,12 +59,23 @@ def _fold(n: int, target: int, control: int | None) -> tuple[tuple, tuple, tuple
     return tuple(shape), (Ellipsis, *lo), (Ellipsis, *hi)
 
 
+def _row_entries(kind: str, angles: np.ndarray, ndim: int) -> tuple:
+    """Rotation entries of one angle per row, each shaped (k, 1, ...) to ``ndim`` axes.
+
+    They come from numpy's cos and sin, which match ``math``'s bit for bit on
+    common platforms but are not required to.
+    """
+    half = np.asarray(angles, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1)) / 2.0
+    return _half_angle_entries(kind, np.cos(half), np.sin(half))
+
+
 def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | None = None,
-          angle: float | None = None) -> None:
+          angle: float | np.ndarray | None = None) -> None:
     """Apply one gate in place to each n-qubit state stacked in ``states``.
 
-    ``states`` must be C-contiguous, so that its folded view writes through
-    to it.  Qubits are not range-checked here.
+    ``angle`` is one float for every state, or a (k,) array with one angle
+    per row of a (k, 2**n) stack.  ``states`` must be C-contiguous, so that
+    its folded view writes through to it.  Qubits are not range-checked here.
     """
     if not states.flags.c_contiguous:
         raise ValueError("the kernel updates C-contiguous state arrays only")
@@ -72,8 +86,13 @@ def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | Non
         psi[lo] = psi[hi]
         psi[hi] = a0
         return
-    m00, m01, m10, m11 = _H_ENTRIES if kind == "H" else _rotation_entries(kind, angle)
     a0, a1 = psi[lo], psi[hi]
+    if kind == "H":
+        m00, m01, m10, m11 = _H_ENTRIES
+    elif np.ndim(angle) == 0:
+        m00, m01, m10, m11 = _rotation_entries(kind, float(angle))
+    else:
+        m00, m01, m10, m11 = _row_entries(kind, angle, a0.ndim)
     new0 = m00 * a0 + m01 * a1
     new1 = m10 * a0 + m11 * a1
     psi[lo] = new0
@@ -112,6 +131,27 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator_overlap(psi: np.ndarray, lam: np.ndarray, n: int, gate: GateSpec) -> np.ndarray:
+    """2 Im <lam|G|psi> per row, for the generator G of a rotation gate.
+
+    G is X/2, Y/2 or Z/2 on the target (restricted to control = 1 for CRX),
+    so the factor 2 cancels against the 1/2 of the Pauli matrix.
+    """
+    shape, lo, hi = _fold(n, gate.target, gate.control)
+    fold = (len(psi),) + shape
+    psi, lam = psi.reshape(fold), lam.reshape(fold)
+    a0, a1, l0, l1 = psi[lo], psi[hi], np.conj(lam[lo]), np.conj(lam[hi])
+    if gate.kind in ("CRX", "RX"):
+        terms = (l0 * a1 + l1 * a0).imag
+    elif gate.kind == "RY":  # Im(-i z) = -Re z, with Y = [[0, -i], [i, 0]]
+        terms = (l1 * a0 - l0 * a1).real
+    elif gate.kind == "RZ":
+        terms = (l0 * a0 - l1 * a1).imag
+    else:
+        raise ValueError(f"{gate.kind} has no angle to differentiate")
+    return terms.reshape(len(terms), -1).sum(axis=1)
+
+
 class Kernel:
     """One problem's initial state, smoothed targets, and batched gates and scoring."""
 
@@ -131,21 +171,24 @@ class Kernel:
         """``rows`` copies of the initial state, shape (rows, 2**n)."""
         return np.repeat(self._initial, rows, axis=0)
 
-    def apply(self, states: np.ndarray, gate: GateSpec, angle: float | None = None) -> None:
-        """Apply a range-checked gate in place, at ``angle`` instead of its own when given."""
+    def apply(self, states: np.ndarray, gate: GateSpec, angle=None) -> None:
+        """Apply a range-checked gate in place, at ``angle`` (a float, or one per row)
+        instead of its own when given."""
         _check_qubits(gate, self.n)
         apply(states, self.n, gate.kind, gate.target, gate.control,
-              gate.angle if angle is None else float(angle))
+              gate.angle if angle is None else angle)
 
     def run(self, gates, angles=None) -> np.ndarray:
-        """The (1, 2**n) final state of a gate sequence, optionally at other angles.
+        """The final states of a gate sequence, optionally at other angles.
 
         ``angles`` replaces the gates' own angles one for one, so a tuning
-        objective builds no ``GateSpec``.
+        objective builds no ``GateSpec``.  A (L,) vector gives one (1, 2**n)
+        row; an (S, L) stack gives S rows, row s at angles[s].
         """
-        states = self.start()
+        angles = None if angles is None else np.asarray(angles, dtype=np.float64)
+        states = self.start(1 if angles is None or angles.ndim == 1 else len(angles))
         for i, gate in enumerate(gates):
-            self.apply(states, gate, None if angles is None else angles[i])
+            self.apply(states, gate, None if angles is None else angles[..., i])
         return states
 
     def _indices(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -182,13 +225,16 @@ class Kernel:
                     self.apply(block, gate)
         return states
 
+    def _register_marginals(self, states: np.ndarray) -> list[np.ndarray]:
+        """The (CT1, CT2) marginals of each final state in a (k, 2**n) stack."""
+        probs = (np.abs(states) ** 2).reshape((len(states),) + self._split)
+        # CT1 holds the low qubits, the last axis, so its marginal sums axis 1.
+        return [_marginals(probs, 1 + offset) for offset in range(2)]
+
     def divergences(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(kl_ct1, kl_ct2) of each final state in a (k, 2**n) stack."""
-        probs = (np.abs(states) ** 2).reshape((len(states),) + self._split)
         out = []
-        for offset, target in enumerate(self._targets):
-            # CT1 holds the low qubits, the last axis, so its marginal sums axis 1.
-            marg = _marginals(probs, 1 + offset)
+        for offset, (marg, target) in enumerate(zip(self._register_marginals(states), self._targets)):
             if self._shots is not None:
                 # Every state is sampled with the problem's fixed seed (CT2: seed + 1).
                 nshots, seed = self._shots
@@ -200,3 +246,28 @@ class Kernel:
     def reports(self, states: np.ndarray) -> list[CostReport]:
         kl1, kl2 = self.divergences(states)
         return [CostReport.from_parts(float(a), float(b)) for a, b in zip(kl1, kl2)]
+
+    def gradients(self, gates, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact costs (S,) and their gradients (S, L) at an (S, L) stack of angles.
+
+        The cost is the exact KL total, in either eval mode.  Its gradient
+        comes from one reverse sweep (the adjoint method): with weights
+        w = log(p / q) on each register marginal (0 where p = 0) broadcast
+        over the state, lambda = w * psi, and the derivative in the angle of
+        a gate exp(-i theta G) is 2 Im <lambda|G|psi>, read after the gate.
+        The sweep then undoes the gate, at -theta, on psi and lambda alike.
+        """
+        angles = np.asarray(angles, dtype=np.float64)
+        rows = len(angles)
+        states = self.run(gates, angles)
+        parts = list(zip(self._register_marginals(states), self._targets))
+        costs = sum(_kl_rows(marg, target) for marg, target in parts)
+        w1, w2 = (np.log(np.where(marg > 0, marg / target, 1.0)) for marg, target in parts)
+        # CT2 indexes the high bits of an amplitude, CT1 the low ones.
+        w = (w2[:, :, None] + w1[:, None, :]).reshape(rows, -1)
+        pair = np.concatenate([states, w * states])
+        grads = np.empty(angles.shape)
+        for i in reversed(range(len(gates))):
+            grads[:, i] = _generator_overlap(pair[:rows], pair[rows:], self.n, gates[i])
+            self.apply(pair, gates[i], -np.tile(angles[:, i], 2))
+        return costs, grads

@@ -263,7 +263,11 @@ def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput)
 
 
 def gene_panels(cfg: RunConfig) -> tuple[GeneSelection, GeneSelection]:
-    """The configured gene panels; synthetic inputs take the preset's for an unset one."""
+    """The configured gene panels; synthetic inputs take the preset's for an unset one.
+
+    Both the per-type gene cap and the qubit cap of their joint layout fail
+    here, before any input matrix is read.
+    """
     ct1_genes, ct2_genes = cfg.ct1_genes, cfg.ct2_genes
     if cfg.synthetic:
         _, (ct1_preset, ct2_preset), _ = synth.benchmark_preset(
@@ -272,10 +276,12 @@ def gene_panels(cfg: RunConfig) -> tuple[GeneSelection, GeneSelection]:
         ct1_genes, ct2_genes = ct1_genes or ct1_preset.genes, ct2_genes or ct2_preset.genes
     elif not ct1_genes or not ct2_genes:
         raise ValueError("ct1_genes and ct2_genes must be set for file inputs")
-    return (
+    panels = (
         GeneSelection(cell_type_label=cfg.ct1_label, genes=list(ct1_genes)),
         GeneSelection(cell_type_label=cfg.ct2_label, genes=list(ct2_genes)),
     )
+    RegisterLayout(n_ct1=len(panels[0].genes), n_ct2=len(panels[1].genes))  # the qubit cap
+    return panels
 
 
 def load_matrices(cfg: RunConfig) -> dict:
@@ -379,26 +385,6 @@ def run_strategy(problem: Problem, cands: prune.CandidateSet, cfg: RunConfig) ->
     return search.qubo_search(problem, cands, scfg, solver=solver, seed=cfg.seed, top_k=cfg.top_k)
 
 
-def tune_angles(
-    problem: Problem, topology: Topology, searched: CostReport
-) -> tuple[AngleVector, CostReport]:
-    """Tune the topology's angles from zero, never ending above the searched cost.
-
-    When the zero-start optimizer lands above ``searched``, the angles are
-    polished from the searched ones instead; if that lands above too, the
-    searched angles stand.
-    """
-    angles, tuned = tune.optimize_angles(problem, topology)
-    if tuned.total > searched.total and len(topology) > 0:
-        log.info("zero-start tuning landed at %.6f (search found %.6f); re-tuning "
-                 "from the searched angles", tuned.total, searched.total)
-        start = AngleVector(values=np.array([g.angle for g in topology], dtype=np.float64))
-        angles, tuned = tune.optimize_angles(problem, topology, start)
-        if tuned.total > searched.total:
-            angles, tuned = start, searched
-    return angles, tuned
-
-
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Full pipeline on one configuration; deterministic for exact evaluation."""
     started = time.perf_counter()
@@ -418,7 +404,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
     with _stage("search"):
         result = run_strategy(problem, cands, cfg)
     with _stage("tune"):
-        angles, tuned = tune_angles(problem, result.topology, result.cost)
+        angles, tuned = tune.optimize_angles(problem, result.topology)
     with _stage("ablate"):
         contributions = tune.contribution_analysis(problem, result.topology, angles, enc.gene_map)
     with _stage("export"):
@@ -580,11 +566,10 @@ def write_search(result: SearchResult, outdir: Path) -> None:
     write_trace(result, outdir / "trace.jsonl")
 
 
-def load_search(outdir: Path) -> tuple[Topology, CostReport]:
-    """The searched topology and its cost."""
+def load_search(outdir: Path) -> Topology:
+    """The searched topology, at its searched angles."""
     data = _read_json(outdir / "topology.json", "search")
-    topology = Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
-    return topology, CostReport(**data["cost"])
+    return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
 
 
 def write_tuned(angles: AngleVector, cost: CostReport, outdir: Path) -> None:
@@ -706,8 +691,8 @@ def cmd_tune(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     with _stage("tune"):
         enc = load_encoded(outdir)
-        topology, searched = load_search(outdir)
-        angles, tuned = tune_angles(build_problem(enc, cfg), topology, searched)
+        topology = load_search(outdir)
+        angles, tuned = tune.optimize_angles(build_problem(enc, cfg), topology)
     write_tuned(angles, tuned, outdir)
     print(f"tuned cost {tuned.total:.6f} written to {outdir / 'tuned.json'}")
     return EXIT_OK
@@ -717,7 +702,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     with _stage("ablate"):
         enc = load_encoded(outdir)
-        topology, _ = load_search(outdir)
+        topology = load_search(outdir)
         angles = load_tuned(outdir)
         table = tune.contribution_analysis(build_problem(enc, cfg), topology, angles, enc.gene_map)
     write_contributions(table, outdir)

@@ -69,11 +69,13 @@ def extract_candidates(dr: np.ndarray, layout: RegisterLayout, threshold: float 
     # Row r's columns r ^ 2**t ascend over its set bits t from the highest
     # down (c < r), then over its clear bits from the lowest up (c > r).
     scan = np.hstack([(hot & is_set)[:, ::-1], hot & ~is_set])
-    targets = np.r_[np.arange(n)[::-1], np.arange(n)]
+    targets = [*range(n - 1, -1, -1), *range(n)]
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for row, k in np.argwhere(scan):
-        r, target = int(row), int(targets[k])
+    for r, k in np.argwhere(scan).tolist():
+        if len(pairs) == n * (n - 1):  # every pair is seen; the rest of the scan adds none
+            break
+        target = targets[k]
         shared = r & ~(1 << target)
         for control in range(n):
             if (shared >> control) & 1:

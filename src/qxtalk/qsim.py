@@ -174,7 +174,12 @@ def _take(psi: np.ndarray, fixed: dict[int, int], n: int) -> tuple:
 def _rotation_entries(kind: str, angle: float) -> tuple:
     """Row-major entries of a rotation's 2x2 matrix, as Python scalars."""
     half = angle / 2.0
-    c, s = math.cos(half), math.sin(half)
+    return _half_angle_entries(kind, math.cos(half), math.sin(half))
+
+
+def _half_angle_entries(kind: str, c, s) -> tuple:
+    """Row-major entries of a rotation's 2x2 matrix from the cosine and sine of its
+    half angle, scalars or arrays alike."""
     if kind in ("RX", "CRX"):
         return c, -1j * s, -1j * s, c
     if kind == "RY":

@@ -346,8 +346,8 @@ class TestStageChain:
         assert lines[0] == "source,target,angle,kl_after_prefix,kl_delta,percent_contribution"
         assert len(lines) == 1 + len(topo["topology"])
 
-    # On the default six-qubit tissue, local search at seed 0 is a case where
-    # zero-start tuning lands above the searched cost and the guard re-tunes.
+    # The default six-qubit tissue with local search at seed 0: twelve gates,
+    # tuned from eight starts to a cost below the searched one.
     @pytest.mark.parametrize(
         "text",
         [
@@ -418,6 +418,19 @@ def test_size_caps_fail_before_any_score(tmp_path, capsys, monkeypatch, case, li
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
         assert re.search(limit, capsys.readouterr().err)
     assert scored == []
+
+
+@pytest.mark.parametrize("command", ["run", "encode"])
+def test_qubit_cap_fails_before_any_matrix_is_read(tmp_path, capsys, monkeypatch, command):
+    """A 7+6-gene panel on file inputs fails on its 13 qubits without parsing a matrix."""
+    loads = []
+    monkeypatch.setattr("qxtalk.cli.load_matrices", lambda cfg: loads.append(cfg))
+    paths = "".join(f"{key} = {tmp_path / key}.csv\n" for key in MATRIX_KEYS)
+    config = write_config(tmp_path, paths + "ct1_genes = a1, a2, a3, a4, a5, a6, a7\n"
+                          "ct2_genes = b1, b2, b3, b4, b5, b6\n")
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert "layout needs 13 qubits, exceeding the cap of 12" in capsys.readouterr().err
+    assert loads == []
 
 
 class TestMissingArtifacts:

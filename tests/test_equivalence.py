@@ -9,7 +9,8 @@ the reference.  Every fast path is checked against them, or against
   score, bit for bit against ``evaluate`` on the full topology, including
   the evaluation counts and tie-breaks of the phases;
 * the tuning objective, tuning and ablation against an oracle built from
-  the reference functions alone;
+  the reference functions alone, and the kernel's adjoint gradients against
+  the four-term parameter-shift rule on that oracle;
 * the VQE and QAOA states against their gate-level construction: VQE bit
   for bit, and QAOA, whose cost layer is one diagonal phase rather than
   the gate-level RZ/CNOT-RZ-CNOT circuit, to 1e-12 with the same top-k;
@@ -56,14 +57,7 @@ from qxtalk.search import (
     multi_epoch,
     qubo_search,
 )
-from qxtalk.tune import (
-    EVALS_PER_ANGLE,
-    TWO_PI,
-    AngleVector,
-    contribution_analysis,
-    minimize_simplex,
-    optimize_angles,
-)
+from qxtalk.tune import ANGLE_PERIOD, AngleVector, contribution_analysis, optimize_angles
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
@@ -285,29 +279,120 @@ def test_ablation_matches_oracle(data):
     ]
 
 
-def test_optimize_angles_matches_oracle_optimization():
-    rng = np.random.default_rng(7)
-    layout = RegisterLayout(n_ct1=2, n_ct2=2)
+def rotation_topology(data, n, max_size=5):
+    """A sequence of CRX, RX, RY and RZ gates at random angles."""
+    rotations = gates(n).filter(lambda g: g.angle is not None)
+    return Topology(tuple(data.draw(st.lists(rotations, min_size=1, max_size=max_size))))
+
+
+def at_angles(topology, theta):
+    return [GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta)]
+
+
+def oracle_marginals(problem, gates):
+    state = problem.initial_state
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return [marginal_probabilities(state, qubits).probabilities
+            for qubits in (problem.layout.ct1_qubits, problem.layout.ct2_qubits)]
+
+
+# Four-term parameter-shift rule, exact for every probability under the
+# frequencies 1/2 and 1 of CRX, RX, RY and RZ angles.
+SHIFTS = (math.pi / 2, 3 * math.pi / 2)
+SHIFT_WEIGHTS = ((math.sqrt(2) + 1) / (4 * math.sqrt(2)), -(math.sqrt(2) - 1) / (4 * math.sqrt(2)))
+
+
+def shift_rule_gradient(problem, topology, theta):
+    """d KL / d theta by the chain rule: d KL / d p = log(p / q) + 1 on the terms with
+    p > 0, times d p / d theta from the shift rule on the oracle's marginals."""
+    slopes = []
+    for p, target in zip(oracle_marginals(problem, at_angles(topology, theta)),
+                         (problem.target_ct1, problem.target_ct2)):
+        q = target.probabilities + problem.smoothing
+        q = q / q.sum()
+        slopes.append(np.where(p > 0, np.log(np.where(p > 0, p, 1.0) / q) + 1.0, 0.0))
+    grad = np.zeros(len(theta))
+    for i in range(len(theta)):
+        for shift, weight in zip(SHIFTS, SHIFT_WEIGHTS):
+            up, down = theta.copy(), theta.copy()
+            up[i] += shift
+            down[i] -= shift
+            for slope, p_up, p_down in zip(slopes, oracle_marginals(problem, at_angles(topology, up)),
+                                           oracle_marginals(problem, at_angles(topology, down))):
+                grad[i] += weight * float(slope @ (p_up - p_down))
+    return grad
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gradients_match_parameter_shift_oracle(data):
+    problem = data.draw(problems(max_qubits=8))
+    topology = rotation_topology(data, problem.layout.num_qubits)
+    theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(2)])
+    costs, grads = problem.kernel.gradients(topology.gates, theta)
+    # The gradient follows the exact cost in either eval mode.
+    problem.eval_mode = "exact"
+    for row, cost, grad in zip(theta, costs, grads):
+        assert abs(cost - oracle_cost(problem, at_angles(topology, row)).total) <= 1e-12
+        assert np.max(np.abs(grad - shift_rule_gradient(problem, topology, row))) <= 1e-9
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_gradient_rows_match_one_row_calls(data):
+    problem = data.draw(problems())
+    topology = rotation_topology(data, problem.layout.num_qubits)
+    theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(data.draw(st.integers(1, 5)))])
+    kernel = problem.kernel
+    costs, grads = kernel.gradients(topology.gates, theta)
+    assert np.array_equal(kernel.run(topology.gates, theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
+    for row, cost, grad in zip(theta, costs, grads):
+        one_cost, one_grad = kernel.gradients(topology.gates, row[None])
+        assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cost_has_period_four_pi(data):
+    problem = data.draw(problems())
+    topology = rotation_topology(data, problem.layout.num_qubits)
+    theta = np.array([data.draw(st.floats(-8 * math.pi, 8 * math.pi)) for _ in topology.gates])
+    kernel = problem.kernel
+    wrapped = kernel.reports(kernel.run(topology.gates, np.mod(theta, ANGLE_PERIOD)))[0]
+    assert abs(wrapped.total - kernel.reports(kernel.run(topology.gates, theta))[0].total) <= 1e-12
+
+
+def test_two_pi_is_not_a_crx_period():
+    """CRX(theta + 2*pi) is CRX(theta) then Z on the control, which a later gate turns into a cost."""
+    layout = RegisterLayout(n_ct1=1, n_ct2=1)
     problem = Problem(
-        initial_state=StateVector(4, random_state(rng, 4, 0.3)),
+        initial_state=StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)),
         layout=layout,
-        target_ct1=random_distribution(rng, 2),
-        target_ct2=random_distribution(rng, 2),
+        target_ct1=TargetDistribution(num_qubits=1, probabilities=np.array([0.7, 0.3])),
+        target_ct2=TargetDistribution(num_qubits=1, probabilities=np.array([0.6, 0.4])),
     )
-    topology = Topology((gate_for_pair((0, 2)), gate_for_pair((3, 1))))
+    topology = Topology((GateSpec(kind="CRX", target=1, control=0, angle=0.0),
+                         GateSpec(kind="RY", target=0, angle=0.0)))
+    theta = np.array([2.5 * math.pi, math.pi / 2])
+    kernel = problem.kernel
 
-    def objective(theta):
-        return oracle_cost(
-            problem, [GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta)]
-        ).total
+    def cost(angles):
+        return kernel.reports(kernel.run(topology.gates, angles))[0].total
 
-    best, _, _ = minimize_simplex(objective, np.zeros(2), max_evals=EVALS_PER_ANGLE * 2)
-    wrapped = np.mod(best, TWO_PI)
+    assert abs(cost(np.mod(theta, ANGLE_PERIOD)) - cost(theta)) <= 1e-12
+    assert abs(cost(np.mod(theta, 2 * math.pi)) - cost(theta)) > 1e-3
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), mode=st.sampled_from(["exact", "shots"]))
+def test_optimize_angles_replays_and_never_exceeds_the_start(data, mode):
+    problem = data.draw(problems(min_qubits=3, max_qubits=6))
+    problem.eval_mode = mode
+    topology = rotation_topology(data, problem.layout.num_qubits, max_size=4)
     angles, report = optimize_angles(problem, topology)
-    assert angles.values.tolist() == wrapped.tolist()
-    assert report == oracle_cost(
-        problem, [GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, wrapped)]
-    )
+    assert report == oracle_cost(problem, at_angles(topology, angles.values))
+    assert report.total <= oracle_cost(problem, topology.gates).total
 
 
 # --- variational solver states against their gate-level construction --------

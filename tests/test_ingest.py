@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qxtalk.ingest import (
@@ -366,6 +366,7 @@ def test_load_matrix_matches_per_cell_parser(text):
     row=st.integers(0, 10**6),
     col=st.integers(0, 10**6),
 )
+@example(text="g0\n0\n0\n", bad="", row=0, col=0)
 def test_one_bad_cell_is_named_like_the_per_cell_parser(text, bad, row, col):
     newline = "\r\n" if text.endswith("\r\n") else "\n"
     lines = text.split(newline)
@@ -386,7 +387,11 @@ def test_one_bad_cell_is_named_like_the_per_cell_parser(text, bad, row, col):
             fields[len(fields) - 1 - col % len(genes)] = "x"
             lines[row] = delim.join(fields)
             Path(path).write_text(newline.join(lines), encoding="utf-8")
-        kind, message = _outcome(per_cell_load_matrix, path)
-        assert outcome == (kind, message.replace("'x'", repr(bad)))
+        expected = _outcome(per_cell_load_matrix, path)
+        if expected[0] != "error":
+            # Blanking the only cell of a row leaves a blank line, which both parsers skip.
+            assert outcome == expected
+        else:
+            assert outcome == ("error", expected[1].replace("'x'", repr(bad)))
     finally:
         Path(path).unlink()
