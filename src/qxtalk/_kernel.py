@@ -20,19 +20,32 @@ Scoring keeps the arithmetic of ``marginal_probabilities`` and
 ``kl_divergence``, including the summation order of each KL sum, so a score
 does not depend on the batch it was computed in and no tie-break can flip.
 ``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
-stack of angle vectors, from one reverse sweep over the gates.
+stack of angle vectors, from one reverse sweep over the gates
+(:func:`reverse_sweep`, which the variational QUBO solvers share with their
+energy as the cost).  :func:`bfgs` minimizes such a cost from a stack of
+starts in lockstep.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .cost import CostReport
-from .qsim import _H_MATRIX, GateSpec, _check_qubits, _half_angle_entries, _rotation_entries
+from .qsim import _H_MATRIX, ROTATION_KINDS, GateSpec, _check_qubits, _half_angle_entries, _rotation_entries
 
 _H_ENTRIES = tuple(_H_MATRIX.ravel())
+# BFGS with Armijo backtracking: a start stops when its largest gradient
+# entry, the cost drop of an accepted step or its backtracked step falls
+# below these, or after MAX_ROUNDS stacked scorings.
+ARMIJO = 1e-4
+MAX_STEP = math.pi
+GRAD_TOL = 1e-6
+DROP_TOL = 1e-12
+STEP_TOL = 1e-10
+MAX_ROUNDS = 300
 
 
 @lru_cache(maxsize=None)
@@ -152,6 +165,82 @@ def _generator_overlap(psi: np.ndarray, lam: np.ndarray, n: int, gate: GateSpec)
     return terms.reshape(len(terms), -1).sum(axis=1)
 
 
+def reverse_sweep(pair: np.ndarray, n: int, gates, angles: np.ndarray) -> np.ndarray:
+    """Adjoint gradients (S, R) in the angles of ``gates``, from one sweep back over them.
+
+    ``pair`` stacks S final states psi over their cotangents lambda = w * psi,
+    where w weighs each basis state in the cost (for an energy, w = E); the
+    sweep leaves it holding the states before the gates.  ``angles`` has one
+    column per rotation gate, in gate order.  The derivative in the angle of
+    a gate exp(-i theta G) is 2 Im <lambda|G|psi>, read after the gate; the
+    sweep then undoes the gate, at -theta, on psi and lambda alike.  A gate
+    without an angle (CNOT, H) is its own inverse.
+    """
+    rows = len(angles)
+    undo = -np.concatenate([angles, angles])  # one row per row of pair
+    grads = np.empty(angles.shape)
+    col = angles.shape[1]
+    for gate in reversed(gates):
+        if gate.kind not in ROTATION_KINDS:
+            apply(pair, n, gate.kind, gate.target, gate.control)
+            continue
+        col -= 1
+        grads[:, col] = _generator_overlap(pair[:rows], pair[rows:], n, gate)
+        apply(pair, n, gate.kind, gate.target, gate.control, undo[:, col])
+    return grads
+
+
+def bfgs(value_and_grad, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End points and their costs of BFGS runs from each row of an (S, k) start stack.
+
+    ``value_and_grad`` maps an (m, k) stack to its (m,) costs and (m, k)
+    gradients.  The starts move in lockstep: every round scores the trial
+    point of each active start in one call.  A trial is accepted under the
+    Armijo condition; otherwise its step is halved for the next round.
+    """
+    x = x.copy()
+    rows, size = x.shape
+    f, g = value_and_grad(x)
+    inverse = np.repeat(np.eye(size)[None], rows, axis=0)
+    direction = -g
+    step = np.ones(rows)
+    active = np.ones(rows, dtype=bool)
+    for _ in range(MAX_ROUNDS):
+        active &= np.abs(g).max(axis=1) >= GRAD_TOL
+        act = np.flatnonzero(active)
+        if not act.size:
+            break
+        step[act] = np.minimum(step[act], MAX_STEP / np.abs(direction[act]).max(axis=1))
+        trial = x[act] + step[act, None] * direction[act]
+        f_trial, g_trial = value_and_grad(trial)
+        slope = (g[act] * direction[act]).sum(axis=1)
+        ok = f_trial <= f[act] + ARMIJO * step[act] * slope
+
+        back = act[~ok]
+        step[back] /= 2.0
+        active[back[step[back] * np.abs(direction[back]).max(axis=1) < STEP_TOL]] = False
+
+        acc = act[ok]
+        s, y = trial[ok] - x[acc], g_trial[ok] - g[acc]
+        sy = (s * y).sum(axis=1)
+        curved = sy > 1e-12  # the curvature condition, with a margin against division by ~0
+        if curved.any():
+            c = acc[curved]
+            rho = 1.0 / sy[curved]
+            v = np.eye(size) - rho[:, None, None] * s[curved, :, None] * y[curved, None, :]
+            inverse[c] = v @ inverse[c] @ v.transpose(0, 2, 1) + rho[:, None, None] * (
+                s[curved, :, None] * s[curved, None, :]
+            )
+        active[acc[f[acc] - f_trial[ok] < DROP_TOL]] = False
+        x[acc], f[acc], g[acc] = trial[ok], f_trial[ok], g_trial[ok]
+        direction[acc] = -np.einsum("kij,kj->ki", inverse[acc], g[acc])
+        uphill = acc[(direction[acc] * g[acc]).sum(axis=1) >= 0]
+        inverse[uphill] = np.eye(size)
+        direction[uphill] = -g[uphill]
+        step[acc] = 1.0
+    return x, f
+
+
 class Kernel:
     """One problem's initial state, smoothed targets, and batched gates and scoring."""
 
@@ -248,14 +337,13 @@ class Kernel:
         return [CostReport.from_parts(float(a), float(b)) for a, b in zip(kl1, kl2)]
 
     def gradients(self, gates, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact costs (S,) and their gradients (S, L) at an (S, L) stack of angles.
+        """Exact costs (S,) and their gradients (S, L) at an (S, L) stack of angles
+        for L gates that are all rotations.
 
         The cost is the exact KL total, in either eval mode.  Its gradient
-        comes from one reverse sweep (the adjoint method): with weights
+        comes from :func:`reverse_sweep` (the adjoint method), with weights
         w = log(p / q) on each register marginal (0 where p = 0) broadcast
-        over the state, lambda = w * psi, and the derivative in the angle of
-        a gate exp(-i theta G) is 2 Im <lambda|G|psi>, read after the gate.
-        The sweep then undoes the gate, at -theta, on psi and lambda alike.
+        over the state.
         """
         angles = np.asarray(angles, dtype=np.float64)
         rows = len(angles)
@@ -265,9 +353,4 @@ class Kernel:
         w1, w2 = (np.log(np.where(marg > 0, marg / target, 1.0)) for marg, target in parts)
         # CT2 indexes the high bits of an amplitude, CT1 the low ones.
         w = (w2[:, :, None] + w1[:, None, :]).reshape(rows, -1)
-        pair = np.concatenate([states, w * states])
-        grads = np.empty(angles.shape)
-        for i in reversed(range(len(gates))):
-            grads[:, i] = _generator_overlap(pair[:rows], pair[rows:], self.n, gates[i])
-            self.apply(pair, gates[i], -np.tile(angles[:, i], 2))
-        return costs, grads
+        return costs, reverse_sweep(np.concatenate([states, w * states]), self.n, gates, angles)

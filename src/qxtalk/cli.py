@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -613,14 +614,28 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
 
 
 def write_trace(result: SearchResult, path: Path) -> None:
+    """One line per history entry: the bytes of ``json.dumps`` with sorted keys
+    of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}.
+
+    Each distinct gate is encoded once.  Its cache key holds the angle's type
+    and sign besides its value, because equal angles such as 0.0 and -0.0, or
+    1 and 1.0, encode differently.  Lines are streamed, so the trace is never
+    held in memory whole.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    encoded: dict[tuple, str] = {}
     with path.open("w", encoding="utf-8") as fh:
         for entry in result.history:
-            record = {
-                "phase": entry.phase,
-                "cost": entry.cost.total,
-                "sequence": [[g.kind, g.control, g.target, g.angle] for g in entry.topology],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            sequence = []
+            for g in entry.topology:
+                sign = 0.0 if g.angle is None else math.copysign(1.0, g.angle)
+                key = (g.kind, g.control, g.target, g.angle, type(g.angle), sign)
+                text = encoded.get(key)
+                if text is None:
+                    text = encoded[key] = encode([g.kind, g.control, g.target, g.angle])
+                sequence.append(text)
+            fh.write(f'{{"cost": {encode(entry.cost.total)}, "phase": {encode(entry.phase)}, '
+                     f'"sequence": [{", ".join(sequence)}]}}\n')
 
 
 # --- stage subcommands ----------------------------------------------------

@@ -65,22 +65,23 @@ def extract_candidates(dr: np.ndarray, layout: RegisterLayout, threshold: float 
     if dr.shape != (1 << n, n):
         raise ValueError(f"delta-rho shape {dr.shape} does not match a {n}-qubit layout")
     hot = np.abs(dr) > threshold
-    is_set = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    bit = np.arange(n)
+    is_set = ((np.arange(1 << n)[:, None] >> bit) & 1).astype(bool)
     # Row r's columns r ^ 2**t ascend over its set bits t from the highest
     # down (c < r), then over its clear bits from the lowest up (c > r).
-    scan = np.hstack([(hot & is_set)[:, ::-1], hot & ~is_set])
-    targets = [*range(n - 1, -1, -1), *range(n)]
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for r, k in np.argwhere(scan).tolist():
-        if len(pairs) == n * (n - 1):  # every pair is seen; the rest of the scan adds none
-            break
-        target = targets[k]
-        shared = r & ~(1 << target)
-        for control in range(n):
-            if (shared >> control) & 1:
-                pair = (control, target)
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
+    rows, cols = np.nonzero(np.hstack([(hot & is_set)[:, ::-1], hot & ~is_set]))
+    targets = np.concatenate([bit[::-1], bit])[cols]
+    # Hot entry i proposes (c, targets[i]) for every other qubit c set in its row.
+    proposes = is_set[rows] & (bit != targets[:, None])
+    # first[t, c]: the scan index at which pair (c, t) is first proposed.
+    first = np.full((n, n), len(rows))
+    for t in range(n):
+        entries = np.flatnonzero(targets == t)
+        if entries.size:
+            hits = proposes[entries]
+            first[t] = np.where(hits.any(axis=0), entries[hits.argmax(axis=0)], len(rows))
+    target, control = np.nonzero(first < len(rows))
+    # Pairs of one hot entry come in ascending control order.
+    ranked = sorted(zip(first[target, control].tolist(), control.tolist(), target.tolist()))
+    pairs = [(c, t) for _, c, t in ranked]
     return CandidateSet(pairs=pairs, threshold_used=float(threshold))

@@ -28,7 +28,6 @@ from . import _kernel
 from .cost import CostReport, Problem, evaluate
 from .prune import CandidateSet
 from .qsim import GateSpec, Topology
-from .tune import minimize_simplex
 
 SEARCH_ANGLE = math.pi / 2.0
 DEFAULT_KL_TOL = 0.01
@@ -519,36 +518,79 @@ def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[tupl
     return seen
 
 
+def _vqe_gates(n: int) -> list[GateSpec]:
+    """Two entangling layers of RY rotations + CNOT chains, plus a final RY layer.
+
+    Rotation i of the list takes parameter i; the angles here are placeholders.
+    """
+    ry = [GateSpec(kind="RY", target=i, angle=0.0) for i in range(n)]
+    chain = [GateSpec(kind="CNOT", target=i + 1, control=i) for i in range(n - 1)]
+    return ry + chain + ry + chain + ry
+
+
 def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes after two entangling layers of RY rotations + CNOT chains, plus a final RY layer."""
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    psi[0] = 1.0
-    theta = params.reshape(3, n)
-    for layer in range(2):
-        for i in range(n):
-            _kernel.apply(psi, n, "RY", i, angle=float(theta[layer, i]))
-        for i in range(n - 1):
-            _kernel.apply(psi, n, "CNOT", i + 1, control=i)
-    for i in range(n):
-        _kernel.apply(psi, n, "RY", i, angle=float(theta[2, i]))
+    """Amplitudes of the VQE circuit: (2**n,) at a (3n,) vector, (S, 2**n) at an (S, 3n) stack."""
+    psi = np.zeros(params.shape[:-1] + (1 << n,), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    column = 0
+    for gate in _vqe_gates(n):
+        if gate.kind == "CNOT":
+            _kernel.apply(psi, n, "CNOT", gate.target, gate.control)
+        else:
+            _kernel.apply(psi, n, "RY", gate.target, angle=params[..., column])
+            column += 1
     return psi
 
 
 def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
-    """Amplitudes of the depth-2 alternating cost/mixer circuit.
+    """Amplitudes of the depth-2 alternating cost/mixer circuit, at (4,) or (S, 4) parameters.
 
-    The cost layer exp(-i gamma H) is diagonal in the computational basis,
-    so it is applied as one phase per basis state, exp(-i gamma E(x)).
-    That equals the gate-level RZ/CNOT-RZ-CNOT circuit on the Ising image of
-    the QUBO up to a global phase (Farhi, Goldstone & Gutmann, 2014).
+    Layer l applies exp(-i gamma_l H), then RX(2 beta_l) on every qubit, with
+    (gamma_l, beta_l) = params[2l : 2l + 2].  The cost layer is diagonal in
+    the computational basis, so it is applied as one phase per basis state,
+    exp(-i gamma E(x)).  That equals the gate-level RZ/CNOT-RZ-CNOT circuit on
+    the Ising image of the QUBO up to a global phase (Farhi, Goldstone &
+    Gutmann, 2014).
     """
-    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+    psi = np.full(params.shape[:-1] + (1 << n,), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for layer in range(2):
-        gamma, beta = float(params[2 * layer]), float(params[2 * layer + 1])
-        psi *= np.exp(-1j * gamma * energies)
+        psi *= np.exp(-1j * params[..., 2 * layer, None] * energies)
         for i in range(n):
-            _kernel.apply(psi, n, "RX", i, angle=2.0 * beta)
+            _kernel.apply(psi, n, "RX", i, angle=2.0 * params[..., 2 * layer + 1])
     return psi
+
+
+def _energy_pair(states: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<E> of each state in an (S, 2**n) stack, and the states stacked over their cotangents E * psi."""
+    costs = (np.abs(states) ** 2 * energies).sum(axis=1)
+    return costs, np.concatenate([states, energies * states])
+
+
+def _vqe_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (S,) and their exact gradients (S, 3n) at an (S, 3n) parameter stack."""
+    costs, pair = _energy_pair(_vqe_state(params, n), energies)
+    return costs, _kernel.reverse_sweep(pair, n, _vqe_gates(n), params)
+
+
+def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (S,) and their exact gradients (S, 4) at an (S, 4) parameter stack.
+
+    The sweep runs back through each layer: beta drives RX(2 beta) on every
+    qubit, so d/d beta is twice the sum of the n RX gradients; gamma's
+    generator is the diagonal E, so d/d gamma = 2 Im <lambda|E psi>, and the
+    cost layer is undone by the phase exp(+i gamma E) on psi and lambda.
+    """
+    rows = len(params)
+    costs, pair = _energy_pair(_qaoa_state(params, n, energies), energies)
+    mixer = [GateSpec(kind="RX", target=i, angle=0.0) for i in range(n)]
+    grads = np.empty(params.shape)
+    for layer in (1, 0):
+        gamma, beta = params[:, 2 * layer], params[:, 2 * layer + 1]
+        rx = _kernel.reverse_sweep(pair, n, mixer, np.repeat(2.0 * beta[:, None], n, axis=1))
+        grads[:, 2 * layer + 1] = 2.0 * rx.sum(axis=1)
+        grads[:, 2 * layer] = 2.0 * (np.conj(pair[rows:]) * energies * pair[:rows]).imag.sum(axis=1)
+        pair *= np.exp(1j * np.tile(gamma, 2)[:, None] * energies)
+    return costs, grads
 
 
 def _top_k_probable(probs: np.ndarray, energies: np.ndarray, n: int, k: int) -> list[tuple[np.ndarray, float]]:
@@ -601,20 +643,14 @@ def solve_qubo_heuristic(
     if mode == "vqe":
         n_params = 3 * n
         make_state = lambda p: _vqe_state(p, n)
+        gradients = lambda p: _vqe_gradients(p, n, energies)
     else:
         n_params = 4
         make_state = lambda p: _qaoa_state(p, n, energies)
-
-    def objective(params: np.ndarray) -> float:
-        return float(np.abs(make_state(params)) ** 2 @ energies)
-
-    best_params, best_val = None, math.inf
-    for _ in range(2):
-        x0 = rng.uniform(-0.2, 0.2, size=n_params)
-        params, val, _ = minimize_simplex(objective, x0, max_evals=300 * n_params)
-        if val < best_val:
-            best_params, best_val = params, val
-    probs = np.abs(make_state(best_params)) ** 2
+        gradients = lambda p: _qaoa_gradients(p, n, energies)
+    starts = np.stack([rng.uniform(-0.2, 0.2, size=n_params) for _ in range(2)])
+    ends, final = _kernel.bfgs(gradients, starts)
+    probs = np.abs(make_state(ends[int(np.argmin(final))])) ** 2
     return _top_k_probable(probs, energies, n, top_k)
 
 

@@ -24,13 +24,15 @@ from qxtalk.cli import (
     parse_config_file,
     resolve_config,
     run_strategy,
+    write_trace,
 )
 from qxtalk import ingest, synth
 from qxtalk._kernel import Kernel
-from qxtalk.cost import Problem
+from qxtalk.cost import CostReport, Problem
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet
-from qxtalk.qsim import GateSpec, RegisterLayout, StateVector
+from qxtalk.qsim import GateSpec, RegisterLayout, StateVector, Topology
+from qxtalk.search import HistoryEntry, SearchResult, multi_epoch
 
 SMALL_CONFIG = """\
 # four-qubit benchmark slice, kept small for fast runs
@@ -201,6 +203,42 @@ class TestGateSerialization:
     def test_single_qubit_round_trip(self):
         gate = GateSpec(kind="RX", target=2, control=None, angle=math.pi / 3)
         assert gate_from_dict(gate_to_dict(gate)) == gate
+
+
+def per_row_trace(result: SearchResult) -> str:
+    """The trace as one ``json.dumps`` per history entry."""
+    return "".join(
+        json.dumps({
+            "phase": entry.phase,
+            "cost": entry.cost.total,
+            "sequence": [[g.kind, g.control, g.target, g.angle] for g in entry.topology],
+        }, sort_keys=True) + "\n"
+        for entry in result.history
+    )
+
+
+def test_trace_bytes_match_per_row_json_dumps(tmp_path):
+    rx = GateSpec(kind="RX", target=2, control=None, angle=math.pi / 3)
+    cnot = GateSpec(kind="CNOT", target=0, control=1)
+    # Equal gates whose angles encode differently.
+    twins = [GateSpec(kind="CRX", target=1, control=0, angle=a) for a in (0.0, -0.0)]
+    ry = [GateSpec(kind="RY", target=0, angle=a) for a in (2, 2.0)]
+    sequences = [(), (rx,), (twins[0], rx), (twins[1], cnot, rx), (ry[0],), (ry[1], ry[0])]
+    costs = [(0.5, 0.25), (1e-17, 3.0), (math.inf, 0.0), (0.1, 0.2)]
+    history = [
+        HistoryEntry(Topology(seq), CostReport.from_parts(*costs[i % len(costs)]), phase)
+        for i, (seq, phase) in enumerate(zip(sequences, ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x"]))
+    ]
+    rng = np.random.default_rng(7)
+    amps = rng.uniform(0.1, 1.0, size=16)
+    targets = [TargetDistribution(num_qubits=2, probabilities=t / t.sum()) for t in rng.uniform(0.1, 1.0, (2, 4))]
+    problem = Problem(initial_state=StateVector(4, amps / np.linalg.norm(amps)),
+                      layout=RegisterLayout(n_ct1=2, n_ct2=2), target_ct1=targets[0], target_ct2=targets[1])
+    searched = multi_epoch(problem, CandidateSet(pairs=[(0, 2), (2, 1), (1, 3), (3, 0)], threshold_used=0.01))
+    for result in (SearchResult(Topology(()), history[0].cost, 0, history), searched):
+        path = tmp_path / "trace.jsonl"
+        write_trace(result, path)
+        assert path.read_bytes() == per_row_trace(result).encode("utf-8")
 
 
 # Count-like values.  Within a matrix spanning more than ~1e300, median

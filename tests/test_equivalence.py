@@ -14,6 +14,8 @@ the reference.  Every fast path is checked against them, or against
 * the VQE and QAOA states against their gate-level construction: VQE bit
   for bit, and QAOA, whose cost layer is one diagonal phase rather than
   the gate-level RZ/CNOT-RZ-CNOT circuit, to 1e-12 with the same top-k;
+  and their adjoint energy gradients against the two-term shift rule on
+  every gate of that construction, through the chain rule;
 * the single-bit-flip delta-rho prune against a scan of the dense density
   matrix difference: the same pairs in the same order, and on real
   amplitudes the same entries bit for bit.
@@ -398,19 +400,20 @@ def test_optimize_angles_replays_and_never_exceeds_the_start(data, mode):
 # --- variational solver states against their gate-level construction --------
 
 
-def gate_level_vqe(params, n):
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    state = StateVector(n, amps)
+# Each gate-level circuit is a list of (gate, parameter index or None, d angle / d parameter).
+
+
+def vqe_circuit(params, n):
     theta = params.reshape(3, n)
-    for layer in range(2):
-        for i in range(n):
-            state = apply_gate(state, GateSpec(kind="RY", target=i, angle=float(theta[layer, i])))
-        for i in range(n - 1):
-            state = apply_gate(state, GateSpec(kind="CNOT", target=i + 1, control=i))
-    for i in range(n):
-        state = apply_gate(state, GateSpec(kind="RY", target=i, angle=float(theta[2, i])))
-    return state.probabilities()
+    tagged = []
+    for layer in range(3):
+        tagged += [(GateSpec(kind="RY", target=i, angle=float(theta[layer, i])), layer * n + i, 1.0)
+                   for i in range(n)]
+        if layer < 2:
+            tagged += [(GateSpec(kind="CNOT", target=i + 1, control=i), None, 0.0) for i in range(n - 1)]
+    zeros = np.zeros(1 << n, dtype=np.complex128)
+    zeros[0] = 1.0
+    return StateVector(n, zeros), tagged
 
 
 def ising_coefficients(qp):
@@ -420,40 +423,103 @@ def ising_coefficients(qp):
     return -diag / 2.0 - off.sum(axis=1) / 4.0, off / 4.0
 
 
-def gate_level_qaoa(params, n, h, j):
-    state = StateVector(n, np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128))
+def qaoa_circuit(params, n, h, j):
+    """RZ(2 gamma h_i), CNOT-RZ(2 gamma J_ab)-CNOT and RX(2 beta) per layer, from |+>^n."""
+    tagged = []
     for layer in range(2):
         gamma, beta = float(params[2 * layer]), float(params[2 * layer + 1])
         for i in range(n):
             if h[i] != 0.0:
-                state = apply_gate(state, GateSpec(kind="RZ", target=i, angle=2.0 * gamma * h[i]))
+                tagged.append((GateSpec(kind="RZ", target=i, angle=2.0 * gamma * h[i]), 2 * layer, 2.0 * h[i]))
         for a in range(n):
             for b in range(a + 1, n):
                 if j[a, b] != 0.0:
-                    state = apply_gate(state, GateSpec(kind="CNOT", target=b, control=a))
-                    state = apply_gate(state, GateSpec(kind="RZ", target=b, angle=2.0 * gamma * j[a, b]))
-                    state = apply_gate(state, GateSpec(kind="CNOT", target=b, control=a))
-        for i in range(n):
-            state = apply_gate(state, GateSpec(kind="RX", target=i, angle=2.0 * beta))
+                    cnot = (GateSpec(kind="CNOT", target=b, control=a), None, 0.0)
+                    rz = GateSpec(kind="RZ", target=b, angle=2.0 * gamma * j[a, b])
+                    tagged += [cnot, (rz, 2 * layer, 2.0 * j[a, b]), cnot]
+        tagged += [(GateSpec(kind="RX", target=i, angle=2.0 * beta), 2 * layer + 1, 2.0) for i in range(n)]
+    return StateVector(n, np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)), tagged
+
+
+def gate_level_probabilities(initial, tagged):
+    state = initial
+    for gate, _, _ in tagged:
+        state = apply_gate(state, gate)
     return state.probabilities()
+
+
+def gate_level_vqe(params, n):
+    return gate_level_probabilities(*vqe_circuit(params, n))
+
+
+def gate_level_qaoa(params, n, h, j):
+    return gate_level_probabilities(*qaoa_circuit(params, n, h, j))
+
+
+def shift_rule_energy_gradient(initial, tagged, n_params, energies):
+    """d <E> / d parameter: for each gate, the two-term shift rule at +-pi/2 on its
+    angle, times d angle / d parameter, summed over the gates a parameter drives."""
+    grad = np.zeros(n_params)
+    for k, (gate, param, slope) in enumerate(tagged):
+        if param is None:
+            continue
+        for sign in (1.0, -1.0):
+            shifted = list(tagged)
+            shifted[k] = (GateSpec(gate.kind, gate.target, gate.control, gate.angle + sign * math.pi / 2), param, slope)
+            grad[param] += sign * slope * float(gate_level_probabilities(initial, shifted) @ energies) / 2.0
+    return grad
+
+
+def random_qubo(rng, n):
+    q = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+    qp = QuboProblem(size=n, q=q + q.T, baseline=0.0, penalty=1.0)
+    return qp, search._energies(qp, np.arange(1 << n))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_variational_states_match_gate_level(n, seed):
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
-    qp = QuboProblem(size=n, q=q + q.T, baseline=0.0, penalty=1.0)
+    qp, energies = random_qubo(rng, n)
     vqe_params = rng.uniform(-math.pi, math.pi, size=3 * n)
     qaoa_params = rng.uniform(-math.pi, math.pi, size=4)
     assert np.array_equal(np.abs(search._vqe_state(vqe_params, n)) ** 2, gate_level_vqe(vqe_params, n))
-    energies = search._energies(qp, np.arange(1 << n))
     fast = np.abs(search._qaoa_state(qaoa_params, n, energies)) ** 2
     oracle = gate_level_qaoa(qaoa_params, n, *ising_coefficients(qp))
     assert np.max(np.abs(fast - oracle)) <= 1e-12
     top = search._top_k_probable(fast, energies, n, 4)
     top_oracle = search._top_k_probable(oracle, energies, n, 4)
     assert [x.tolist() for x, _ in top] == [x.tolist() for x, _ in top_oracle]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_energy_gradients_match_shift_rule_on_gate_level(n, seed):
+    rng = np.random.default_rng(seed)
+    qp, energies = random_qubo(rng, n)
+    vqe_params = rng.uniform(-math.pi, math.pi, size=(1, 3 * n))
+    qaoa_params = rng.uniform(-math.pi, math.pi, size=(1, 4))
+    cost, grad = search._vqe_gradients(vqe_params, n, energies)
+    initial, tagged = vqe_circuit(vqe_params[0], n)
+    assert abs(cost[0] - gate_level_probabilities(initial, tagged) @ energies) <= 1e-9
+    assert np.max(np.abs(grad[0] - shift_rule_energy_gradient(initial, tagged, 3 * n, energies))) <= 1e-9
+    cost, grad = search._qaoa_gradients(qaoa_params, n, energies)
+    initial, tagged = qaoa_circuit(qaoa_params[0], n, *ising_coefficients(qp))
+    assert abs(cost[0] - gate_level_probabilities(initial, tagged) @ energies) <= 1e-9
+    assert np.max(np.abs(grad[0] - shift_rule_energy_gradient(initial, tagged, 4, energies))) <= 1e-9
+
+
+@EXAMPLES
+@given(n=st.integers(1, 8), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_energy_gradient_rows_match_one_row_calls(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    _, energies = random_qubo(rng, n)
+    for gradients, size in ((search._vqe_gradients, 3 * n), (search._qaoa_gradients, 4)):
+        params = rng.uniform(-math.pi, math.pi, size=(rows, size))
+        costs, grads = gradients(params, n, energies)
+        for row, cost, grad in zip(params, costs, grads):
+            one_cost, one_grad = gradients(row[None], n, energies)
+            assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
 
 
 # --- prune: single-bit-flip entries against the dense delta-rho --------------

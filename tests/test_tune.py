@@ -1,4 +1,4 @@
-"""Gradient-free angle optimization, ablation table, network export."""
+"""Angle optimization, ablation table, network export."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from qxtalk.tune import (
     AngleVector,
     contribution_analysis,
     export_network,
-    minimize_simplex,
     optimize_angles,
 )
 
@@ -48,37 +47,6 @@ def random_problem(rng, n1=2, n2=2):
         target_ct1=TargetDistribution(num_qubits=n1, probabilities=t1),
         target_ct2=TargetDistribution(num_qubits=n2, probabilities=t2),
     )
-
-
-class TestMinimizeSimplex:
-    def test_quadratic_bowl(self):
-        fn = lambda x: float(np.sum((x - 1.5) ** 2))
-        best_x, best_f, evals = minimize_simplex(fn, np.zeros(3), max_evals=2000)
-        assert np.abs(best_x - 1.5).max() < 1e-3
-        assert best_f < 1e-6
-        assert evals <= 2000
-
-    def test_rosenbrock_two_dim(self):
-        fn = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-        best_x, best_f, _ = minimize_simplex(fn, np.array([-1.0, 1.0]), max_evals=5000)
-        assert best_f < 1e-4
-
-    def test_budget_respected(self):
-        calls = []
-        fn = lambda x: calls.append(1) or float(np.sum(x**2))
-        minimize_simplex(fn, np.zeros(4), max_evals=100)
-        assert len(calls) <= 100
-
-    def test_deterministic(self):
-        fn = lambda x: float(np.cos(x[0]) + np.sin(3 * x[1]) + 0.1 * np.sum(x**2))
-        a = minimize_simplex(fn, np.array([0.3, 0.4]), max_evals=1500)
-        b = minimize_simplex(fn, np.array([0.3, 0.4]), max_evals=1500)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2] == b[2]
-
-    def test_never_worse_than_start(self):
-        fn = lambda x: float(np.sum(x**2))
-        best_x, best_f, _ = minimize_simplex(fn, np.array([2.0]), max_evals=10)
-        assert best_f <= fn(np.array([2.0]))
 
 
 class TestOptimizeAngles:
