@@ -89,6 +89,11 @@ class RunConfig:
             raise ValueError("top_k must be >= 1")
         if self.n_epochs < 0:
             raise ValueError("n_epochs must be >= 0 (0 means one epoch per candidate)")
+        if not self.threshold > 0:
+            raise ValueError("threshold must be positive")
+        if self.nshots <= 0:
+            raise ValueError("nshots must be positive")
+        search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose and max_depth
 
 
 @dataclass

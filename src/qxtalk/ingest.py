@@ -43,10 +43,6 @@ class ExpressionMatrix:
         if self.values.size and self.values.min() < 0:
             raise ValueError("expression values must be non-negative")
 
-    @property
-    def cell_count(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class GeneSelection:

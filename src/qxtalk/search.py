@@ -18,7 +18,6 @@ deterministic given the problem, the candidate order and the seeds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +127,27 @@ def _extensions(
     return states, scored
 
 
+def _permutations(
+    ev: Evaluator, seq: Topology, state: np.ndarray, pairs: list[tuple[int, int]], depth: int
+) -> list[tuple[Topology, CostReport]]:
+    """``seq`` followed by each ordered ``depth``-tuple of ``pairs``' search gates, scored
+    in ``itertools.permutations(pairs, depth)`` order.
+
+    The walk is depth first from ``seq``'s final state ``state``, so each
+    prefix gate is applied once and shared by every tuple below it.
+    """
+    if depth == 0:
+        return [(seq, ev.score(state)[0])]
+    if depth == 1:
+        return _extensions(ev, seq, state, pairs)[1]
+    children = ev.kernel.extend(state, pairs, SEARCH_ANGLE)
+    scored = []
+    for i, pair in enumerate(pairs):
+        head = Topology(gates=seq.gates + (gate_for_pair(pair),))
+        scored += _permutations(ev, head, children[i : i + 1], pairs[:i] + pairs[i + 1 :], depth - 1)
+    return scored
+
+
 def _deletions(ev: Evaluator, seq: Topology) -> list[tuple[Topology, CostReport]]:
     """``seq`` without each of its gates in turn, scored in one batch."""
     reports = ev.score(ev.kernel.deletions(seq.gates))
@@ -187,16 +207,7 @@ def best_permutation_addition(
     unused = _unused(seq, cands)
     if len(unused) < n:
         return seq, ev(seq)
-    base = ev.kernel.run(seq.gates)
-    scored = []
-    # itertools.permutations(unused, n) order: each (n-1)-prefix in turn, then
-    # every remaining candidate as the last gate, in candidate order.
-    for head in itertools.permutations(unused, n - 1):
-        prefix = Topology(gates=seq.gates + tuple(gate_for_pair(p) for p in head))
-        state = base.copy()
-        for gate in prefix.gates[len(seq):]:
-            ev.kernel.apply(state, gate)
-        scored += _extensions(ev, prefix, state, [p for p in unused if p not in head])[1]
+    scored = _permutations(ev, seq, ev.kernel.run(seq.gates), unused, n)
     return scored[_lowest(scored)]
 
 
@@ -384,18 +395,12 @@ def build_kl_matrix(
     return m, float(baseline)
 
 
-# Cost values are snapped to this dyadic grid before QUBO compilation.  On
-# the grid every Q entry and every few-term sum of entries is an exact
-# double, so Q_ii + Q_jj + Q_ij + baseline reproduces min(M_ij, M_ji)
-# bit-for-bit.  The spacing (2^-40 ~ 9e-13) is far below both the search
-# tolerance and the numerical noise of the cost itself.
+# Cost values are snapped to this dyadic grid before QUBO compilation.  While
+# |Q| sums to under 2^53 grid units, every sum of Q entries is an exact double
+# in any order, so Q_ii + Q_jj + Q_ij + baseline reproduces min(M_ij, M_ji) bit
+# for bit, and so does an energy updated flip by flip.  The spacing (2^-40 ~
+# 9e-13) is far below both the search tolerance and the noise of the cost.
 _GRID = float(1 << 40)
-
-
-def _snap(value: float) -> float:
-    if not math.isfinite(value):
-        return value
-    return round(value * _GRID) / _GRID
 
 
 def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
@@ -403,46 +408,36 @@ def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
 
     Q_ii = M_ii - L0; for i < j the coupling uses the cheaper ordering:
     Q_ij = (min(M_ij, M_ji) - L0) - Q_ii - Q_jj.  All inputs are first
-    snapped to a fixed dyadic grid and the algebra done in integer grid
+    snapped to a fixed dyadic grid and the algebra done in whole grid
     units, which keeps the identity Q_ii + Q_jj + Q_ij + L0 = min(M_ij,
-    M_ji) exact in double arithmetic.  Non-finite entries are replaced by
-    a penalty of 10x the largest finite magnitude.
+    M_ji) exact in double arithmetic.  A non-finite ordering (NaN or
+    +-inf) gives way to the other one; a pair with no finite ordering, and
+    every pair of a gate with a non-finite diagonal, gets a penalty of 10x
+    the largest finite magnitude.  Raises ``ValueError`` when the entries'
+    magnitudes sum to 2^53 grid units or more, past which sums stop being
+    exact.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("cost matrix must be square")
     if not math.isfinite(baseline):
         raise ValueError("baseline cost must be finite")
-    n = m.shape[0]
-    snapped = np.array([[_snap(v) for v in row] for row in m], dtype=np.float64)
-    base = _snap(float(baseline))
-    base_units = round(base * _GRID)
-
-    def units(value: float) -> int | None:
-        return round(value * _GRID) if math.isfinite(value) else None
-
-    q_units: list[list[int | None]] = [[0] * n for _ in range(n)]
-    for i in range(n):
-        diag = units(snapped[i, i])
-        q_units[i][i] = None if diag is None else diag - base_units
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_best = min(snapped[i, j], snapped[j, i])
-            pair_units = units(pair_best)
-            if pair_units is None or q_units[i][i] is None or q_units[j][j] is None:
-                coupling = None
-            else:
-                coupling = pair_units - base_units - q_units[i][i] - q_units[j][j]
-            q_units[i][j] = q_units[j][i] = coupling
-    q = np.array(
-        [[math.nan if u is None else u / _GRID for u in row] for row in q_units],
-        dtype=np.float64,
-    )
-    finite = np.abs(q[np.isfinite(q)])
-    max_abs = float(finite.max()) if finite.size else 0.0
+    units = np.round(m * _GRID)
+    base = float(np.round(baseline * _GRID))
+    diag = np.diag(units) - base
+    with np.errstate(invalid="ignore"):  # inf - inf where a diagonal is infinite
+        q = np.fmin(units, units.T) - base - diag[:, None] - diag[None, :]
+    np.fill_diagonal(q, diag)
+    q /= _GRID
+    finite = np.isfinite(q)
+    max_abs = float(np.abs(q[finite]).max(initial=0.0))
     penalty = 10.0 * max_abs if max_abs > 0 else 1.0
-    q[~np.isfinite(q)] = penalty
-    return QuboProblem(size=n, q=q, baseline=base, penalty=penalty, kl_matrix=snapped)
+    q[~finite] = penalty
+    total = float(np.abs(q).sum()) * _GRID
+    if total >= 2.0**53:
+        raise ValueError(f"|Q| sums to 2^{math.log2(total):.1f} grid units of 2^-40; "
+                         "QUBO energies are exact only below 2^53")
+    return QuboProblem(size=len(q), q=q, baseline=base / _GRID, penalty=penalty, kl_matrix=units / _GRID)
 
 
 def _split(qp: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -458,14 +453,15 @@ def qubo_energy(qp: QuboProblem, x: np.ndarray) -> float:
     return float(x @ diag + 0.5 * x @ off @ x)
 
 
-def _bit_block(indices: np.ndarray, n: int) -> np.ndarray:
-    return ((indices[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
+def _bits(indices, n: int) -> np.ndarray:
+    """The 0/1 assignment x of an int index (any n) or of each in an array: bit i is x_i."""
+    return ((np.asarray(indices)[..., None] >> np.arange(n)) & 1).astype(np.int64)
 
 
 def _energies(qp: QuboProblem, indices: np.ndarray) -> np.ndarray:
-    """E(x) for each assignment in ``indices`` (bit i of an index is x_i)."""
+    """E(x) for each assignment in ``indices``."""
     diag, off = _split(qp)
-    bits = _bit_block(indices, qp.size)
+    bits = _bits(indices, qp.size).astype(np.float64)
     return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
 
 
@@ -489,32 +485,41 @@ def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
         if energies[local] < best_energy:
             best_energy = float(energies[local])
             best_index = int(idx[local])
-    x = ((best_index >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
-    return x, best_energy
+    return _bits(best_index, n), best_energy
 
 
-def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[tuple[int, ...], float]:
+def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[int, float]:
+    """Energy of each assignment index visited by restarted single-flip annealing.
+
+    A flip's energy change is read from the fields h = diag + off @ x, which
+    each accepted flip updates.  On ``build_qubo``'s grid the fields and the
+    running energy are exact, so they equal a fresh ``qubo_energy`` bit for bit.
+    """
     rng = np.random.default_rng(seed)
     n = qp.size
     diag, off = _split(qp)
     scale = max(1.0, float(np.abs(qp.q).max()))
     t_hot, t_cold = 2.0 * scale, 1e-3 * scale
-    seen: dict[tuple[int, ...], float] = {}
+    seen: dict[int, float] = {}
     for _ in range(restarts):
-        x = rng.integers(0, 2, size=n).astype(np.float64)
+        x = rng.integers(0, 2, size=n)
+        index = sum(1 << i for i in np.flatnonzero(x).tolist())
         energy = qubo_energy(qp, x)
-        seen.setdefault(tuple(int(v) for v in x), energy)
+        fields = diag + off @ x
+        seen.setdefault(index, energy)
         for sweep in range(sweeps):
             frac = sweep / max(sweeps - 1, 1)
             temp = t_hot * (t_cold / t_hot) ** frac
-            for i in rng.permutation(n):
-                delta = (1.0 - 2.0 * x[i]) * (diag[i] + off[i] @ x)
+            for i in rng.permutation(n).tolist():
+                delta = -fields[i] if index >> i & 1 else fields[i]
                 if delta < 0 or rng.random() < math.exp(-delta / temp):
-                    x[i] = 1.0 - x[i]
+                    index ^= 1 << i
                     energy += delta
-                    key = tuple(int(v) for v in x)
-                    if key not in seen:
-                        seen[key] = qubo_energy(qp, x)
+                    if index >> i & 1:
+                        fields += off[i]
+                    else:
+                        fields -= off[i]
+                    seen.setdefault(index, energy)
     return seen
 
 
@@ -600,11 +605,7 @@ def _top_k_probable(probs: np.ndarray, energies: np.ndarray, n: int, k: int) -> 
     probability that differ only by rounding keep index order.
     """
     order = np.argsort(-np.round(probs, 12), kind="stable")[:k]
-    out = []
-    for idx in order:
-        bits = ((int(idx) >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
-        out.append((bits, float(energies[int(idx)])))
-    return out
+    return [(_bits(i, n), float(energies[i])) for i in order.tolist()]
 
 
 def solve_qubo_heuristic(
@@ -627,11 +628,8 @@ def solve_qubo_heuristic(
         raise ValueError("top_k must be >= 1")
     n = qp.size
     if mode == "annealing":
-        seen = _anneal(qp, seed, restarts, sweeps)
-        ranked = sorted(
-            seen.items(), key=lambda kv: (kv[1], sum(b << i for i, b in enumerate(kv[0])))
-        )
-        return [(np.array(bits, dtype=np.int64), energy) for bits, energy in ranked[:top_k]]
+        ranked = sorted((e, i) for i, e in _anneal(qp, seed, restarts, sweeps).items())
+        return [(_bits(i, n), float(e)) for e, i in ranked[:top_k]]
     if mode not in ("vqe", "qaoa"):
         raise ValueError(f"unknown solver mode {mode!r}")
     if n > VARIATIONAL_MAX_VARS:
@@ -657,25 +655,16 @@ def solve_qubo_heuristic(
 def order_selected(problem: Problem, gates: list[tuple[int, int]], cfg: SearchConfig | None = None) -> SearchResult:
     """Best ordering of a selected gate set.
 
-    Up to 8 gates every permutation is scored; larger sets delegate to
-    multi_epoch restricted to the set, guarded so the result never loses
-    to the identity ordering.
+    Up to 8 gates every permutation is scored, walked as a prefix tree;
+    larger sets delegate to multi_epoch restricted to the set, guarded so
+    the result never loses to the identity ordering.
     """
     cfg = cfg or SearchConfig()
     ev = Evaluator(problem)
-    if not gates:
-        empty = Topology(())
-        report = ev(empty)
-        return SearchResult(empty, report, ev.calls, [HistoryEntry(empty, report, "ordering")])
     if len(gates) <= 8:
-        history = []
-        best: tuple[Topology, CostReport] | None = None
-        for combo in itertools.permutations(gates):
-            topo = Topology(gates=tuple(gate_for_pair(p) for p in combo))
-            report = ev(topo)
-            history.append(HistoryEntry(topo, report, "ordering"))
-            if best is None or report.total < best[1].total:
-                best = (topo, report)
+        scored = _permutations(ev, Topology(()), ev.kernel.start(), list(gates), len(gates))
+        best = scored[_lowest(scored)]
+        history = [HistoryEntry(t, r, "ordering") for t, r in scored]
         return SearchResult(best[0], best[1], ev.calls, history)
     identity = Topology(gates=tuple(gate_for_pair(p) for p in gates))
     id_report = ev(identity)

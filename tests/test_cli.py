@@ -420,6 +420,17 @@ def _candidate_problem() -> Problem:
                    target_ct1=uniform, target_ct2=uniform)
 
 
+# Config values that no stage can run with, and the error each one names.
+BAD_VALUES = [
+    pytest.param("kl_tol = -1", r"tolerances must be non-negative", id="kl_tol-negative"),
+    pytest.param("eps_prune = -1", r"tolerances must be non-negative", id="eps_prune-negative"),
+    pytest.param("n_choose = 0", r"n_choose must be >= 1", id="n_choose-0"),
+    pytest.param("max_depth = 0", r"max_depth must be >= 1", id="max_depth-0"),
+    pytest.param("threshold = 0", r"threshold must be positive", id="threshold-0"),
+    pytest.param("nshots = 0", r"nshots must be positive", id="nshots-0"),
+]
+
+
 @pytest.mark.parametrize(
     "case,limit",
     [
@@ -434,11 +445,13 @@ def _candidate_problem() -> Problem:
         pytest.param(("qubo-qaoa", 13), r"variational solvers are capped at 12 variables, got 13 candidates",
                      id="qubo-qaoa-13-candidates"),
         pytest.param("strategy = qubo-vqe\ntop_k = 0", r"top_k must be >= 1", id="top_k-0"),
+        *BAD_VALUES,
     ],
 )
 def test_size_caps_fail_before_any_score(tmp_path, capsys, monkeypatch, case, limit):
-    """Every size cap fails with an error naming its limit before a circuit is scored."""
-    scored = []
+    """Every size cap and bad value fails with an error naming its limit before a circuit
+    is scored; those a run config holds fail before a tissue is simulated."""
+    scored, simulated = [], []
     divergences = Kernel.divergences
 
     def counting(self, states):
@@ -446,6 +459,7 @@ def test_size_caps_fail_before_any_score(tmp_path, capsys, monkeypatch, case, li
         return divergences(self, states)
 
     monkeypatch.setattr(Kernel, "divergences", counting)
+    monkeypatch.setattr(synth, "simulate", lambda *args, **kwargs: simulated.append(args))
     if isinstance(case, tuple):  # a search over a given number of candidates
         strategy, count = case
         pairs = [(c, t) for c in range(6) for t in range(6) if c != t][:count]
@@ -455,19 +469,31 @@ def test_size_caps_fail_before_any_score(tmp_path, capsys, monkeypatch, case, li
         config = write_config(tmp_path, "synthetic = true\n" + case + "\n")
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
         assert re.search(limit, capsys.readouterr().err)
+        assert simulated == []
     assert scored == []
 
 
-@pytest.mark.parametrize("command", ["run", "encode"])
-def test_qubit_cap_fails_before_any_matrix_is_read(tmp_path, capsys, monkeypatch, command):
-    """A 7+6-gene panel on file inputs fails on its 13 qubits without parsing a matrix."""
+THIRTEEN_QUBITS = ("ct1_genes = a1, a2, a3, a4, a5, a6, a7\nct2_genes = b1, b2, b3, b4, b5, b6",
+                   r"layout needs 13 qubits, exceeding the cap of 12")
+
+
+@pytest.mark.parametrize(
+    "command,case,limit",
+    [
+        pytest.param("run", *THIRTEEN_QUBITS, id="run"),
+        pytest.param("encode", *THIRTEEN_QUBITS, id="encode"),
+        *(pytest.param(command, *bad.values, id=f"{command}-{bad.id}")
+          for command in ("run", "encode") for bad in BAD_VALUES),
+    ],
+)
+def test_qubit_cap_fails_before_any_matrix_is_read(tmp_path, capsys, monkeypatch, command, case, limit):
+    """A 7+6-gene panel, or a bad config value, on file inputs fails without parsing a matrix."""
     loads = []
     monkeypatch.setattr("qxtalk.cli.load_matrices", lambda cfg: loads.append(cfg))
     paths = "".join(f"{key} = {tmp_path / key}.csv\n" for key in MATRIX_KEYS)
-    config = write_config(tmp_path, paths + "ct1_genes = a1, a2, a3, a4, a5, a6, a7\n"
-                          "ct2_genes = b1, b2, b3, b4, b5, b6\n")
+    config = write_config(tmp_path, paths + case + "\n")
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
-    assert "layout needs 13 qubits, exceeding the cap of 12" in capsys.readouterr().err
+    assert re.search(limit, capsys.readouterr().err)
     assert loads == []
 
 

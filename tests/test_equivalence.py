@@ -7,7 +7,11 @@ the reference.  Every fast path is checked against them, or against
 * kernel gate application against ``apply_gate``, to 1e-12;
 * every batched extension, insertion, addition, deletion and pair-matrix
   score, bit for bit against ``evaluate`` on the full topology, including
-  the evaluation counts and tie-breaks of the phases;
+  the evaluation counts and tie-breaks of the phases and of the ordering of
+  a selected gate set;
+* the annealer against its state-at-a-time form (tuple keys, a fresh
+  ``qubo_energy`` per new state): the same visited states in the same
+  order, bit-identical energies and the same top-k;
 * the tuning objective, tuning and ablation against an oracle built from
   the reference functions alone, and the kernel's adjoint gradients against
   the four-term parameter-shift rule on that oracle;
@@ -30,7 +34,8 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qxtalk import _kernel, search
@@ -54,10 +59,14 @@ from qxtalk.search import (
     best_insertion,
     best_permutation_addition,
     build_kl_matrix,
+    build_qubo,
     gate_for_pair,
     local_search,
     multi_epoch,
+    order_selected,
+    qubo_energy,
     qubo_search,
+    solve_qubo_heuristic,
 )
 from qxtalk.tune import ANGLE_PERIOD, AngleVector, contribution_analysis, optimize_angles
 
@@ -212,7 +221,7 @@ def test_phases_match_topology_at_a_time_scoring(data):
         )
         check(lambda ev: best_insertion(problem, seq, cands, evaluator=ev),
               first_lowest(inserted), len(inserted))
-    for k in (1, 2):
+    for k in (1, 2, 3):
         if len(unused) >= k:
             added = scored(
                 Topology(seq.gates + tuple(gate_for_pair(p) for p in combo))
@@ -246,6 +255,85 @@ def test_every_search_history_entry_scores_like_evaluate(problem, data):
         for entry in result.history:
             assert entry.cost == evaluate(problem, entry.topology)
         assert result.cost == evaluate(problem, result.topology)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_ordering_matches_topology_at_a_time_scoring(data):
+    problem = data.draw(problems(max_qubits=6))
+    gates = data.draw(pair_lists(problem.layout.num_qubits, min_size=1, max_size=5))
+    topologies = [Topology(tuple(gate_for_pair(p) for p in combo)) for combo in itertools.permutations(gates)]
+    result = order_selected(problem, gates)
+    assert [(e.topology, e.cost) for e in result.history] == [(t, evaluate(problem, t)) for t in topologies]
+    assert result.evaluations == len(topologies)
+    assert (result.topology, result.cost) == first_lowest((e.topology, e.cost) for e in result.history)
+
+
+# --- the annealer against its state-at-a-time form ---------------------------
+
+
+def oracle_anneal(qp, seed, restarts, sweeps):
+    """Annealing that keys states by bit tuples and scores each new one with ``qubo_energy``."""
+    rng = np.random.default_rng(seed)
+    n = qp.size
+    diag = np.diag(qp.q)
+    off = qp.q - np.diag(diag)
+    scale = max(1.0, float(np.abs(qp.q).max()))
+    t_hot, t_cold = 2.0 * scale, 1e-3 * scale
+    seen = {}
+    for _ in range(restarts):
+        x = rng.integers(0, 2, size=n).astype(np.float64)
+        seen.setdefault(tuple(int(v) for v in x), qubo_energy(qp, x))
+        for sweep in range(sweeps):
+            frac = sweep / max(sweeps - 1, 1)
+            temp = t_hot * (t_cold / t_hot) ** frac
+            for i in rng.permutation(n):
+                delta = (1.0 - 2.0 * x[i]) * (diag[i] + off[i] @ x)
+                if delta < 0 or rng.random() < math.exp(-delta / temp):
+                    x[i] = 1.0 - x[i]
+                    key = tuple(int(v) for v in x)
+                    if key not in seen:
+                        seen[key] = qubo_energy(qp, x)
+    return seen
+
+
+@st.composite
+def qubo_instances(draw):
+    """A compiled pair-cost matrix with costs up to 10 and about one in seven infinite."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.0, 10.0, size=(n, n))
+    m[rng.random((n, n)) < 0.15] = math.inf
+    try:
+        return build_qubo(m, draw(st.floats(0.0, 10.0)))
+    except ValueError:  # penalties past the exact-sum headroom; see test_qubo_headroom_is_checked
+        reject()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(qp=qubo_instances(), seed=st.integers(0, 2**32 - 1), top_k=st.integers(1, 6))
+def test_annealing_matches_state_at_a_time_oracle(qp, seed, top_k):
+    restarts, sweeps = 3, 40
+    oracle = oracle_anneal(qp, seed, restarts, sweeps)
+    visited = search._anneal(qp, seed, restarts, sweeps)
+    # The same states in the same visiting order, each with the same energy bits.
+    assert list(visited.items()) == [(sum(b << i for i, b in enumerate(k)), e) for k, e in oracle.items()]
+    ranked = sorted(oracle.items(), key=lambda kv: (kv[1], sum(b << i for i, b in enumerate(kv[0]))))
+    top = solve_qubo_heuristic(qp, "annealing", seed=seed, top_k=top_k, restarts=restarts, sweeps=sweeps)
+    assert [(x.tolist(), e) for x, e in top] == [(list(k), e) for k, e in ranked[:top_k]]
+
+
+def test_qubo_headroom_is_checked():
+    """|Q| must sum to less than 2^53 grid units, where every energy sum is exact."""
+    unit = 2.0**-40
+    for a, fails in ((4096.0 - unit, False), (4096.0, True)):
+        # Q_ii = a and Q_01 = 2a - 2a = 0, so |Q| sums to 2a, or 2^53 units at a = 4096.
+        m = np.array([[a, 2 * a], [2 * a, a]])
+        if fails:
+            with pytest.raises(ValueError, match=r"2\^53\.0 grid units.*only below 2\^53"):
+                build_qubo(m, 0.0)
+        else:
+            assert np.abs(build_qubo(m, 0.0).q).sum() == 2 * a
 
 
 # --- tuning and ablation against the reference oracle ------------------------

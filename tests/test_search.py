@@ -499,6 +499,25 @@ class TestBuildQubo:
         assert qp.q[0, 1] == qp.penalty
         assert qp.penalty == pytest.approx(10 * 0.05, abs=1e-11)
 
+    def test_nan_gives_way_to_the_other_ordering(self):
+        m = np.array([[0.2, np.nan], [0.1, 0.3]])
+        for matrix in (m, m.T):
+            qp = build_qubo(matrix, baseline=0.5)
+            # Q_01 = (0.1 - 0.5) - (0.2 - 0.5) - (0.3 - 0.5) = 0.1
+            assert qp.q[0, 1] == pytest.approx(0.1, abs=1e-11)
+            assert qp.q[0, 1] != qp.penalty
+
+    def test_transposed_matrix_gives_the_same_qubo(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            m = rng.uniform(0, 5, size=(n, n))
+            m[rng.random((n, n)) < 0.2] = np.nan
+            m[rng.random((n, n)) < 0.1] = np.inf
+            qp, qt = build_qubo(m, 1.0), build_qubo(m.T, 1.0)
+            assert np.array_equal(qp.q, qt.q)
+            assert qp.penalty == qt.penalty
+
     def test_all_zero_matrix_penalty_floor(self):
         qp = build_qubo(np.zeros((3, 3)), baseline=0.0)
         assert qp.penalty == 1.0
