@@ -350,13 +350,22 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
 # --- QUBO-based selection -------------------------------------------------
 
 
+# Cost values are snapped to this dyadic grid before QUBO compilation.  While
+# |Q| sums to under 2^53 grid units, every sum of Q entries is an exact double
+# in any order, so Q_ii + Q_jj + Q_ij + baseline reproduces min(M_ij, M_ji) bit
+# for bit, and so does an energy updated flip by flip.  The spacing (2^-40 ~
+# 9e-13) is far below both the search tolerance and the noise of the cost.
+_GRID = float(1 << 40)
+
+
 @dataclass
 class QuboProblem:
     """Symmetric QUBO matrix with the baseline cost and non-finite penalty.
 
-    ``kl_matrix`` keeps the (grid-snapped) pairwise cost matrix the QUBO was
-    compiled from, so the algebraic relation between Q entries and pair
-    costs stays checkable on the instance itself.
+    Q must lie on the 2^-40 grid with |Q| under 2^53 units, or the constructor
+    raises ``ValueError``.  ``kl_matrix`` keeps the (grid-snapped) pairwise
+    cost matrix the QUBO was compiled from, so the algebraic relation between
+    Q entries and pair costs stays checkable on the instance itself.
     """
 
     size: int
@@ -373,6 +382,13 @@ class QuboProblem:
             raise ValueError("QUBO matrix must be symmetric")
         if not np.all(np.isfinite(self.q)):
             raise ValueError("QUBO matrix must be finite after penalty substitution")
+        units = self.q * _GRID
+        if not np.array_equal(units, np.round(units)):
+            raise ValueError("QUBO entries must be whole multiples of 2^-40")
+        total = float(np.abs(units).sum())
+        if total >= 2.0**53:
+            raise ValueError(f"|Q| sums to 2^{math.log2(total):.1f} grid units of 2^-40; "
+                             "QUBO energies are exact only below 2^53")
 
 
 def build_kl_matrix(
@@ -395,14 +411,6 @@ def build_kl_matrix(
     return m, float(baseline)
 
 
-# Cost values are snapped to this dyadic grid before QUBO compilation.  While
-# |Q| sums to under 2^53 grid units, every sum of Q entries is an exact double
-# in any order, so Q_ii + Q_jj + Q_ij + baseline reproduces min(M_ij, M_ji) bit
-# for bit, and so does an energy updated flip by flip.  The spacing (2^-40 ~
-# 9e-13) is far below both the search tolerance and the noise of the cost.
-_GRID = float(1 << 40)
-
-
 def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
     """Compile the pairwise cost matrix into a QUBO.
 
@@ -413,9 +421,7 @@ def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
     M_ji) exact in double arithmetic.  A non-finite ordering (NaN or
     +-inf) gives way to the other one; a pair with no finite ordering, and
     every pair of a gate with a non-finite diagonal, gets a penalty of 10x
-    the largest finite magnitude.  Raises ``ValueError`` when the entries'
-    magnitudes sum to 2^53 grid units or more, past which sums stop being
-    exact.
+    the largest finite magnitude.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -433,10 +439,6 @@ def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
     max_abs = float(np.abs(q[finite]).max(initial=0.0))
     penalty = 10.0 * max_abs if max_abs > 0 else 1.0
     q[~finite] = penalty
-    total = float(np.abs(q).sum()) * _GRID
-    if total >= 2.0**53:
-        raise ValueError(f"|Q| sums to 2^{math.log2(total):.1f} grid units of 2^-40; "
-                         "QUBO energies are exact only below 2^53")
     return QuboProblem(size=len(q), q=q, baseline=base / _GRID, penalty=penalty, kl_matrix=units / _GRID)
 
 
@@ -454,8 +456,10 @@ def qubo_energy(qp: QuboProblem, x: np.ndarray) -> float:
 
 
 def _bits(indices, n: int) -> np.ndarray:
-    """The 0/1 assignment x of an int index (any n) or of each in an array: bit i is x_i."""
-    return ((np.asarray(indices)[..., None] >> np.arange(n)) & 1).astype(np.int64)
+    """The 0/1 assignment x of an int index of any width, or of each in an int64 array: bit i is x_i."""
+    if isinstance(indices, int):
+        return np.array([indices >> i & 1 for i in range(n)], dtype=np.int64)
+    return (indices[..., None] >> np.arange(n) & 1).astype(np.int64)
 
 
 def _energies(qp: QuboProblem, indices: np.ndarray) -> np.ndarray:
@@ -492,8 +496,9 @@ def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[int,
     """Energy of each assignment index visited by restarted single-flip annealing.
 
     A flip's energy change is read from the fields h = diag + off @ x, which
-    each accepted flip updates.  On ``build_qubo``'s grid the fields and the
-    running energy are exact, so they equal a fresh ``qubo_energy`` bit for bit.
+    each accepted flip updates.  ``QuboProblem`` keeps Q on a grid where every
+    sum is exact, so the fields and the running energy equal a fresh
+    ``qubo_energy`` bit for bit.
     """
     rng = np.random.default_rng(seed)
     n = qp.size

@@ -323,6 +323,23 @@ def test_annealing_matches_state_at_a_time_oracle(qp, seed, top_k):
     assert [(x.tolist(), e) for x, e in top] == [(list(k), e) for k, e in ranked[:top_k]]
 
 
+@pytest.mark.parametrize("n", [64, 70])
+def test_annealing_decodes_indices_past_64_bits(n):
+    """Gates 0..63 pay off and the rest do not, so the best states set bit 63 and no higher one."""
+    rng = np.random.default_rng(n)
+    single = np.array([0.5] * 64 + [2.0] * (n - 64))
+    # Pair costs of single_i + single_j - 1 plus a little: couplings near 0 and never negative.
+    m = single[:, None] + single[None, :] - 1.0 + rng.uniform(0.0, 0.01, size=(n, n))
+    np.fill_diagonal(m, single)
+    qp = build_qubo(m, 1.0)
+    restarts, sweeps, top_k = 2, 20, 8
+    oracle = oracle_anneal(qp, 0, restarts, sweeps)
+    ranked = sorted(oracle.items(), key=lambda kv: (kv[1], sum(b << i for i, b in enumerate(kv[0]))))
+    top = solve_qubo_heuristic(qp, "annealing", seed=0, top_k=top_k, restarts=restarts, sweeps=sweeps)
+    assert [(x.tolist(), e) for x, e in top] == [(list(k), e) for k, e in ranked[:top_k]]
+    assert top[0][0][63] == 1 and not top[0][0][64:].any()
+
+
 def test_qubo_headroom_is_checked():
     """|Q| must sum to less than 2^53 grid units, where every energy sum is exact."""
     unit = 2.0**-40
@@ -334,6 +351,17 @@ def test_qubo_headroom_is_checked():
                 build_qubo(m, 0.0)
         else:
             assert np.abs(build_qubo(m, 0.0).q).sum() == 2 * a
+    with pytest.raises(ValueError, match=r"2\^53\.0 grid units"):
+        QuboProblem(size=1, q=np.array([[-8192.0]]), baseline=0.0, penalty=1.0)
+
+
+def test_qubo_entries_must_lie_on_the_grid():
+    """Off the 2^-40 grid, energies updated flip by flip could drift from ``qubo_energy``."""
+    unit = 2.0**-40
+    QuboProblem(size=2, q=np.array([[unit, 3 * unit], [3 * unit, -5.0]]), baseline=0.0, penalty=1.0)
+    for q in ([[0.1]], [[0.0, unit / 2], [unit / 2, 0.0]]):
+        with pytest.raises(ValueError, match=r"multiples of 2\^-40"):
+            QuboProblem(size=len(q), q=np.array(q), baseline=0.0, penalty=1.0)
 
 
 # --- tuning and ablation against the reference oracle ------------------------
@@ -560,6 +588,7 @@ def shift_rule_energy_gradient(initial, tagged, n_params, energies):
 
 def random_qubo(rng, n):
     q = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+    q = np.round(q * 2.0**40) / 2.0**40  # QuboProblem takes entries on its 2^-40 grid
     qp = QuboProblem(size=n, q=q + q.T, baseline=0.0, penalty=1.0)
     return qp, search._energies(qp, np.arange(1 << n))
 
