@@ -138,7 +138,8 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=1)
     starts = np.cumsum(counts) - counts
     out = np.empty(len(p), dtype=np.float64)
-    for m in np.unique(counts):
+    # The distinct counts, ascending; np.unique would import numpy.ma.
+    for m in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == m)
         out[rows] = terms[starts[rows][:, None] + np.arange(m)].sum(axis=1)
     return out

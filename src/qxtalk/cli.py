@@ -403,6 +403,9 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             synthetic, matrices = None, load_matrices(cfg)
     with _stage("encode"):
         enc = encode_inputs(matrices, *panels)
+        # Free the parsed file matrices before search; synthetic ones stay
+        # referenced by ``synthetic`` for write_synthetic.
+        del matrices
         problem = build_problem(enc, cfg)
     with _stage("prune"):
         cands = extract_candidate_pairs(enc, cfg)

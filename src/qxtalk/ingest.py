@@ -12,6 +12,7 @@ squared counts rather than by relative frequency.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,111 @@ def _sniff_delimiter(header: str) -> str:
     return "\t" if "\t" in header else ","
 
 
+def _parse_header(path: str, line: str, delimiter: str | None) -> tuple[str, list[str]]:
+    """The delimiter and the gene names of the header line; raises for a bad header."""
+    delim = delimiter if delimiter is not None else _sniff_delimiter(line)
+    header = [name.strip() for name in line.split(delim)]
+    # Tolerate a leading unnamed index column header.
+    if header and header[0] == "":
+        header = header[1:]
+    if not header:
+        raise ValueError(f"{path}: header row has no gene names")
+    seen: dict[str, int] = {}
+    for col, name in enumerate(header):
+        if name in seen:
+            raise ValueError(
+                f"{path}: duplicate gene name {name!r} in header (columns {seen[name] + 1} and {col + 1})"
+            )
+        seen[name] = col
+    return delim, header
+
+
+# Integers of up to 15 decimal digits are below 2**53, so their digit sums
+# are exact in float64 and equal what a decimal-to-float parse returns.
+_MAX_GRID_DIGITS = 15
+# Rows are converted in blocks of about this many bytes, so the temporaries
+# stay small next to the (rows, fields) result.
+_GRID_BLOCK_BYTES = 1 << 16
+_NEWLINE = ord("\n")
+_ZERO = ord("0")
+
+
+def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) -> int | None:
+    """Write the integers of a block of whole rows, ending in a newline, into
+    ``dest``; returns how many were written, or None unless every row is
+    ``n_fields`` fields of 1-15 ASCII digits joined by ``sep``."""
+    newline = chars == _NEWLINE
+    is_end = chars == sep
+    is_end |= newline
+    # No field is empty: no separator opens the block or follows another.
+    if is_end[0] or (is_end[1:] & is_end[:-1]).any():
+        return None
+    one_digit = (is_end[1:] | is_end[:-1]).all()
+    ends = np.flatnonzero(is_end)
+    digits = chars - _ZERO  # bytes below '0' wrap past 9
+    if np.count_nonzero(digits < 10) != len(chars) - len(ends):
+        return None
+    if np.count_nonzero(newline) * n_fields != len(ends) or not newline[ends[n_fields - 1 :: n_fields]].all():
+        return None
+    ends -= 1  # the last digit of each field
+    out = dest[: len(ends)]
+    out[:] = digits[ends]
+    if one_digit:
+        return len(ends)
+    width = np.diff(ends, prepend=-2) - 1
+    if width.max() > _MAX_GRID_DIGITS:
+        return None
+    place = 1
+    wider = np.flatnonzero(width > place)
+    while wider.size:
+        out[wider] += digits[ends[wider] - place] * 10.0**place
+        place += 1
+        wider = wider[width[wider] > place]
+    return len(ends)
+
+
+def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray | None:
+    """``data[start:]`` as a (rows, n_fields) float64 array when it is a plain
+    grid of unsigned integers (see :func:`load_matrix`), else None."""
+    end = len(data)
+    if start >= end or not delim.isascii() or delim in "0123456789\r\n":
+        return None
+    sep = ord(delim)
+    rows = data.count(b"\n", start) + (not data.endswith(b"\n"))
+    # A plain row takes at least two bytes per field; a shorter body is not
+    # a plain grid, and must not size the result.
+    if 2 * n_fields * rows > end - start + 1:
+        return None
+    values = np.empty((rows, n_fields), dtype=np.float64)
+    flat = values.reshape(-1)
+    filled = 0
+    while start < end:
+        stop = end if end - start <= _GRID_BLOCK_BYTES else data.rfind(b"\n", start, start + _GRID_BLOCK_BYTES) + 1
+        if stop <= start:  # a row longer than a block
+            stop = data.find(b"\n", start) + 1 or end
+        chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        if chars[-1] != _NEWLINE:  # the last row has no final newline
+            chars = np.append(chars, np.uint8(_NEWLINE))
+        written = _scan_block(chars, sep, n_fields, flat[filled:])
+        if written is None:
+            return None
+        filled += written
+        start = stop
+    return values
+
+
+def _header_line(head: bytes) -> str | None:
+    """``head``, the bytes before the first newline, decoded when the text
+    path would take them unchanged as the header: UTF-8, no CR, not blank."""
+    if b"\r" in head:
+        return None
+    try:
+        line = head.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return line if line.strip() else None
+
+
 def _reads_as_number(raw: str) -> bool:
     """Whether numpy's text parser reads ``raw`` as a float.
 
@@ -159,39 +265,15 @@ def _check_rows(path: str, body: list[str], delim: str, header: list[str], label
                 )
 
 
-def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
-    """Read a delimited text matrix (header row = gene names, one row per cell).
-
-    ``delimiter=None`` auto-detects tab vs comma from the header line; an
-    explicit delimiter must be one character.  Blank lines are skipped
-    and row numbers count non-blank lines.  The body is parsed by numpy's
-    C reader, with no comment character; parse failures report the
-    offending row/column.
-    """
-    if delimiter is not None and len(delimiter) != 1:
-        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    except FileNotFoundError:
-        raise ValueError(f"expression matrix file not found: {path}") from None
+def _load_text(path: str, data: bytes, delimiter: str | None) -> ExpressionMatrix:
+    """Parse ``data`` as text, line by line, with numpy's C reader."""
+    # Decoded and split into lines exactly as a text-mode open() of the file.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     lines = [line for line in lines if line.strip()]
     if not lines:
         raise ValueError(f"{path}: file is empty")
-    delim = delimiter if delimiter is not None else _sniff_delimiter(lines[0])
-    header = [name.strip() for name in lines[0].split(delim)]
-    # Tolerate a leading unnamed index column header.
-    if header and header[0] == "":
-        header = header[1:]
-    if not header:
-        raise ValueError(f"{path}: header row has no gene names")
-    seen: dict[str, int] = {}
-    for col, name in enumerate(header):
-        if name in seen:
-            raise ValueError(
-                f"{path}: duplicate gene name {name!r} in header (columns {seen[name] + 1} and {col + 1})"
-            )
-        seen[name] = col
+    delim, header = _parse_header(path, lines[0], delimiter)
     body = lines[1:]
     if not body:
         raise ValueError(f"{path}: no cell rows found")
@@ -221,6 +303,40 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
             f"{path}: negative value at row {int(bad[0]) + 2}, column {header[int(bad[1])]!r}"
         )
     return ExpressionMatrix(values=values, gene_names=header)
+
+
+def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
+    """Read a delimited text matrix (header row = gene names, one row per cell).
+
+    ``delimiter=None`` auto-detects tab vs comma from the header line; an
+    explicit delimiter must be one character.  Blank lines are skipped
+    and row numbers count non-blank lines.  Parse failures report the
+    offending row/column.
+
+    A raw count matrix whose first line is the header and whose body is a
+    plain grid (only ASCII digits, the delimiter and LF; every row exactly
+    one field per gene; every field 1-15 digits; the final newline
+    optional) is converted by a block-wise digit scan of the bytes.  Every
+    other body (decimals, exponents, signs, spaces, CR, blank lines, a
+    label column, 16 or more digits) is parsed by numpy's C text reader,
+    with no comment character.  Both give the same values and the same
+    errors for the same file.
+    """
+    if delimiter is not None and len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"expression matrix file not found: {path}") from None
+    first = data.find(b"\n")
+    line = _header_line(data[:first]) if first >= 0 else None
+    if line is not None:
+        delim, header = _parse_header(path, line, delimiter)
+        values = _scan_grid(data, first + 1, delim, len(header))
+        if values is not None:
+            return ExpressionMatrix(values=values, gene_names=header)
+    return _load_text(path, data, delimiter)
 
 
 def log_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:

@@ -1,13 +1,16 @@
 """Matrix loading, normalization, binarization and amplitude encoding."""
 
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qxtalk import ingest
 from qxtalk.ingest import (
     MAX_GENES_PER_TYPE,
     AmplitudeVector,
@@ -318,27 +321,69 @@ _cell_text = st.one_of(
 )
 
 
+# Unsigned integers of 1-16 digits, leading zeros included.
+_integer_text = st.text(alphabet="0123456789", min_size=1, max_size=16)
+
+
 @st.composite
 def matrix_texts(draw):
+    """Matrix files of every kind the parser reads or rejects.
+
+    Half of them are count grids: integer cells only, LF line ends, no label
+    column and no blank lines, the final newline optional, and at most one
+    other cell, in the last row.
+    """
     n_genes = draw(st.integers(1, 5))
     n_rows = draw(st.integers(1, 6))
     delim = draw(st.sampled_from([",", "\t"]))
-    labeled = draw(st.booleans())
+    counts = draw(st.booleans())
+    labeled = not counts and draw(st.booleans())
     header = [f"g{i}" for i in range(n_genes)]
     if labeled and draw(st.booleans()):
         header = [""] + header
-    rows = [draw(st.lists(_cell_text, min_size=n_genes, max_size=n_genes)) for _ in range(n_rows)]
+    cell = _integer_text if counts else _cell_text
+    rows = [draw(st.lists(cell, min_size=n_genes, max_size=n_genes)) for _ in range(n_rows)]
     # At most one value that parses but is not a valid expression level.
-    special = draw(st.none() | st.sampled_from(["-2", "-0.5", "-inf", "inf", "nan"]))
+    specials = st.sampled_from(["-2", "-0.5", "-inf", "inf", "nan"])
+    special = draw(st.none() | (specials | _cell_text if counts else specials))
     if special is not None:
-        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_genes - 1))] = special
+        row = n_rows - 1 if counts else draw(st.integers(0, n_rows - 1))
+        rows[row][draw(st.integers(0, n_genes - 1))] = special
     if labeled:
         rows = [[f"cell{r}"] + row for r, row in enumerate(rows)]
     lines = [delim.join(header)] + [delim.join(row) for row in rows]
+    if counts:
+        return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + newline
+
+
+def is_plain_grid(text):
+    """Whether ``load_matrix`` should take ``text`` by the digit scanner:
+    a header line, then rows of one 1-15 digit field per gene, LF line ends,
+    the final newline optional."""
+    head, _, body = text.partition("\n")
+    delim = "\t" if "\t" in head else ","
+    names = head.split(delim)
+    n_fields = len(names) - (names[0].strip() == "")
+    field = "[0-9]{1,15}"
+    row = rf"(?:{field}{re.escape(delim)}){{{n_fields - 1}}}{field}"
+    return (
+        "\r" not in head
+        and bool(head.strip())
+        and re.fullmatch(rf"(?:{row}\n)*{row}\n?", body) is not None
+    )
+
+
+def _outcome_and_path(path, text):
+    """The outcome of ``load_matrix``, after checking that it took the scanner
+    exactly when ``text`` is a plain grid."""
+    with mock.patch.object(ingest, "_load_text", wraps=ingest._load_text) as text_path:
+        outcome = _outcome(load_matrix, path)
+    assert text_path.called != is_plain_grid(text)
+    return outcome
 
 
 def _write_temp(text):
@@ -353,10 +398,36 @@ def _write_temp(text):
 def test_load_matrix_matches_per_cell_parser(text):
     path = _write_temp(text)
     try:
-        outcome = _outcome(load_matrix, path)
+        outcome = _outcome_and_path(path, text)
         assert outcome == _outcome(per_cell_load_matrix, path)
     finally:
         Path(path).unlink()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gA,gB\n1,2\n3,4",  # no final newline
+        "gA,gB\n111\n222\n",  # two one-field rows hold as many fields as one full row
+        "gA,gB\n1,2,3\n4\n",
+        "gA,gB\n1,2\n3,4,\n",
+        "gA,gB\n,2\n",
+        "gA,gB\n1,,2\n",
+        "gA,gB\n1,2\n\n",
+        "\ngA,gB\n1,2\n",
+        "gA,gB\r\n1,2\n",
+        "gA,gB\n1,2\r\n",
+        "gA,gB\n1, 2\n",
+        "gA,gB\n1,+2\n",
+        ",gA,gB\n1,2\n3,4\n",  # an empty first header field
+        ",gA,gB\n0,1,2\n",  # a numeric label column
+        "gA\n" + "123456789012345\n" * 3,
+    ],
+)
+def test_near_grids_match_the_per_cell_parser(tmp_path, text):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome_and_path(str(path), text) == _outcome(per_cell_load_matrix, str(path))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -395,3 +466,22 @@ def test_one_bad_cell_is_named_like_the_per_cell_parser(text, bad, row, col):
             assert outcome == ("error", expected[1].replace("'x'", repr(bad)))
     finally:
         Path(path).unlink()
+
+
+@pytest.mark.parametrize("shape", [(3000, 40), (3, 30000)])
+@pytest.mark.parametrize("last_field", [None, "2.5", "1234567890123456"])
+def test_load_matrix_over_many_blocks_matches_loadtxt(tmp_path, shape, last_field):
+    # 3000 x 40 spans several scanner blocks; 30000 fields make rows longer than one.
+    rng = np.random.default_rng(shape[0])
+    counts = rng.integers(0, 10 ** rng.integers(1, 16, size=shape))
+    path = tmp_path / "counts.csv"
+    names = ",".join(f"g{i}" for i in range(shape[1]))
+    np.savetxt(path, counts, fmt="%d", delimiter=",", header=names, comments="")
+    text = path.read_text()
+    if last_field is not None:
+        # The one field that sends the file back to the text reader, in its last block.
+        text = text[: text.rstrip("\n").rfind(",") + 1] + last_field + "\n"
+        path.write_text(text)
+    outcome = _outcome_and_path(str(path), text)
+    expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert outcome == (expected.tobytes(), names.split(","))
