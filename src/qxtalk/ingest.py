@@ -147,9 +147,13 @@ def _parse_header(path: str, line: str, delimiter: str | None) -> tuple[str, lis
     return delim, header
 
 
-# Integers of up to 15 decimal digits are below 2**53, so their digit sums
-# are exact in float64 and equal what a decimal-to-float parse returns.
-_MAX_GRID_DIGITS = 15
+# Each digit place costs the scanner one gather over the wider fields, so
+# it loses to np.loadtxt on wide fields: on grids whose every field has the
+# same width, it is faster up to 4 digits, even at 5 and slower from 6 on
+# (BENCH_9.json).
+# Counts of up to 4 digits take the scanner; their digit sums are exact in
+# float64.
+_MAX_GRID_DIGITS = 4
 # Rows are converted in blocks of about this many bytes, so the temporaries
 # stay small next to the (rows, fields) result.
 _GRID_BLOCK_BYTES = 1 << 16
@@ -160,14 +164,13 @@ _ZERO = ord("0")
 def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) -> int | None:
     """Write the integers of a block of whole rows, ending in a newline, into
     ``dest``; returns how many were written, or None unless every row is
-    ``n_fields`` fields of 1-15 ASCII digits joined by ``sep``."""
+    ``n_fields`` fields of 1-4 ASCII digits joined by ``sep``."""
     newline = chars == _NEWLINE
     is_end = chars == sep
     is_end |= newline
     # No field is empty: no separator opens the block or follows another.
     if is_end[0] or (is_end[1:] & is_end[:-1]).any():
         return None
-    one_digit = (is_end[1:] | is_end[:-1]).all()
     ends = np.flatnonzero(is_end)
     digits = chars - _ZERO  # bytes below '0' wrap past 9
     if np.count_nonzero(digits < 10) != len(chars) - len(ends):
@@ -177,8 +180,6 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
     ends -= 1  # the last digit of each field
     out = dest[: len(ends)]
     out[:] = digits[ends]
-    if one_digit:
-        return len(ends)
     width = np.diff(ends, prepend=-2) - 1
     if width.max() > _MAX_GRID_DIGITS:
         return None
@@ -198,14 +199,8 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray
     if start >= end or not delim.isascii() or delim in "0123456789\r\n":
         return None
     sep = ord(delim)
-    rows = data.count(b"\n", start) + (not data.endswith(b"\n"))
-    # A plain row takes at least two bytes per field; a shorter body is not
-    # a plain grid, and must not size the result.
-    if 2 * n_fields * rows > end - start + 1:
-        return None
-    values = np.empty((rows, n_fields), dtype=np.float64)
-    flat = values.reshape(-1)
-    filled = 0
+    body = start
+    values = None
     while start < end:
         stop = end if end - start <= _GRID_BLOCK_BYTES else data.rfind(b"\n", start, start + _GRID_BLOCK_BYTES) + 1
         if stop <= start:  # a row longer than a block
@@ -213,10 +208,26 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray
         chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
         if chars[-1] != _NEWLINE:  # the last row has no final newline
             chars = np.append(chars, np.uint8(_NEWLINE))
-        written = _scan_block(chars, sep, n_fields, flat[filled:])
-        if written is None:
-            return None
-        filled += written
+        if values is None:
+            # The first block is checked before the rows are counted, so a
+            # body that is plainly not a grid costs no pass over all its bytes.
+            first = np.empty(len(chars))
+            filled = _scan_block(chars, sep, n_fields, first)
+            if filled is None:
+                return None
+            rows = data.count(b"\n", body) + (not data.endswith(b"\n"))
+            # A plain row takes at least two bytes per field; a shorter body
+            # is not a plain grid, and must not size the result.
+            if 2 * n_fields * rows > end - body + 1:
+                return None
+            values = np.empty((rows, n_fields), dtype=np.float64)
+            flat = values.reshape(-1)
+            flat[:filled] = first[:filled]
+        else:
+            written = _scan_block(chars, sep, n_fields, flat[filled:])
+            if written is None:
+                return None
+            filled += written
         start = stop
     return values
 
@@ -315,12 +326,12 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
 
     A raw count matrix whose first line is the header and whose body is a
     plain grid (only ASCII digits, the delimiter and LF; every row exactly
-    one field per gene; every field 1-15 digits; the final newline
-    optional) is converted by a block-wise digit scan of the bytes.  Every
-    other body (decimals, exponents, signs, spaces, CR, blank lines, a
-    label column, 16 or more digits) is parsed by numpy's C text reader,
-    with no comment character.  Both give the same values and the same
-    errors for the same file.
+    one field per gene; every field 1-4 digits, so counts up to 9999; the
+    final newline optional) is converted by a block-wise digit scan of the
+    bytes.  Every other body (decimals, exponents, signs, spaces, CR, blank
+    lines, a label column, a count of 5 or more digits) is parsed by
+    numpy's C text reader, with no comment character.  Both give the same
+    values and the same errors for the same file.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
@@ -332,7 +343,12 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
     first = data.find(b"\n")
     line = _header_line(data[:first]) if first >= 0 else None
     if line is not None:
-        delim, header = _parse_header(path, line, delimiter)
+        # A bad header is reported by the text path, which decodes the whole
+        # file first and so raises for invalid UTF-8 anywhere before it.
+        try:
+            delim, header = _parse_header(path, line, delimiter)
+        except ValueError:
+            return _load_text(path, data, delimiter)
         values = _scan_grid(data, first + 1, delim, len(header))
         if values is not None:
             return ExpressionMatrix(values=values, gene_names=header)

@@ -321,8 +321,11 @@ _cell_text = st.one_of(
 )
 
 
-# Unsigned integers of 1-16 digits, leading zeros included.
-_integer_text = st.text(alphabet="0123456789", min_size=1, max_size=16)
+# Unsigned integers, leading zeros included: up to the widest the scanner
+# takes, one digit wider, or 16 digits.
+_integer_texts = st.sampled_from(
+    [ingest._MAX_GRID_DIGITS, ingest._MAX_GRID_DIGITS, ingest._MAX_GRID_DIGITS + 1, 16]
+).map(lambda width: st.text(alphabet="0123456789", min_size=1, max_size=width))
 
 
 @st.composite
@@ -341,7 +344,7 @@ def matrix_texts(draw):
     header = [f"g{i}" for i in range(n_genes)]
     if labeled and draw(st.booleans()):
         header = [""] + header
-    cell = _integer_text if counts else _cell_text
+    cell = draw(_integer_texts) if counts else _cell_text
     rows = [draw(st.lists(cell, min_size=n_genes, max_size=n_genes)) for _ in range(n_rows)]
     # At most one value that parses but is not a valid expression level.
     specials = st.sampled_from(["-2", "-0.5", "-inf", "inf", "nan"])
@@ -362,13 +365,13 @@ def matrix_texts(draw):
 
 def is_plain_grid(text):
     """Whether ``load_matrix`` should take ``text`` by the digit scanner:
-    a header line, then rows of one 1-15 digit field per gene, LF line ends,
-    the final newline optional."""
+    a header line, then rows of one field of 1 to ``_MAX_GRID_DIGITS`` digits
+    per gene, LF line ends, the final newline optional."""
     head, _, body = text.partition("\n")
     delim = "\t" if "\t" in head else ","
     names = head.split(delim)
     n_fields = len(names) - (names[0].strip() == "")
-    field = "[0-9]{1,15}"
+    field = f"[0-9]{{1,{ingest._MAX_GRID_DIGITS}}}"
     row = rf"(?:{field}{re.escape(delim)}){{{n_fields - 1}}}{field}"
     return (
         "\r" not in head
@@ -393,7 +396,7 @@ def _write_temp(text):
     return handle.name
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=matrix_texts())
 def test_load_matrix_matches_per_cell_parser(text):
     path = _write_temp(text)
@@ -421,6 +424,8 @@ def test_load_matrix_matches_per_cell_parser(text):
         "gA,gB\n1,+2\n",
         ",gA,gB\n1,2\n3,4\n",  # an empty first header field
         ",gA,gB\n0,1,2\n",  # a numeric label column
+        "gA\n" + "9999\n" * 3,
+        "gA\n" + "0001\n0\n10000\n",  # one count too wide for the scanner
         "gA\n" + "123456789012345\n" * 3,
     ],
 )
@@ -430,7 +435,22 @@ def test_near_grids_match_the_per_cell_parser(tmp_path, text):
     assert _outcome_and_path(str(path), text) == _outcome(per_cell_load_matrix, str(path))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"gA,gA\n\xff\n",  # a bad header before invalid UTF-8
+        b"gA,gB\n1,\xff\n",
+        b"gA,gB\n1,2\n" + b"3,4\n" * 5000 + b"\xff\n",  # beyond the first decoded chunk
+        b"\xffgA,gB\n1,2\n",
+    ],
+)
+def test_invalid_utf8_is_reported_like_the_per_cell_parser(tmp_path, data):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(data)
+    assert _outcome(load_matrix, str(path)) == _outcome(per_cell_load_matrix, str(path))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     text=matrix_texts(),
     bad=st.sampled_from(["x", "1..2", "", " ", "1#", "#1", "--1", "0x10", "'3'", "1_0", "\u0661"]),
@@ -468,12 +488,22 @@ def test_one_bad_cell_is_named_like_the_per_cell_parser(text, bad, row, col):
         Path(path).unlink()
 
 
+def test_blank_lines_after_the_first_block_do_not_size_the_result():
+    # A plain first block, then blank lines: each would count as a row, so the
+    # (rows, fields) result would be sized far past what the file can fill.
+    rows = b"1,2\n" * (ingest._GRID_BLOCK_BYTES // 4 + 1)
+    data = b"gA,gB\n" + rows + b"\n" * (10 * ingest._GRID_BLOCK_BYTES)
+    with mock.patch.object(ingest.np, "empty", wraps=np.empty) as empty:
+        assert ingest._scan_grid(data, data.index(b"\n") + 1, ",", 2) is None
+    assert max(np.prod(call.args[0]) for call in empty.call_args_list) <= ingest._GRID_BLOCK_BYTES
+
+
 @pytest.mark.parametrize("shape", [(3000, 40), (3, 30000)])
-@pytest.mark.parametrize("last_field", [None, "2.5", "1234567890123456"])
+@pytest.mark.parametrize("last_field", [None, "2.5", "12345", "1234567890123456"])
 def test_load_matrix_over_many_blocks_matches_loadtxt(tmp_path, shape, last_field):
     # 3000 x 40 spans several scanner blocks; 30000 fields make rows longer than one.
     rng = np.random.default_rng(shape[0])
-    counts = rng.integers(0, 10 ** rng.integers(1, 16, size=shape))
+    counts = rng.integers(0, 10 ** rng.integers(1, ingest._MAX_GRID_DIGITS + 1, size=shape))
     path = tmp_path / "counts.csv"
     names = ",".join(f"g{i}" for i in range(shape[1]))
     np.savetxt(path, counts, fmt="%d", delimiter=",", header=names, comments="")
