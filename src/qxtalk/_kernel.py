@@ -3,16 +3,18 @@
 ``qsim.apply_gate`` is the public reference: each call copies the state and
 returns a new, validated ``StateVector``.  This module works on raw complex
 arrays whose last axis holds the 2**n amplitudes of a state and whose leading
-axis stacks k states.  A gate updates every stacked state in place, through
-views fixed by its (control, target) qubits, or through per-row index pairs
-when each state gets a different CRX; a rotation may also take one angle
-per stacked state.  The 2x2 update is the expression
-``m00 * a0 + m01 * a1`` of ``apply_gate`` with the same matrix, evaluated
-element by element, so a state built here holds the same bits as one built
-gate by gate with the reference.  The one exception is where ``apply_gate``
-selects single amplitudes (a one-qubit state, or a controlled gate on two
-qubits): it then multiplies numpy scalars, which round differently from
-numpy's array loops, and the two agree to within a few ulps.
+axis stacks k states.  A gate updates every stacked state in place, as one
+update ``psi = d * psi + o * flip(psi)`` of its block (the control = 1 half,
+or the whole state), with flip reversing the target axis and d and o the
+diagonal and off-diagonal entries of its 2x2 matrix; or through per-row
+index pairs when each state gets a different CRX.  A rotation may take one
+angle per stacked state.  Each amplitude gets the products ``m00 * a0 +
+m01 * a1`` of ``apply_gate`` with the same matrix, added in either order,
+so a state built here holds the same bits as one built gate by gate with
+the reference.  The one exception is where ``apply_gate`` selects single
+amplitudes (a one-qubit state, or a controlled gate on two qubits): it then
+multiplies numpy scalars, which round differently from numpy's array loops,
+and the two agree to within a few ulps.
 
 A :class:`Kernel` binds this to one ``Problem``: its initial state, its
 targets smoothed once, and the scoring of a (k, 2**n) stack of final states.
@@ -36,7 +38,6 @@ import numpy as np
 from .cost import CostReport
 from .qsim import _H_MATRIX, ROTATION_KINDS, GateSpec, _check_qubits, _half_angle_entries, _rotation_entries
 
-_H_ENTRIES = tuple(_H_MATRIX.ravel())
 # BFGS with Armijo backtracking: a start stops when its largest gradient
 # entry, the cost drop of an accepted step or its backtracked step falls
 # below these, or after MAX_ROUNDS stacked scorings.
@@ -46,70 +47,94 @@ GRAD_TOL = 1e-6
 DROP_TOL = 1e-12
 STEP_TOL = 1e-10
 MAX_ROUNDS = 300
+# A gate's block keeps four axes of the folded amplitude axis (see _fold).
+_BLOCK_AXES = 4
+_H_ENTRIES = (np.diag(_H_MATRIX), _H_MATRIX[0, 1])  # (d, o), as from rotation()
 
 
 @lru_cache(maxsize=None)
-def _fold(n: int, target: int, control: int | None) -> tuple[tuple, tuple, tuple]:
-    """Shape that folds the amplitude axis around a gate's qubits, and the selectors
-    of its target-0 and target-1 amplitudes (with the control set, if any).
+def _fold(n: int, target: int, control: int | None) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """Shape that folds the amplitude axis around a gate's qubits; selectors of
+    its block, of the block flipped on its target axis, and of its halves; and
+    the shape that lays a pair of entries along that axis.
 
     Qubit q is bit q of the amplitude index, so the axis that holds it splits
     the 2**(n-1-q) higher states from the 2**q lower ones.  Folding every
-    other qubit into three or five axes keeps the strided views small.
+    other qubit into three or five axes keeps the strided views small (an
+    uncontrolled gate's fold adds a unit axis, so that every block is 4-D).
     """
     qubits = sorted((target,) if control is None else (target, control), reverse=True)
     shape, width = [], n
     for q in qubits:
         shape += [1 << (width - 1 - q), 2]
         width = q
-    shape.append(1 << width)
-    lo: list = [slice(None)] * len(shape)
+    shape += [1 << width] if control is not None else [1 << width, 1]
+    block: list = [slice(None)] * len(shape)
     if control is not None:
-        lo[2 * qubits.index(control) + 1] = 1
-    hi = list(lo)
-    lo[2 * qubits.index(target) + 1] = 0
-    hi[2 * qubits.index(target) + 1] = 1
-    return tuple(shape), (Ellipsis, *lo), (Ellipsis, *hi)
+        block[2 * qubits.index(control) + 1] = 1
+    axis = 2 * qubits.index(target) + 1
+    flip = block[:axis] + [slice(None, None, -1)] + block[axis + 1:]
+    axis -= control is not None and control > target  # the target's axis in the block
+    along = tuple(2 if i == axis else 1 for i in range(_BLOCK_AXES))
+    halves = tuple((Ellipsis, half) + (slice(None),) * (_BLOCK_AXES - 1 - axis) for half in (0, 1))
+    return tuple(shape), (Ellipsis, *block), (Ellipsis, *flip), halves, along
 
 
-def _row_entries(kind: str, angles: np.ndarray, ndim: int) -> tuple:
-    """Rotation entries of one angle per row, each shaped (k, 1, ...) to ``ndim`` axes.
-
-    They come from numpy's cos and sin, which match ``math``'s bit for bit on
-    common platforms but are not required to.
+def rotation(kind: str, angle) -> tuple:
+    """The diagonal and off-diagonal entries (d, o) of a rotation at ``angle``,
+    each one value for both target halves or, where they differ (RY's o, RZ's
+    d, as H's d), a pair along a new last axis.  A float's come from ``math``;
+    an array's from one numpy cos and sin (bit for bit ``math``'s on common
+    platforms, but not required to be), with four unit axes to span a block.
     """
-    half = np.asarray(angles, dtype=np.float64).reshape((-1,) + (1,) * (ndim - 1)) / 2.0
-    return _half_angle_entries(kind, np.cos(half), np.sin(half))
+    if np.ndim(angle) == 0:
+        m00, m01, m10, m11 = _rotation_entries(kind, float(angle))
+    else:
+        half = np.asarray(angle, dtype=np.float64).reshape(np.shape(angle) + (1,) * _BLOCK_AXES) / 2.0
+        m00, m01, m10, m11 = _half_angle_entries(kind, np.cos(half), np.sin(half))
+    if kind == "RY":
+        return m00, np.stack([m01, m10], axis=-1)
+    if kind == "RZ":
+        return np.stack([m00, m11], axis=-1), m01
+    return m00, m01
+
+
+def _columns(gates, angles: np.ndarray) -> list:
+    """The entries of gate j of ``gates`` at column j of an (S, L) angle stack
+    (None for a gate without an angle), from one cos and one sin per kind."""
+    rows = angles.T  # gate j's angles are row j
+    found = {}
+    for kind in {g.kind for g in gates} & set(ROTATION_KINDS):
+        d, o = rotation(kind, rows)
+        found[kind] = list(zip(d, o if np.ndim(o) else [o] * len(rows)))
+    return [found[g.kind][j] if g.kind in found else None for j, g in enumerate(gates)]
 
 
 def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | None = None,
-          angle: float | np.ndarray | None = None) -> None:
+          entries: tuple | None = None) -> None:
     """Apply one gate in place to each n-qubit state stacked in ``states``.
 
-    ``angle`` is one float for every state, or a (k,) array with one angle
-    per row of a (k, 2**n) stack.  ``states`` must be C-contiguous, so that
-    its folded view writes through to it.  Qubits are not range-checked here.
+    A rotation's ``entries`` come from :func:`rotation`, at one angle for
+    every state or at a (k,) array of one angle per row of a (k, 2**n) stack.
+    ``states`` must be C-contiguous, so that its folded view writes through
+    to it.  Qubits are not range-checked here.
     """
     if not states.flags.c_contiguous:
         raise ValueError("the kernel updates C-contiguous state arrays only")
-    shape, lo, hi = _fold(n, target, control)
+    shape, block, flip, _, along = _fold(n, target, control)
     psi = states.reshape(states.shape[:-1] + shape)
     if kind == "CNOT":
-        a0 = psi[lo].copy()
-        psi[lo] = psi[hi]
-        psi[hi] = a0
+        psi[block] = psi[flip].copy()
         return
-    a0, a1 = psi[lo], psi[hi]
-    if kind == "H":
-        m00, m01, m10, m11 = _H_ENTRIES
-    elif np.ndim(angle) == 0:
-        m00, m01, m10, m11 = _rotation_entries(kind, float(angle))
-    else:
-        m00, m01, m10, m11 = _row_entries(kind, angle, a0.ndim)
-    new0 = m00 * a0 + m01 * a1
-    new1 = m10 * a0 + m11 * a1
-    psi[lo] = new0
-    psi[hi] = new1
+    d, o = _H_ENTRIES if kind == "H" else entries
+    if kind == "RY":  # a pair's leading axes are its states' (and an array's unit axes)
+        o = o.reshape(o.shape[: -1 - _BLOCK_AXES] + along)
+    elif kind in ("RZ", "H"):
+        d = d.reshape(d.shape[: -1 - _BLOCK_AXES] + along)
+    update = o * psi[flip]
+    view = psi[block]
+    np.multiply(d, view, out=view)
+    view += update
 
 
 def _smoothed(target, smoothing: float) -> np.ndarray:
@@ -145,22 +170,24 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator_overlap(psi: np.ndarray, lam: np.ndarray, n: int, gate: GateSpec) -> np.ndarray:
-    """2 Im <lam|G|psi> per row, for the generator G of a rotation gate.
+def _generator_overlap(pair: np.ndarray, n: int, gate: GateSpec) -> np.ndarray:
+    """2 Im <lam|G|psi> per row of a stack of states psi over their cotangents
+    lam, for the generator G of a rotation gate.
 
     G is X/2, Y/2 or Z/2 on the target (restricted to control = 1 for CRX),
-    so the factor 2 cancels against the 1/2 of the Pauli matrix.
+    so the factor 2 cancels against the 1/2 of the Pauli matrix.  The terms
+    l0 a1 + l1 a0 (X), l1 a0 - l0 a1 (Y) and l0 a0 - l1 a1 (Z), with l the
+    conjugate of lam, are read off the gate's block and its flip.
     """
-    shape, lo, hi = _fold(n, gate.target, gate.control)
-    fold = (len(psi),) + shape
-    psi, lam = psi.reshape(fold), lam.reshape(fold)
-    a0, a1, l0, l1 = psi[lo], psi[hi], np.conj(lam[lo]), np.conj(lam[hi])
+    shape, block, flip, (lo, hi), _ = _fold(n, gate.target, gate.control)
+    psi, lam = pair.reshape((2, len(pair) // 2) + shape)
+    terms = np.conj(lam[block]) * psi[block if gate.kind == "RZ" else flip]
     if gate.kind in ("CRX", "RX"):
-        terms = (l0 * a1 + l1 * a0).imag
+        terms = (terms[lo] + terms[hi]).imag
     elif gate.kind == "RY":  # Im(-i z) = -Re z, with Y = [[0, -i], [i, 0]]
-        terms = (l1 * a0 - l0 * a1).real
+        terms = (terms[hi] - terms[lo]).real
     elif gate.kind == "RZ":
-        terms = (l0 * a0 - l1 * a1).imag
+        terms = (terms[lo] - terms[hi]).imag
     else:
         raise ValueError(f"{gate.kind} has no angle to differentiate")
     return terms.reshape(len(terms), -1).sum(axis=1)
@@ -177,17 +204,17 @@ def reverse_sweep(pair: np.ndarray, n: int, gates, angles: np.ndarray) -> np.nda
     sweep then undoes the gate, at -theta, on psi and lambda alike.  A gate
     without an angle (CNOT, H) is its own inverse.
     """
-    rows = len(angles)
-    undo = -np.concatenate([angles, angles])  # one row per row of pair
+    rotations = [g for g in gates if g.kind in ROTATION_KINDS]
+    undo = _columns(rotations, -np.concatenate([angles, angles]))  # one row per row of pair
     grads = np.empty(angles.shape)
     col = angles.shape[1]
     for gate in reversed(gates):
-        if gate.kind not in ROTATION_KINDS:
-            apply(pair, n, gate.kind, gate.target, gate.control)
-            continue
-        col -= 1
-        grads[:, col] = _generator_overlap(pair[:rows], pair[rows:], n, gate)
-        apply(pair, n, gate.kind, gate.target, gate.control, undo[:, col])
+        entries = None
+        if gate.kind in ROTATION_KINDS:
+            col -= 1
+            grads[:, col] = _generator_overlap(pair, n, gate)
+            entries = undo[col]
+        apply(pair, n, gate.kind, gate.target, gate.control, entries)
     return grads
 
 
@@ -265,20 +292,27 @@ class Kernel:
         """Apply a range-checked gate in place, at ``angle`` (a float, or one per row)
         instead of its own when given."""
         _check_qubits(gate, self.n)
-        apply(states, self.n, gate.kind, gate.target, gate.control,
-              gate.angle if angle is None else angle)
+        entries = rotation(gate.kind, gate.angle if angle is None else angle) if gate.kind in ROTATION_KINDS else None
+        apply(states, self.n, gate.kind, gate.target, gate.control, entries)
 
     def run(self, gates, angles=None) -> np.ndarray:
         """The final states of a gate sequence, optionally at other angles.
 
         ``angles`` replaces the gates' own angles one for one, so a tuning
         objective builds no ``GateSpec``.  A (L,) vector gives one (1, 2**n)
-        row; an (S, L) stack gives S rows, row s at angles[s].
+        row; an (S, L) stack, whose entries come from one cos and one sin,
+        gives S rows, row s at angles[s].
         """
         angles = None if angles is None else np.asarray(angles, dtype=np.float64)
-        states = self.start(1 if angles is None or angles.ndim == 1 else len(angles))
-        for i, gate in enumerate(gates):
-            self.apply(states, gate, None if angles is None else angles[..., i])
+        if angles is None or angles.ndim == 1:
+            states = self.start()
+            for i, gate in enumerate(gates):
+                self.apply(states, gate, None if angles is None else angles[i])
+            return states
+        states = self.start(len(angles))
+        for gate, entries in zip(gates, _columns(gates, angles)):
+            _check_qubits(gate, self.n)
+            apply(states, self.n, gate.kind, gate.target, gate.control, entries)
         return states
 
     def _indices(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -625,25 +625,26 @@ def write_trace(result: SearchResult, path: Path) -> None:
     """One line per history entry: the bytes of ``json.dumps`` with sorted keys
     of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}.
 
-    Each distinct gate is encoded once.  Its cache key holds the angle's type
-    and sign besides its value, because equal angles such as 0.0 and -0.0, or
-    1 and 1.0, encode differently.  Lines are streamed, so the trace is never
-    held in memory whole.
+    Each gate object and each phase is encoded once; gates are keyed by
+    identity, which holds because ``result`` keeps every one alive, and which
+    never conflates equal angles that encode differently, such as 0.0 and
+    -0.0, or 1 and 1.0.  A finite float cost is written as ``float.__repr__``,
+    the text ``json`` writes for it.  Lines are streamed, so the trace is
+    never held in memory whole.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
-    encoded: dict[tuple, str] = {}
+    gates: dict[int, str] = {}
+    phases: dict[str, str] = {}
     with path.open("w", encoding="utf-8") as fh:
         for entry in result.history:
-            sequence = []
-            for g in entry.topology:
-                sign = 0.0 if g.angle is None else math.copysign(1.0, g.angle)
-                key = (g.kind, g.control, g.target, g.angle, type(g.angle), sign)
-                text = encoded.get(key)
-                if text is None:
-                    text = encoded[key] = encode([g.kind, g.control, g.target, g.angle])
-                sequence.append(text)
-            fh.write(f'{{"cost": {encode(entry.cost.total)}, "phase": {encode(entry.phase)}, '
-                     f'"sequence": [{", ".join(sequence)}]}}\n')
+            sequence = ", ".join([
+                gates.get(id(g)) or gates.setdefault(id(g), encode([g.kind, g.control, g.target, g.angle]))
+                for g in entry.topology.gates
+            ])
+            phase = phases.get(entry.phase) or phases.setdefault(entry.phase, encode(entry.phase))
+            cost = entry.cost.total
+            cost = float.__repr__(cost) if isinstance(cost, float) and math.isfinite(cost) else encode(cost)
+            fh.write(f'{{"cost": {cost}, "phase": {phase}, "sequence": [{sequence}]}}\n')
 
 
 # --- stage subcommands ----------------------------------------------------

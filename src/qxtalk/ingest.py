@@ -194,42 +194,40 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
 
 def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray | None:
     """``data[start:]`` as a (rows, n_fields) float64 array when it is a plain
-    grid of unsigned integers (see :func:`load_matrix`), else None."""
+    grid of unsigned integers (see :func:`load_matrix`), else None.
+
+    The last row is read first, so a body that ends in a row that is not plain
+    (a blank line, a decimal, a wide count) falls back before any block is
+    scanned and before the result is made.  A plain row takes at least two
+    bytes per field (the last row may lack its newline), which bounds the
+    rows; the pages of rows a body does not fill are never touched.
+    """
     end = len(data)
     if start >= end or not delim.isascii() or delim in "0123456789\r\n":
         return None
     sep = ord(delim)
-    body = start
-    values = None
-    while start < end:
-        stop = end if end - start <= _GRID_BLOCK_BYTES else data.rfind(b"\n", start, start + _GRID_BLOCK_BYTES) + 1
+    tail = max(start, data.rfind(b"\n", start, end - 1) + 1)
+    chars = np.frombuffer(data, dtype=np.uint8, count=end - tail, offset=tail)
+    if chars[-1] != _NEWLINE:  # the last row has no final newline
+        chars = np.append(chars, np.uint8(_NEWLINE))
+    last = np.empty(len(chars))
+    if _scan_block(chars, sep, n_fields, last) is None:
+        return None
+    values = np.empty(((end - start + 1) // (2 * n_fields), n_fields), dtype=np.float64)
+    flat = values.reshape(-1)
+    filled = 0
+    while start < tail:
+        stop = tail if tail - start <= _GRID_BLOCK_BYTES else data.rfind(b"\n", start, start + _GRID_BLOCK_BYTES) + 1
         if stop <= start:  # a row longer than a block
-            stop = data.find(b"\n", start) + 1 or end
+            stop = data.find(b"\n", start) + 1
         chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        if chars[-1] != _NEWLINE:  # the last row has no final newline
-            chars = np.append(chars, np.uint8(_NEWLINE))
-        if values is None:
-            # The first block is checked before the rows are counted, so a
-            # body that is plainly not a grid costs no pass over all its bytes.
-            first = np.empty(len(chars))
-            filled = _scan_block(chars, sep, n_fields, first)
-            if filled is None:
-                return None
-            rows = data.count(b"\n", body) + (not data.endswith(b"\n"))
-            # A plain row takes at least two bytes per field; a shorter body
-            # is not a plain grid, and must not size the result.
-            if 2 * n_fields * rows > end - body + 1:
-                return None
-            values = np.empty((rows, n_fields), dtype=np.float64)
-            flat = values.reshape(-1)
-            flat[:filled] = first[:filled]
-        else:
-            written = _scan_block(chars, sep, n_fields, flat[filled:])
-            if written is None:
-                return None
-            filled += written
+        written = _scan_block(chars, sep, n_fields, flat[filled:])
+        if written is None:
+            return None
+        filled += written
         start = stop
-    return values
+    flat[filled : filled + n_fields] = last[:n_fields]
+    return values[: filled // n_fields + 1]
 
 
 def _header_line(head: bytes) -> str | None:

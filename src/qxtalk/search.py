@@ -98,8 +98,14 @@ class Evaluator:
 
 
 def gate_for_pair(pair: tuple[int, int], angle: float = SEARCH_ANGLE) -> GateSpec:
+    """The CRX gate of a (control, target) pair; at ``SEARCH_ANGLE`` itself, one shared frozen gate per pair."""
     control, target = pair
-    return GateSpec(kind="CRX", target=target, control=control, angle=angle)
+    if angle is not SEARCH_ANGLE:  # an equal angle such as -0.0 for 0.0 may encode differently
+        return GateSpec(kind="CRX", target=target, control=control, angle=angle)
+    return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault((control, target), GateSpec("CRX", target, control, angle))
+
+
+_SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
 
 
 def _pair_of(gate: GateSpec) -> tuple[int, int]:
@@ -547,7 +553,7 @@ def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
         if gate.kind == "CNOT":
             _kernel.apply(psi, n, "CNOT", gate.target, gate.control)
         else:
-            _kernel.apply(psi, n, "RY", gate.target, angle=params[..., column])
+            _kernel.apply(psi, n, "RY", gate.target, entries=_kernel.rotation("RY", params[..., column]))
             column += 1
     return psi
 
@@ -565,8 +571,9 @@ def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
     psi = np.full(params.shape[:-1] + (1 << n,), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for layer in range(2):
         psi *= np.exp(-1j * params[..., 2 * layer, None] * energies)
+        mixer = _kernel.rotation("RX", 2.0 * params[..., 2 * layer + 1])
         for i in range(n):
-            _kernel.apply(psi, n, "RX", i, angle=2.0 * params[..., 2 * layer + 1])
+            _kernel.apply(psi, n, "RX", i, entries=mixer)
     return psi
 
 

@@ -223,11 +223,15 @@ def test_trace_bytes_match_per_row_json_dumps(tmp_path):
     # Equal gates whose angles encode differently.
     twins = [GateSpec(kind="CRX", target=1, control=0, angle=a) for a in (0.0, -0.0)]
     ry = [GateSpec(kind="RY", target=0, angle=a) for a in (2, 2.0)]
-    sequences = [(), (rx,), (twins[0], rx), (twins[1], cnot, rx), (ry[0],), (ry[1], ry[0])]
-    costs = [(0.5, 0.25), (1e-17, 3.0), (math.inf, 0.0), (0.1, 0.2)]
+    rz = [GateSpec(kind="RZ", target=1, angle=a) for a in (-0.0, -3, 0.0)]
+    sequences = [(), (rx,), (twins[0], rx), (twins[1], cnot, rx), (ry[0],), (ry[1], ry[0]),
+                 (rz[0], rz[1], twins[0]), (rz[2], twins[1], rz[0]), (rz[1],), (rx, rz[2])]
+    costs = [(0.5, 0.25), (1e-17, 3.0), (math.inf, 0.0), (0.1, 0.2), (math.nan, 1.0), (-math.inf, 0.5),
+             (np.float64(0.1), np.float64(0.7)), (1, 2), (np.float64(math.nan), 0.0), (-0.0, -0.0)]
+    phases = ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x", "forward", "x", 'quote"d', "baseline"]
     history = [
-        HistoryEntry(Topology(seq), CostReport.from_parts(*costs[i % len(costs)]), phase)
-        for i, (seq, phase) in enumerate(zip(sequences, ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x"]))
+        HistoryEntry(Topology(seq), CostReport.from_parts(*cost), phase)
+        for seq, cost, phase in zip(sequences, costs, phases)
     ]
     rng = np.random.default_rng(7)
     amps = rng.uniform(0.1, 1.0, size=16)

@@ -30,6 +30,7 @@ array loops the kernel uses; bit-for-bit comparisons with the reference
 therefore start at three qubits, and the 1e-12 one covers every size.
 """
 
+import functools
 import itertools
 import math
 
@@ -38,7 +39,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qxtalk import _kernel, search
+from qxtalk import _kernel, qsim, search
 from qxtalk.cost import CostReport, Problem, evaluate, kl_divergence
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet, delta_rho, extract_candidates
@@ -170,7 +171,8 @@ def test_kernel_gates_match_apply_gate(data):
     refs = [StateVector(n, random_state(rng, n)) for _ in range(3)]
     states = np.stack([r.amplitudes for r in refs])
     for gate in sequence:
-        _kernel.apply(states, n, gate.kind, gate.target, gate.control, gate.angle)
+        _kernel.apply(states, n, gate.kind, gate.target, gate.control,
+                      None if gate.angle is None else _kernel.rotation(gate.kind, gate.angle))
         refs = [apply_gate(r, gate) for r in refs]
     for row, ref in zip(states, refs):
         assert np.max(np.abs(row - ref.amplitudes), initial=0.0) <= 1e-12
@@ -637,6 +639,193 @@ def test_energy_gradient_rows_match_one_row_calls(n, rows, seed):
         for row, cost, grad in zip(params, costs, grads):
             one_cost, one_grad = gradients(row[None], n, energies)
             assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
+
+
+# --- the block update against a copy of the separate lo/hi update ------------
+# The kernel's earlier gate update built each gate's 2x2 entries per call and
+# updated the target = 0 and target = 1 views of the state apart, as
+# ``apply_gate`` does.  The copy below, with its adjoint sweep and variational
+# circuits, pins the block update bit for bit: every amplitude, cost and
+# gradient has the same 64 bits.
+
+
+@functools.lru_cache(maxsize=None)
+def lohi_fold(n, target, control):
+    qubits = sorted((target,) if control is None else (target, control), reverse=True)
+    shape, width = [], n
+    for q in qubits:
+        shape += [1 << (width - 1 - q), 2]
+        width = q
+    shape.append(1 << width)
+    lo = [slice(None)] * len(shape)
+    if control is not None:
+        lo[2 * qubits.index(control) + 1] = 1
+    hi = list(lo)
+    lo[2 * qubits.index(target) + 1] = 0
+    hi[2 * qubits.index(target) + 1] = 1
+    return tuple(shape), (Ellipsis, *lo), (Ellipsis, *hi)
+
+
+def lohi_apply(states, n, kind, target, control=None, angle=None):
+    shape, lo, hi = lohi_fold(n, target, control)
+    psi = states.reshape(states.shape[:-1] + shape)
+    if kind == "CNOT":
+        a0 = psi[lo].copy()
+        psi[lo] = psi[hi]
+        psi[hi] = a0
+        return
+    a0, a1 = psi[lo], psi[hi]
+    if kind == "H":
+        m00, m01, m10, m11 = tuple(qsim._H_MATRIX.ravel())
+    elif np.ndim(angle) == 0:
+        m00, m01, m10, m11 = qsim._rotation_entries(kind, float(angle))
+    else:
+        half = np.asarray(angle, dtype=np.float64).reshape((-1,) + (1,) * (a0.ndim - 1)) / 2.0
+        m00, m01, m10, m11 = qsim._half_angle_entries(kind, np.cos(half), np.sin(half))
+    new0 = m00 * a0 + m01 * a1
+    new1 = m10 * a0 + m11 * a1
+    psi[lo] = new0
+    psi[hi] = new1
+
+
+def lohi_overlap(psi, lam, n, gate):
+    shape, lo, hi = lohi_fold(n, gate.target, gate.control)
+    fold = (len(psi),) + shape
+    psi, lam = psi.reshape(fold), lam.reshape(fold)
+    a0, a1, l0, l1 = psi[lo], psi[hi], np.conj(lam[lo]), np.conj(lam[hi])
+    if gate.kind in ("CRX", "RX"):
+        terms = (l0 * a1 + l1 * a0).imag
+    elif gate.kind == "RY":
+        terms = (l1 * a0 - l0 * a1).real
+    else:
+        terms = (l0 * a0 - l1 * a1).imag
+    return terms.reshape(len(terms), -1).sum(axis=1)
+
+
+def lohi_sweep(pair, n, gates, angles):
+    rows = len(angles)
+    undo = -np.concatenate([angles, angles])
+    grads = np.empty(angles.shape)
+    col = angles.shape[1]
+    for gate in reversed(gates):
+        if gate.angle is None:
+            lohi_apply(pair, n, gate.kind, gate.target, gate.control)
+            continue
+        col -= 1
+        grads[:, col] = lohi_overlap(pair[:rows], pair[rows:], n, gate)
+        lohi_apply(pair, n, gate.kind, gate.target, gate.control, undo[:, col])
+    return grads
+
+
+def lohi_vqe_state(params, n):
+    psi = np.zeros(params.shape[:-1] + (1 << n,), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    column = 0
+    for gate in search._vqe_gates(n):
+        if gate.kind == "CNOT":
+            lohi_apply(psi, n, "CNOT", gate.target, gate.control)
+        else:
+            lohi_apply(psi, n, "RY", gate.target, angle=params[..., column])
+            column += 1
+    return psi
+
+
+def lohi_qaoa_state(params, n, energies):
+    psi = np.full(params.shape[:-1] + (1 << n,), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+    for layer in range(2):
+        psi *= np.exp(-1j * params[..., 2 * layer, None] * energies)
+        for i in range(n):
+            lohi_apply(psi, n, "RX", i, angle=2.0 * params[..., 2 * layer + 1])
+    return psi
+
+
+def lohi_vqe_gradients(params, n, energies):
+    costs, pair = search._energy_pair(lohi_vqe_state(params, n), energies)
+    return costs, lohi_sweep(pair, n, search._vqe_gates(n), params)
+
+
+def lohi_qaoa_gradients(params, n, energies):
+    rows = len(params)
+    costs, pair = search._energy_pair(lohi_qaoa_state(params, n, energies), energies)
+    mixer = [GateSpec(kind="RX", target=i, angle=0.0) for i in range(n)]
+    grads = np.empty(params.shape)
+    for layer in (1, 0):
+        gamma, beta = params[:, 2 * layer], params[:, 2 * layer + 1]
+        rx = lohi_sweep(pair, n, mixer, np.repeat(2.0 * beta[:, None], n, axis=1))
+        grads[:, 2 * layer + 1] = 2.0 * rx.sum(axis=1)
+        grads[:, 2 * layer] = 2.0 * (np.conj(pair[rows:]) * energies * pair[:rows]).imag.sum(axis=1)
+        pair *= np.exp(1j * np.tile(gamma, 2)[:, None] * energies)
+    return costs, grads
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of each zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_update_matches_lohi_update(data):
+    n = data.draw(st.integers(1, 12))
+    rows = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = np.stack([random_state(rng, n) for _ in range(rows)])
+    expected = states.copy()
+    for gate in data.draw(st.lists(gates(n), min_size=1, max_size=8)):
+        angle = gate.angle
+        if angle is not None and data.draw(st.booleans()):  # one angle per row
+            angle = np.array([data.draw(ANGLES) for _ in range(rows)])
+        entries = None if angle is None else _kernel.rotation(gate.kind, angle)
+        _kernel.apply(states, n, gate.kind, gate.target, gate.control, entries)
+        lohi_apply(expected, n, gate.kind, gate.target, gate.control, angle)
+        assert same_bits(states, expected)
+
+
+def kernel_on(rng, n):
+    """The kernel of a problem on n >= 2 qubits with a random initial state."""
+    return Problem(initial_state=StateVector(n, random_state(rng, n)), layout=RegisterLayout(1, n - 1),
+                   target_ct1=random_distribution(rng, 1), target_ct2=random_distribution(rng, n - 1)).kernel
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_and_sweep_match_lohi_sweep(data):
+    n = data.draw(st.integers(2, 12))
+    rows = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sequence = data.draw(st.lists(gates(n), min_size=1, max_size=8))
+    rotations = [g for g in sequence if g.angle is not None]
+    if rotations:
+        theta = np.array([[data.draw(ANGLES) for _ in rotations] for _ in range(rows)])
+        kernel = kernel_on(rng, n)
+        expected = np.repeat(kernel.start(), rows, axis=0)
+        for j, gate in enumerate(rotations):
+            lohi_apply(expected, n, gate.kind, gate.target, gate.control, theta[:, j])
+        assert same_bits(kernel.run(rotations, theta), expected)
+    else:
+        theta = np.empty((rows, 0))
+    pair = np.stack([random_state(rng, n) for _ in range(2 * rows)])
+    expected = pair.copy()
+    assert same_bits(_kernel.reverse_sweep(pair, n, sequence, theta), lohi_sweep(expected, n, sequence, theta))
+    assert same_bits(pair, expected)
+
+
+@EXAMPLES
+@given(n=st.integers(1, 8), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_variational_gradients_match_lohi_sweep(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    _, energies = random_qubo(rng, n)
+    vqe = rng.uniform(-math.pi, math.pi, size=(rows, 3 * n))
+    qaoa = rng.uniform(-math.pi, math.pi, size=(rows, 4))
+    for params in (vqe, vqe[0]):
+        assert same_bits(search._vqe_state(params, n), lohi_vqe_state(params, n))
+    for params in (qaoa, qaoa[0]):
+        assert same_bits(search._qaoa_state(params, n, energies), lohi_qaoa_state(params, n, energies))
+    for fast, slow, params in ((search._vqe_gradients, lohi_vqe_gradients, vqe),
+                               (search._qaoa_gradients, lohi_qaoa_gradients, qaoa)):
+        for got, want in zip(fast(params, n, energies), slow(params, n, energies)):
+            assert same_bits(got, want)
 
 
 # --- prune: single-bit-flip entries against the dense delta-rho --------------
