@@ -127,7 +127,7 @@ def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | Non
         psi[block] = psi[flip].copy()
         return
     d, o = _H_ENTRIES if kind == "H" else entries
-    if kind == "RY":  # a pair's leading axes are its states' (and an array's unit axes)
+    if kind == "RY":  # a pair replaces an array's unit axes, lying along the target axis
         o = o.reshape(o.shape[: -1 - _BLOCK_AXES] + along)
     elif kind in ("RZ", "H"):
         d = d.reshape(d.shape[: -1 - _BLOCK_AXES] + along)

@@ -97,15 +97,15 @@ class Evaluator:
         return self.kernel.reports(states)
 
 
+_SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
+
+
 def gate_for_pair(pair: tuple[int, int], angle: float = SEARCH_ANGLE) -> GateSpec:
     """The CRX gate of a (control, target) pair; at ``SEARCH_ANGLE`` itself, one shared frozen gate per pair."""
     control, target = pair
-    if angle is not SEARCH_ANGLE:  # an equal angle such as -0.0 for 0.0 may encode differently
+    if angle is not SEARCH_ANGLE:  # an equal angle of another type may encode differently
         return GateSpec(kind="CRX", target=target, control=control, angle=angle)
     return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault((control, target), GateSpec("CRX", target, control, angle))
-
-
-_SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
 
 
 def _pair_of(gate: GateSpec) -> tuple[int, int]:
