@@ -82,10 +82,10 @@ def _fold(n: int, target: int, control: int | None) -> tuple[tuple, tuple, tuple
 
 def rotation(kind: str, angle) -> tuple:
     """The diagonal and off-diagonal entries (d, o) of a rotation at ``angle``,
-    each one value for both target halves or, where they differ (RY's o, RZ's
-    d, as H's d), a pair along a new last axis.  A float's come from ``math``;
-    an array's from one numpy cos and sin (bit for bit ``math``'s on common
-    platforms, but not required to be), with four unit axes to span a block.
+    each one value for both target halves or, where they differ (RY's o and
+    RZ's d, like H's d), a pair along a new last axis.  A float's entries come
+    from ``math``; an array's from one numpy cos and sin (bit for bit ``math``'s
+    on common platforms, but not required to be), with four unit axes added.
     """
     if np.ndim(angle) == 0:
         m00, m01, m10, m11 = _rotation_entries(kind, float(angle))
