@@ -283,6 +283,7 @@ class Kernel:
         )
         self._shots = None if problem.eval_mode == "exact" else (problem.nshots, problem.shots_seed)
         self._pair_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.rows_scored = 0  # final states scored by divergences(), over the kernel's life
 
     def start(self, rows: int = 1) -> np.ndarray:
         """``rows`` copies of the initial state, shape (rows, 2**n)."""
@@ -357,6 +358,7 @@ class Kernel:
 
     def divergences(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(kl_ct1, kl_ct2) of each final state in a (k, 2**n) stack."""
+        self.rows_scored += len(states)
         out = []
         for offset, (marg, target) in enumerate(zip(self._register_marginals(states), self._targets)):
             if self._shots is not None:

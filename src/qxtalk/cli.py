@@ -625,26 +625,40 @@ def write_trace(result: SearchResult, path: Path) -> None:
     """One line per history entry: the bytes of ``json.dumps`` with sorted keys
     of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}.
 
-    Each gate object and each phase is encoded once; gates are keyed by
-    identity, which holds because ``result`` keeps every one alive, and which
-    never conflates equal angles that encode differently, such as 0.0 and
-    -0.0, or 1 and 1.0.  A finite float cost is written as ``float.__repr__``,
-    the text ``json`` writes for it.  Lines are streamed, so the trace is
-    never held in memory whole.
+    Lines are written batch by batch from the history's columns: a batch's
+    parent and phase are encoded once for all its rows.  A gate's text is
+    kept with the first gate of its (control, target) pair and reused for
+    that same object only, so equal gates whose angles encode differently,
+    such as 0.0 and -0.0, or 1 and 1.0, never share a text.  A finite cost
+    is written as its ``repr``, the text ``json`` writes for it.  Lines are
+    streamed, so the trace is never held in memory whole.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
-    gates: dict[int, str] = {}
-    phases: dict[str, str] = {}
+    known: dict[tuple, tuple[GateSpec, str]] = {}
+    appended: dict[tuple, str] = {}  # by pair, as gate_for_pair shares one gate per pair
+
+    def text(gate: GateSpec) -> str:
+        found = known.get((gate.control, gate.target))
+        if found is not None and found[0] is gate:
+            return found[1]
+        encoded = encode([gate.kind, gate.control, gate.target, gate.angle])
+        known.setdefault((gate.control, gate.target), (gate, encoded))
+        return encoded
+
+    def pair_text(pair: tuple) -> str:
+        return appended.get(pair) or appended.setdefault(pair, text(search.gate_for_pair(pair)))
+
     with path.open("w", encoding="utf-8") as fh:
-        for entry in result.history:
-            sequence = ", ".join([
-                gates.get(id(g)) or gates.setdefault(id(g), encode([g.kind, g.control, g.target, g.angle]))
-                for g in entry.topology.gates
-            ])
-            phase = phases.get(entry.phase) or phases.setdefault(entry.phase, encode(entry.phase))
-            cost = entry.cost.total
-            cost = float.__repr__(cost) if isinstance(cost, float) and math.isfinite(cost) else encode(cost)
-            fh.write(f'{{"cost": {cost}, "phase": {phase}, "sequence": [{sequence}]}}\n')
+        for batch in result.history.batches:
+            phase = encode(batch.phase)
+            parent = [text(g) for g in batch.parent]
+            if batch.appended is None:
+                sequences = [", ".join(parent[:r] + parent[r + 1 :]) for r in range(len(parent))]
+            else:
+                sequences = [", ".join(parent + [pair_text(p) for p in pairs]) for pairs in batch.appended]
+            for cost, sequence in zip(batch.total.tolist(), sequences):
+                cost = repr(cost) if math.isfinite(cost) else encode(cost)
+                fh.write(f'{{"cost": {cost}, "phase": {phase}, "sequence": [{sequence}]}}\n')
 
 
 # --- stage subcommands ----------------------------------------------------

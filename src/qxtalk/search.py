@@ -18,6 +18,7 @@ deterministic given the problem, the candidate order and the seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,36 +66,80 @@ class HistoryEntry:
     phase: str
 
 
+@dataclass(frozen=True)
+class Batch:
+    """Scored rows that share a phase and a parent gate sequence.
+
+    Row r is the parent followed by the search gates of the pairs
+    ``appended[r]`` (none for the parent itself) or, where ``appended`` is
+    None, the parent without its gate r.
+    """
+
+    phase: str
+    parent: tuple[GateSpec, ...]
+    appended: list[tuple[tuple[int, int], ...]] | None
+    kl_ct1: np.ndarray
+    kl_ct2: np.ndarray
+    total: np.ndarray
+
+    def lengths(self) -> list[int]:
+        if self.appended is None:
+            return [len(self.parent) - 1] * len(self.parent)
+        return [len(self.parent) + len(pairs) for pairs in self.appended]
+
+    def entry(self, row: int) -> HistoryEntry:
+        if self.appended is None:
+            gates = self.parent[:row] + self.parent[row + 1 :]
+        else:
+            gates = self.parent + tuple(gate_for_pair(p) for p in self.appended[row])
+        cost = CostReport.from_parts(float(self.kl_ct1[row]), float(self.kl_ct2[row]))
+        return HistoryEntry(Topology(gates), cost, self.phase)
+
+
+class History:
+    """Every scored topology of a search, one :class:`Batch` per scored batch.
+
+    It reads as a sequence of :class:`HistoryEntry` (``len``, iteration and
+    integer indexing), each built on demand.
+    """
+
+    def __init__(self):
+        self.batches: list[Batch] = []
+
+    def add(self, phase: str, parent, divergences, appended) -> Batch:
+        """Record a batch from its (kl_ct1, kl_ct2) arrays, as ``Kernel.divergences`` returns them."""
+        kl_ct1, kl_ct2 = (np.asarray(kl, dtype=np.float64) for kl in divergences)
+        batch = Batch(phase, tuple(parent), appended, kl_ct1, kl_ct2, kl_ct1 + kl_ct2)
+        self.batches.append(batch)
+        return batch
+
+    def record(self, phase: str, topology: Topology, cost: CostReport) -> None:
+        """Record one scored topology."""
+        self.add(phase, topology.gates, ([cost.kl_ct1], [cost.kl_ct2]), [()])
+
+    def totals(self) -> np.ndarray:
+        return np.concatenate([b.total for b in self.batches])
+
+    def __len__(self) -> int:
+        return sum(len(b.total) for b in self.batches)
+
+    def __iter__(self):
+        return (batch.entry(row) for batch in self.batches for row in range(len(batch.total)))
+
+    def __getitem__(self, index: int) -> HistoryEntry:
+        index = range(len(self))[index]  # a negative index counts from the end; IndexError past it
+        for batch in self.batches:
+            if index < len(batch.total):
+                return batch.entry(index)
+            index -= len(batch.total)
+
+
 @dataclass
 class SearchResult:
     topology: Topology
     cost: CostReport
     evaluations: int
-    history: list[HistoryEntry]
-
-
-class Evaluator:
-    """Counts scored topologies; no caching, so counts reflect real work.
-
-    Batched phases build their final states on the problem's kernel and
-    score them with :meth:`score`, which counts one evaluation per state.
-    """
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        self.calls = 0
-
-    @property
-    def kernel(self):
-        return self.problem.kernel
-
-    def __call__(self, topology: Topology) -> CostReport:
-        self.calls += 1
-        return evaluate(self.problem, topology)
-
-    def score(self, states: np.ndarray) -> list[CostReport]:
-        self.calls += len(states)
-        return self.kernel.reports(states)
+    history: History
 
 
 _SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
@@ -108,99 +153,62 @@ def gate_for_pair(pair: tuple[int, int], angle: float = SEARCH_ANGLE) -> GateSpe
     return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault((control, target), GateSpec("CRX", target, control, angle))
 
 
-def _pair_of(gate: GateSpec) -> tuple[int, int]:
-    return (gate.control, gate.target)
-
-
-def _unused(seq: Topology, cands: CandidateSet) -> list[tuple[int, int]]:
-    used = {_pair_of(g) for g in seq}
+def _unused(gates: tuple[GateSpec, ...], cands: CandidateSet) -> list[tuple[int, int]]:
+    used = {(g.control, g.target) for g in gates}
     return [p for p in cands.pairs if p not in used]
 
 
-def _lowest(scored: list[tuple[Topology, CostReport]]) -> int:
-    """Index of the entry with the lowest total; the first one wins ties."""
-    return min(range(len(scored)), key=lambda i: scored[i][1].total)
+def _lowest(history: History) -> tuple[Topology, CostReport]:
+    """The entry with the lowest total; the first one wins ties."""
+    entry = history[int(np.argmin(history.totals()))]
+    return entry.topology, entry.cost
 
 
-def _extensions(
-    ev: Evaluator, seq: Topology, state: np.ndarray, pairs: list[tuple[int, int]]
-) -> tuple[np.ndarray, list[tuple[Topology, CostReport]]]:
-    """``seq`` followed by each pair's search gate, scored from ``seq``'s final state."""
-    states = ev.kernel.extend(state, pairs, SEARCH_ANGLE)
-    scored = [
-        (Topology(gates=seq.gates + (gate_for_pair(p),)), r) for p, r in zip(pairs, ev.score(states))
-    ]
-    return states, scored
+def _permutations(kernel, state: np.ndarray, pairs: list[tuple[int, int]], depth: int) -> tuple[np.ndarray, ...]:
+    """(kl_ct1, kl_ct2) of the final state ``state`` followed by each ordered
+    ``depth``-tuple of ``pairs``' search gates, in ``itertools.permutations(pairs, depth)`` order.
 
-
-def _permutations(
-    ev: Evaluator, seq: Topology, state: np.ndarray, pairs: list[tuple[int, int]], depth: int
-) -> list[tuple[Topology, CostReport]]:
-    """``seq`` followed by each ordered ``depth``-tuple of ``pairs``' search gates, scored
-    in ``itertools.permutations(pairs, depth)`` order.
-
-    The walk is depth first from ``seq``'s final state ``state``, so each
-    prefix gate is applied once and shared by every tuple below it.
+    The walk is depth first, so each prefix gate is applied once and shared
+    by every tuple below it.
     """
     if depth == 0:
-        return [(seq, ev.score(state)[0])]
+        return kernel.divergences(state)
+    children = kernel.extend(state, pairs, SEARCH_ANGLE)
     if depth == 1:
-        return _extensions(ev, seq, state, pairs)[1]
-    children = ev.kernel.extend(state, pairs, SEARCH_ANGLE)
-    scored = []
-    for i, pair in enumerate(pairs):
-        head = Topology(gates=seq.gates + (gate_for_pair(pair),))
-        scored += _permutations(ev, head, children[i : i + 1], pairs[:i] + pairs[i + 1 :], depth - 1)
-    return scored
+        return kernel.divergences(children)
+    parts = [_permutations(kernel, children[i : i + 1], pairs[:i] + pairs[i + 1 :], depth - 1)
+             for i in range(len(pairs))]
+    return tuple(np.concatenate(register) for register in zip(*parts))
 
 
-def _deletions(ev: Evaluator, seq: Topology) -> list[tuple[Topology, CostReport]]:
-    """``seq`` without each of its gates in turn, scored in one batch."""
-    reports = ev.score(ev.kernel.deletions(seq.gates))
-    return [
-        (Topology(gates=seq.gates[:pos] + seq.gates[pos + 1 :]), r) for pos, r in enumerate(reports)
-    ]
-
-
-def best_insertion(
-    problem: Problem,
-    seq: Topology,
-    cands: CandidateSet,
-    evaluator: Evaluator | None = None,
-) -> tuple[Topology, CostReport]:
+def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet) -> tuple[Topology, CostReport]:
     """Best (unused gate, position) insertion, regardless of acceptance.
 
     The caller applies the kl_tol acceptance rule; ties are broken by
     candidate order, then by lower insertion index.
     """
-    ev = evaluator or Evaluator(problem)
-    unused = _unused(seq, cands)
+    unused = _unused(seq.gates, cands)
     if not unused:
-        return seq, ev(seq)
-    kernel = ev.kernel
+        return seq, evaluate(problem, seq)
+    kernel = problem.kernel
     prefix = kernel.start()
     by_pos = []
     for pos in range(len(seq) + 1):
         states = kernel.extend(prefix, unused, SEARCH_ANGLE)
         for gate in seq.gates[pos:]:
             kernel.apply(states, gate)
-        by_pos.append(ev.score(states))
+        by_pos.append(kernel.divergences(states))
         if pos < len(seq):
             kernel.apply(prefix, seq.gates[pos])
-    scored = [
-        (Topology(gates=seq.gates[:pos] + (gate_for_pair(pair),) + seq.gates[pos:]), reports[i])
-        for i, pair in enumerate(unused)
-        for pos, reports in enumerate(by_pos)
-    ]
-    return scored[_lowest(scored)]
+    kl = np.array(by_pos)  # (position, register, candidate)
+    # The flat index of (candidate, position): candidate order first, then position.
+    i, pos = divmod(int(np.argmin((kl[:, 0] + kl[:, 1]).T)), len(seq) + 1)
+    topology = Topology(gates=seq.gates[:pos] + (gate_for_pair(unused[i]),) + seq.gates[pos:])
+    return topology, CostReport.from_parts(float(kl[pos, 0, i]), float(kl[pos, 1, i]))
 
 
 def best_permutation_addition(
-    problem: Problem,
-    seq: Topology,
-    cands: CandidateSet,
-    n: int,
-    evaluator: Evaluator | None = None,
+    problem: Problem, seq: Topology, cands: CandidateSet, n: int
 ) -> tuple[Topology, CostReport]:
     """Best ordered n-tuple of unused gates appended to the sequence.
 
@@ -209,25 +217,22 @@ def best_permutation_addition(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ev = evaluator or Evaluator(problem)
-    unused = _unused(seq, cands)
+    unused = _unused(seq.gates, cands)
     if len(unused) < n:
-        return seq, ev(seq)
-    scored = _permutations(ev, seq, ev.kernel.run(seq.gates), unused, n)
-    return scored[_lowest(scored)]
+        return seq, evaluate(problem, seq)
+    scored = History()
+    divergences = _permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
+    scored.add("addition", seq.gates, divergences, list(itertools.permutations(unused, n)))
+    return _lowest(scored)
 
 
-def best_deletion(
-    problem: Problem,
-    seq: Topology,
-    evaluator: Evaluator | None = None,
-) -> tuple[Topology, CostReport]:
+def best_deletion(problem: Problem, seq: Topology) -> tuple[Topology, CostReport]:
     """Best single-gate removal; no-op on an empty sequence."""
-    ev = evaluator or Evaluator(problem)
     if len(seq) == 0:
-        return seq, ev(seq)
-    scored = _deletions(ev, seq)
-    return scored[_lowest(scored)]
+        return seq, evaluate(problem, seq)
+    scored = History()
+    scored.add("deletion", seq.gates, problem.kernel.divergences(problem.kernel.deletions(seq.gates)), None)
+    return _lowest(scored)
 
 
 def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -235,84 +240,77 @@ def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None
 
     Insertions and additions must beat the incumbent by more than kl_tol;
     deletions by more than eps_prune.  Improvements are adopted
-    immediately and the loop ends after a full pass without change.
+    immediately and the loop ends after a full pass without change.  The
+    history holds the baseline and each accepted move.
     """
     cfg = cfg or SearchConfig()
-    ev = Evaluator(problem)
+    kernel = problem.kernel
+    scored = kernel.rows_scored
     seq = Topology(())
-    cost = ev(seq)
-    history = [HistoryEntry(seq, cost, "baseline")]
+    cost = evaluate(problem, seq)
+    history = History()
+    history.record("baseline", seq, cost)
     improved = True
     while improved:
         improved = False
-        cand_seq, cand_cost = best_insertion(problem, seq, cands, ev)
+        cand_seq, cand_cost = best_insertion(problem, seq, cands)
         if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
             seq, cost = cand_seq, cand_cost
-            history.append(HistoryEntry(seq, cost, "insertion"))
+            history.record("insertion", seq, cost)
             improved = True
-        cand_seq, cand_cost = best_permutation_addition(problem, seq, cands, cfg.n_choose, ev)
+        cand_seq, cand_cost = best_permutation_addition(problem, seq, cands, cfg.n_choose)
         if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
             seq, cost = cand_seq, cand_cost
-            history.append(HistoryEntry(seq, cost, "addition"))
+            history.record("addition", seq, cost)
             improved = True
-        cand_seq, cand_cost = best_deletion(problem, seq, ev)
+        cand_seq, cand_cost = best_deletion(problem, seq)
         if len(cand_seq) < len(seq) and cand_cost.total < cost.total - cfg.eps_prune:
             seq, cost = cand_seq, cand_cost
-            history.append(HistoryEntry(seq, cost, "deletion"))
+            history.record("deletion", seq, cost)
             improved = True
-    return SearchResult(topology=seq, cost=cost, evaluations=ev.calls, history=history)
+    return SearchResult(topology=seq, cost=cost, evaluations=kernel.rows_scored - scored, history=history)
 
 
-def occam_select(history: list[HistoryEntry], kl_tol: float) -> HistoryEntry:
-    """Most parsimonious history entry: scanning by ascending length, a longer
-    sequence only displaces the incumbent when it wins by more than kl_tol."""
-    if not history:
+def occam_select(history: History, kl_tol: float) -> int:
+    """Index of the most parsimonious history entry: scanning by ascending length,
+    a longer sequence only displaces the incumbent when it wins by more than kl_tol."""
+    if not len(history):
         raise ValueError("history is empty")
-    ordered = sorted(history, key=lambda e: len(e.topology))
-    incumbent = ordered[0]
-    for entry in ordered[1:]:
-        if entry.cost.total < incumbent.cost.total - kl_tol:
-            incumbent = entry
+    totals = history.totals().tolist()
+    order = np.argsort([n for batch in history.batches for n in batch.lengths()], kind="stable").tolist()
+    incumbent = order[0]
+    for i in order[1:]:
+        if totals[i] < totals[incumbent] - kl_tol:
+            incumbent = i
     return incumbent
 
 
-def _greedy_forward(
-    ev: Evaluator,
-    seq: Topology,
-    cost: CostReport,
-    cands: CandidateSet,
-    max_depth: int,
-    history: list[HistoryEntry],
-) -> tuple[Topology, CostReport]:
-    state = ev.kernel.run(seq.gates)
-    while len(seq) < max_depth:
-        unused = _unused(seq, cands)
+def _greedy_forward(kernel, gates: tuple[GateSpec, ...], total: float, state: np.ndarray, cands: CandidateSet,
+                    max_depth: int, history: History) -> tuple[tuple[GateSpec, ...], float]:
+    """Append the best unused gate to ``gates``, whose final state is ``state``,
+    while that lowers the total."""
+    while len(gates) < max_depth:
+        unused = _unused(gates, cands)
         if not unused:
             break
-        states, scored = _extensions(ev, seq, state, unused)
-        history.extend(HistoryEntry(t, r, "forward") for t, r in scored)
-        i = _lowest(scored)
-        if scored[i][1].total >= cost.total:
+        states = kernel.extend(state, unused, SEARCH_ANGLE)
+        batch = history.add("forward", gates, kernel.divergences(states), [(p,) for p in unused])
+        i = int(np.argmin(batch.total))
+        if batch.total[i] >= total:
             break
-        (seq, cost), state = scored[i], states[i : i + 1]
-    return seq, cost
+        gates, total, state = gates + (gate_for_pair(unused[i]),), float(batch.total[i]), states[i : i + 1]
+    return gates, total
 
 
-def _greedy_removal(
-    ev: Evaluator,
-    seq: Topology,
-    cost: CostReport,
-    delta: float,
-    history: list[HistoryEntry],
-) -> tuple[Topology, CostReport]:
-    while len(seq) >= 1:
-        scored = _deletions(ev, seq)
-        history.extend(HistoryEntry(t, r, "refine") for t, r in scored)
-        i = _lowest(scored)
-        if scored[i][1].total >= cost.total - delta:
+def _greedy_removal(kernel, gates: tuple[GateSpec, ...], total: float, delta: float, history: History) -> float:
+    """Remove the best gate while that lowers the total by more than ``delta``; the final total."""
+    while len(gates) >= 1:
+        batch = history.add("refine", gates, kernel.divergences(kernel.deletions(gates)), None)
+        i = int(np.argmin(batch.total))
+        if batch.total[i] >= total - delta:
             break
-        seq, cost = scored[i]
-    return seq, cost
+        gates, total = gates[:i] + gates[i + 1 :], float(batch.total[i])
+    return total
 
 
 def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -324,32 +322,29 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     history entry whose cost is not beaten by more than kl_tol.
     """
     cfg = cfg or SearchConfig()
-    ev = Evaluator(problem)
-    empty = Topology(())
-    base = ev(empty)
-    history = [HistoryEntry(empty, base, "baseline")]
-    best_seq, best_cost = empty, base
+    kernel = problem.kernel
+    scored = kernel.rows_scored
+    history = History()
+    empty = kernel.start()
+    base = float(history.add("baseline", (), kernel.divergences(empty), [()]).total[0])
+    best = base
     rng = np.random.default_rng(cfg.shuffle_seed)
     order = rng.permutation(len(cands.pairs))
     epochs = min(cfg.n_epochs if cfg.n_epochs is not None else len(cands.pairs), len(cands.pairs))
     for e in range(epochs):
         pair = cands.pairs[int(order[e])]
-        start = Topology(gates=(gate_for_pair(pair),))
-        start_cost = ev(start)
-        history.append(HistoryEntry(start, start_cost, "epoch-start"))
-        if start_cost.total >= base.total:
+        state = kernel.extend(empty, [pair], SEARCH_ANGLE)
+        start = float(history.add("epoch-start", (), kernel.divergences(state), [(pair,)]).total[0])
+        if start >= base:
             continue
-        path_seq, path_cost = _greedy_forward(ev, start, start_cost, cands, cfg.max_depth, history)
-        if path_cost.total < best_cost.total:
-            best_seq, best_cost = path_seq, path_cost
-            ref_seq, ref_cost = _greedy_removal(
-                ev, path_seq, path_cost, REFINE_FRACTION * cfg.kl_tol, history
-            )
-            if ref_cost.total < best_cost.total:
-                best_seq, best_cost = ref_seq, ref_cost
-    chosen = occam_select(history, cfg.kl_tol)
+        path, path_total = _greedy_forward(
+            kernel, (gate_for_pair(pair),), start, state, cands, cfg.max_depth, history
+        )
+        if path_total < best:
+            best = _greedy_removal(kernel, path, path_total, REFINE_FRACTION * cfg.kl_tol, history)
+    chosen = history[occam_select(history, cfg.kl_tol)]
     return SearchResult(
-        topology=chosen.topology, cost=chosen.cost, evaluations=ev.calls, history=history
+        topology=chosen.topology, cost=chosen.cost, evaluations=kernel.rows_scored - scored, history=history
     )
 
 
@@ -398,22 +393,20 @@ class QuboProblem:
 
 
 def build_kl_matrix(
-    problem: Problem,
-    cands: CandidateSet,
-    evaluator: Evaluator | None = None,
-    baseline: float | None = None,
+    problem: Problem, cands: CandidateSet, baseline: float | None = None
 ) -> tuple[np.ndarray, float]:
     """Pairwise cost matrix: diagonal = single-gate cost, (i, j) = G_i then G_j."""
-    ev = evaluator or Evaluator(problem)
+    kernel = problem.kernel
     n = len(cands.pairs)
     if baseline is None:
-        baseline = ev(Topology(())).total
+        baseline = evaluate(problem, Topology(())).total
     m = np.zeros((n, n), dtype=np.float64)
-    singles = ev.kernel.extend(ev.kernel.start(), cands.pairs, SEARCH_ANGLE)
+    singles = kernel.extend(kernel.start(), cands.pairs, SEARCH_ANGLE)
     for i in range(n):
-        states = ev.kernel.extend(singles[i], cands.pairs, SEARCH_ANGLE)
+        states = kernel.extend(singles[i], cands.pairs, SEARCH_ANGLE)
         states[i] = singles[i]
-        m[i] = [r.total for r in ev.score(states)]
+        kl_ct1, kl_ct2 = kernel.divergences(states)
+        m[i] = kl_ct1 + kl_ct2
     return m, float(baseline)
 
 
@@ -475,6 +468,20 @@ def _energies(qp: QuboProblem, indices: np.ndarray) -> np.ndarray:
     return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
 
 
+def _check_solver(mode: str, size: int, top_k: int = 1, modes=("exact", "annealing", "vqe", "qaoa")) -> None:
+    """The checks of every QUBO solver entry, made before any work: a known
+    ``mode``, a ``top_k`` of at least 1 where the mode returns the top k, and
+    the mode's cap on the number of variables (the candidates)."""
+    if mode not in modes:
+        raise ValueError(f"unknown solver mode {mode!r}")
+    if mode != "exact" and top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    if mode == "exact" and size > EXACT_SOLVER_MAX_VARS:
+        raise ValueError(f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, got {size} candidates")
+    if mode in ("vqe", "qaoa") and size > VARIATIONAL_MAX_VARS:
+        raise ValueError(f"variational solvers are capped at {VARIATIONAL_MAX_VARS} variables, got {size} candidates")
+
+
 def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
     """Exhaustive minimum over all assignments (<= 22 variables).
 
@@ -482,8 +489,7 @@ def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
     (bit i of the integer is x_i).
     """
     n = qp.size
-    if n > EXACT_SOLVER_MAX_VARS:
-        raise ValueError(f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, got {n}")
+    _check_solver("exact", n)
     best_energy = math.inf
     best_index = 0
     chunk = 1 << 16
@@ -636,18 +642,11 @@ def solve_qubo_heuristic(
     simulator (capped at 12 variables) and return the top_k most probable
     assignments of the optimized state with their classical energies.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     n = qp.size
+    _check_solver(mode, n, top_k, ("annealing", "vqe", "qaoa"))
     if mode == "annealing":
         ranked = sorted((e, i) for i, e in _anneal(qp, seed, restarts, sweeps).items())
         return [(_bits(i, n), float(e)) for e, i in ranked[:top_k]]
-    if mode not in ("vqe", "qaoa"):
-        raise ValueError(f"unknown solver mode {mode!r}")
-    if n > VARIATIONAL_MAX_VARS:
-        raise ValueError(
-            f"variational solvers are capped at {VARIATIONAL_MAX_VARS} variables, got {n}"
-        )
     energies = _energies(qp, np.arange(1 << n, dtype=np.int64))
     rng = np.random.default_rng(seed)
     if mode == "vqe":
@@ -672,19 +671,19 @@ def order_selected(problem: Problem, gates: list[tuple[int, int]], cfg: SearchCo
     the result never loses to the identity ordering.
     """
     cfg = cfg or SearchConfig()
-    ev = Evaluator(problem)
+    kernel = problem.kernel
+    scored = kernel.rows_scored
+    history = History()
     if len(gates) <= 8:
-        scored = _permutations(ev, Topology(()), ev.kernel.start(), list(gates), len(gates))
-        best = scored[_lowest(scored)]
-        history = [HistoryEntry(t, r, "ordering") for t, r in scored]
-        return SearchResult(best[0], best[1], ev.calls, history)
+        divergences = _permutations(kernel, kernel.start(), list(gates), len(gates))
+        history.add("ordering", (), divergences, list(itertools.permutations(gates)))
+        return SearchResult(*_lowest(history), kernel.rows_scored - scored, history)
     identity = Topology(gates=tuple(gate_for_pair(p) for p in gates))
-    id_report = ev(identity)
-    history = [HistoryEntry(identity, id_report, "ordering")]
-    sub = CandidateSet(pairs=list(gates), threshold_used=0.0)
-    inner = multi_epoch(problem, sub, cfg)
-    history.extend(inner.history)
-    evals = ev.calls + inner.evaluations
+    id_report = evaluate(problem, identity)
+    history.record("ordering", identity, id_report)
+    inner = multi_epoch(problem, CandidateSet(pairs=list(gates), threshold_used=0.0), cfg)
+    history.batches += inner.history.batches
+    evals = kernel.rows_scored - scored
     if inner.cost.total <= id_report.total:
         return SearchResult(inner.topology, inner.cost, evals, history)
     return SearchResult(identity, id_report, evals, history)
@@ -704,43 +703,26 @@ def qubo_search(
     exceeds it.
     """
     # Bad arguments and size caps fail before the pairwise matrix is built.
-    if solver not in ("exact", "annealing", "vqe", "qaoa"):
-        raise ValueError(f"unknown solver mode {solver!r}")
-    if solver != "exact" and top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if solver == "exact" and len(cands.pairs) > EXACT_SOLVER_MAX_VARS:
-        raise ValueError(
-            f"exact solver is capped at {EXACT_SOLVER_MAX_VARS} variables, "
-            f"got {len(cands.pairs)} candidates"
-        )
-    if solver in ("vqe", "qaoa") and len(cands.pairs) > VARIATIONAL_MAX_VARS:
-        raise ValueError(
-            f"variational solvers are capped at {VARIATIONAL_MAX_VARS} variables, "
-            f"got {len(cands.pairs)} candidates"
-        )
+    _check_solver(solver, len(cands.pairs), top_k)
     cfg = cfg or SearchConfig()
-    ev = Evaluator(problem)
-    empty = Topology(())
-    base = ev(empty)
-    history = [HistoryEntry(empty, base, "baseline")]
-    evals = ev.calls
-    if not cands.pairs:
-        return SearchResult(empty, base, evals, history)
-    m, l0 = build_kl_matrix(problem, cands, evaluator=ev, baseline=base.total)
-    qp = build_qubo(m, l0)
-    if solver == "exact":
-        solutions = [solve_qubo_exact(qp)]
-    else:
-        solutions = solve_qubo_heuristic(qp, solver, seed=seed, top_k=top_k)
-    evals = ev.calls
-    best_topology, best_cost = empty, base
-    for bits, _ in solutions:
-        selected = [cands.pairs[i] for i in range(len(cands.pairs)) if bits[i]]
-        if not selected:
-            continue
-        ordered = order_selected(problem, selected, cfg)
-        evals += ordered.evaluations
-        history.extend(ordered.history)
-        if ordered.cost.total < best_cost.total:
-            best_topology, best_cost = ordered.topology, ordered.cost
-    return SearchResult(best_topology, best_cost, evals, history)
+    kernel = problem.kernel
+    scored = kernel.rows_scored
+    history = History()
+    history.add("baseline", (), kernel.divergences(kernel.start()), [()])
+    best = history[0]
+    if cands.pairs:
+        m, l0 = build_kl_matrix(problem, cands, baseline=best.cost.total)
+        qp = build_qubo(m, l0)
+        if solver == "exact":
+            solutions = [solve_qubo_exact(qp)]
+        else:
+            solutions = solve_qubo_heuristic(qp, solver, seed=seed, top_k=top_k)
+        for bits, _ in solutions:
+            selected = [cands.pairs[i] for i in range(len(cands.pairs)) if bits[i]]
+            if not selected:
+                continue
+            ordered = order_selected(problem, selected, cfg)
+            history.batches += ordered.history.batches
+            if ordered.cost.total < best.cost.total:
+                best = ordered
+    return SearchResult(best.topology, best.cost, kernel.rows_scored - scored, history)

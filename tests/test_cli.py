@@ -32,7 +32,7 @@ from qxtalk.cost import CostReport, Problem
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet
 from qxtalk.qsim import GateSpec, RegisterLayout, StateVector, Topology
-from qxtalk.search import HistoryEntry, SearchResult, multi_epoch
+from qxtalk.search import History, SearchResult, multi_epoch
 
 SMALL_CONFIG = """\
 # four-qubit benchmark slice, kept small for fast runs
@@ -217,7 +217,7 @@ def per_row_trace(result: SearchResult) -> str:
     )
 
 
-def test_trace_bytes_match_per_row_json_dumps(tmp_path):
+def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
     rx = GateSpec(kind="RX", target=2, control=None, angle=math.pi / 3)
     cnot = GateSpec(kind="CNOT", target=0, control=1)
     # Equal gates whose angles encode differently.
@@ -229,17 +229,24 @@ def test_trace_bytes_match_per_row_json_dumps(tmp_path):
     costs = [(0.5, 0.25), (1e-17, 3.0), (math.inf, 0.0), (0.1, 0.2), (math.nan, 1.0), (-math.inf, 0.5),
              (np.float64(0.1), np.float64(0.7)), (1, 2), (np.float64(math.nan), 0.0), (-0.0, -0.0)]
     phases = ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x", "forward", "x", 'quote"d', "baseline"]
-    history = [
-        HistoryEntry(Topology(seq), CostReport.from_parts(*cost), phase)
-        for seq, cost, phase in zip(sequences, costs, phases)
-    ]
+    history = History()
+    for seq, cost, phase in zip(sequences, costs, phases):
+        history.record(phase, Topology(seq), CostReport.from_parts(*cost))
     rng = np.random.default_rng(7)
     amps = rng.uniform(0.1, 1.0, size=16)
     targets = [TargetDistribution(num_qubits=2, probabilities=t / t.sum()) for t in rng.uniform(0.1, 1.0, (2, 4))]
     problem = Problem(initial_state=StateVector(4, amps / np.linalg.norm(amps)),
                       layout=RegisterLayout(n_ct1=2, n_ct2=2), target_ct1=targets[0], target_ct2=targets[1])
     searched = multi_epoch(problem, CandidateSet(pairs=[(0, 2), (2, 1), (1, 3), (3, 0)], threshold_used=0.01))
-    for result in (SearchResult(Topology(()), history[0].cost, 0, history), searched):
+    # Real histories: appended, removed and single rows, and ordering by permutations and by multi_epoch.
+    strategies = ["local", "multi-epoch", "qubo-annealing", "qubo-exact", "qubo-vqe", "qubo-qaoa"]
+    real = [synth4.search(strategy) for strategy in strategies]
+    batches = [b for result in real for b in result.history.batches]
+    assert {b.phase for b in batches} == {"baseline", "insertion", "addition", "epoch-start", "forward", "refine",
+                                          "ordering"}
+    # Rows that remove a gate, and rows that append no pair, one pair or a permutation of 3-5 pairs.
+    assert {None if b.appended is None else len(b.appended[0]) for b in batches} == {None, 0, 1, 3, 4, 5}
+    for result in (SearchResult(Topology(()), history[0].cost, 0, history), searched, *real):
         path = tmp_path / "trace.jsonl"
         write_trace(result, path)
         assert path.read_bytes() == per_row_trace(result).encode("utf-8")

@@ -24,7 +24,7 @@ from qxtalk.search import (
     DEFAULT_KL_TOL,
     EXACT_SOLVER_MAX_VARS,
     SEARCH_ANGLE,
-    Evaluator,
+    History,
     QuboProblem,
     SearchConfig,
     best_deletion,
@@ -42,7 +42,6 @@ from qxtalk.search import (
     solve_qubo_exact,
     solve_qubo_heuristic,
 )
-from qxtalk.search import HistoryEntry
 
 
 def product_problem(rng, n1, n2, targets=None):
@@ -112,16 +111,15 @@ class TestGateForPair:
         assert gate_for_pair((0, 1), angle=1.0).angle == 1.0
 
 
-class TestEvaluator:
+class TestRowsScored:
     def test_counts_every_call(self):
         rng = np.random.default_rng(0)
         problem = product_problem(rng, 1, 2)
-        ev = Evaluator(problem)
         topo = Topology((gate_for_pair((0, 1)),))
-        ev(topo)
-        ev(topo)
-        ev(Topology(()))
-        assert ev.calls == 3
+        evaluate(problem, topo)
+        evaluate(problem, topo)
+        evaluate(problem, Topology(()))
+        assert problem.kernel.rows_scored == 3
 
 
 class TestBestInsertion:
@@ -132,9 +130,8 @@ class TestBestInsertion:
             pairs=[(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)], threshold_used=0.01
         )
         seq = Topology((gate_for_pair((0, 1)), gate_for_pair((0, 2))))
-        ev = Evaluator(problem)
-        best_insertion(problem, seq, cands, evaluator=ev)
-        assert ev.calls == 9  # 3 unused gates x 3 positions
+        best_insertion(problem, seq, cands)
+        assert problem.kernel.rows_scored == 9  # 3 unused gates x 3 positions
 
     def test_empty_seq_reduces_to_best_single(self):
         rng = np.random.default_rng(2)
@@ -184,9 +181,8 @@ class TestBestPermutationAddition:
         rng = np.random.default_rng(5)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 1), (0, 2), (1, 2), (2, 3)], threshold_used=0.01)
-        ev = Evaluator(problem)
-        best_permutation_addition(problem, Topology(()), cands, n=2, evaluator=ev)
-        assert ev.calls == 12  # 4 * 3 ordered pairs
+        best_permutation_addition(problem, Topology(()), cands, n=2)
+        assert problem.kernel.rows_scored == 12  # 4 * 3 ordered pairs
 
     def test_insufficient_unused_is_noop(self):
         rng = np.random.default_rng(6)
@@ -320,31 +316,33 @@ class TestLocalSearch:
 
 
 class TestOccamSelect:
-    def entry(self, length, cost):
-        gates = tuple(gate_for_pair((i, i + 1)) for i in range(length))
+    def history(self, *entries):
+        """A history of (length, cost) entries."""
         from qxtalk.cost import CostReport
 
-        return HistoryEntry(Topology(gates), CostReport.from_parts(cost, 0.0), "x")
+        history = History()
+        for length, cost in entries:
+            gates = tuple(gate_for_pair((i, i + 1)) for i in range(length))
+            history.record("x", Topology(gates), CostReport.from_parts(cost, 0.0))
+        return history
 
     def test_hand_case_prefers_short(self):
-        history = [self.entry(0, 0.50), self.entry(1, 0.48), self.entry(3, 0.475)]
-        chosen = occam_select(history, kl_tol=0.01)
+        history = self.history((0, 0.50), (1, 0.48), (3, 0.475))
+        chosen = history[occam_select(history, kl_tol=0.01)]
         assert len(chosen.topology) == 1  # 0.475 gains only 0.005 over 0.48
 
     def test_longer_displaces_when_clearly_better(self):
-        history = [self.entry(0, 0.50), self.entry(1, 0.48), self.entry(3, 0.40)]
-        chosen = occam_select(history, kl_tol=0.01)
+        history = self.history((0, 0.50), (1, 0.48), (3, 0.40))
+        chosen = history[occam_select(history, kl_tol=0.01)]
         assert len(chosen.topology) == 3
 
     def test_first_of_equal_lengths_wins_ties(self):
-        a = self.entry(1, 0.48)
-        b = self.entry(1, 0.48)
-        chosen = occam_select([self.entry(0, 0.50), a, b], kl_tol=0.01)
-        assert chosen is a
+        history = self.history((2, 0.48), (0, 0.50), (1, 0.48), (1, 0.48))
+        assert occam_select(history, kl_tol=0.01) == 2
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            occam_select([], kl_tol=0.01)
+            occam_select(History(), kl_tol=0.01)
 
 
 class TestMultiEpoch:
@@ -423,6 +421,32 @@ class TestMultiEpoch:
         assert starts_short <= 1
 
 
+class TestDefaultPanel:
+    """The 4-gene synthetic panel that ``qxtalk run --synthetic`` searches."""
+
+    @pytest.mark.parametrize("strategy,evaluations,entries", [
+        ("local", 3447, 9),
+        ("multi-epoch", 5773, 5773),
+        ("qubo-annealing", 22891, 21991),
+    ])
+    def test_evaluations_and_history_lengths(self, synth4, strategy, evaluations, entries):
+        result = synth4.search(strategy)
+        assert (result.evaluations, len(result.history)) == (evaluations, entries)
+
+    def test_multi_epoch_builds_one_topology(self, synth4, monkeypatch):
+        """Scored rows stay columns: the only ``Topology`` built is the result."""
+        built = []
+
+        class Counted(Topology):
+            def __post_init__(self):
+                built.append(self.gates)
+                super().__post_init__()
+
+        monkeypatch.setattr(search, "Topology", Counted)
+        result = multi_epoch(synth4.problem, synth4.candidates())
+        assert built == [result.topology.gates]
+
+
 class TestBuildKlMatrix:
     def test_single_candidate(self):
         rng = np.random.default_rng(26)
@@ -456,11 +480,10 @@ class TestBuildKlMatrix:
         rng = np.random.default_rng(29)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 2), (2, 1), (1, 3)], threshold_used=0.01)
-        ev = Evaluator(problem)
-        base = ev(Topology(())).total
-        before = ev.calls
-        build_kl_matrix(problem, cands, evaluator=ev, baseline=base)
-        assert ev.calls - before == 9
+        base = evaluate(problem, Topology(())).total
+        before = problem.kernel.rows_scored
+        build_kl_matrix(problem, cands, baseline=base)
+        assert problem.kernel.rows_scored - before == 9
 
 
 class TestBuildQubo:
