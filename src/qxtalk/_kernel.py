@@ -23,9 +23,9 @@ Scoring keeps the arithmetic of ``marginal_probabilities`` and
 does not depend on the batch it was computed in and no tie-break can flip.
 ``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
 stack of angle vectors, from one reverse sweep over the gates
-(:func:`reverse_sweep`, which the variational QUBO solvers share with their
-energy as the cost).  :func:`bfgs` minimizes such a cost from a stack of
-starts in lockstep.
+(:func:`reverse_sweep`, which the VQE solver shares with its energy as the
+cost).  :func:`bfgs` minimizes such a cost from a stack of starts in
+lockstep.
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ class ExpressionMatrix:
             )
         if len(set(self.gene_names)) != len(self.gene_names):
             raise ValueError("gene names must be unique")
-        if self.values.size and not np.all(np.isfinite(self.values)):
+        low, high = (self.values.min(), self.values.max()) if self.values.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):  # NaN propagates into both
             raise ValueError("expression values must be finite")
-        if self.values.size and self.values.min() < 0:
+        if low < 0:
             raise ValueError("expression values must be non-negative")
 
 
@@ -168,27 +169,28 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
     newline = chars == _NEWLINE
     is_end = chars == sep
     is_end |= newline
-    # No field is empty: no separator opens the block or follows another.
-    if is_end[0] or (is_end[1:] & is_end[:-1]).any():
-        return None
     ends = np.flatnonzero(is_end)
     digits = chars - _ZERO  # bytes below '0' wrap past 9
     if np.count_nonzero(digits < 10) != len(chars) - len(ends):
         return None
     if np.count_nonzero(newline) * n_fields != len(ends) or not newline[ends[n_fields - 1 :: n_fields]].all():
         return None
+    # A field and its end byte span the gap from the previous end: one byte for an
+    # empty field (a separator that opens the block or follows another).
+    span = np.empty_like(ends)
+    span[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=span[1:])
+    if span.min() < 2 or span.max() > _MAX_GRID_DIGITS + 1:
+        return None
     ends -= 1  # the last digit of each field
     out = dest[: len(ends)]
     out[:] = digits[ends]
-    width = np.diff(ends, prepend=-2) - 1
-    if width.max() > _MAX_GRID_DIGITS:
-        return None
-    place = 1
-    wider = np.flatnonzero(width > place)
+    place = 1  # the fields with a digit at this place span more than place + 1 bytes
+    wider = np.flatnonzero(span > place + 1)
     while wider.size:
         out[wider] += digits[ends[wider] - place] * 10.0**place
         place += 1
-        wider = wider[width[wider] > place]
+        wider = wider[span[wider] > place + 1]
     return len(ends)
 
 

@@ -8,7 +8,7 @@ operation a pair of vectorized 2x2 updates.
 
 :func:`apply_gate` is the public reference oracle: it never mutates its
 input and checks the norm of every state it returns.  The search, tuning,
-ablation and variational loops run on the internal kernel in ``_kernel``
+ablation and VQE loops run on the internal kernel in ``_kernel``
 instead, which applies the same 2x2 updates in place to stacks of raw
 amplitude arrays; the equivalence tests compare it against this module.
 """

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -564,6 +565,29 @@ def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
+@lru_cache(maxsize=None)
+def _walsh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set bits |k| of each basis index k, and the Sylvester factors W_a, W_b
+    (a = ceil(n/2)) of the Walsh-Hadamard transform W = W_a (x) W_b, entries
+    (-1)^|j & k|.  W^2 = 2^n I and W X_i W = 2^n Z_i, so sum_i X_i is
+    W diag(n - 2|k|) W / 2^n.  Read-only, as every caller shares them."""
+    ones = _bits(np.arange(1 << n), n).sum(axis=1)
+    arrays = [ones] + [(1.0 - 2.0 * (ones[index[:, None] & index] % 2)).astype(np.complex128)
+                       for index in (np.arange(1 << (n + 1) // 2), np.arange(1 << n // 2))]
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
+
+
+def _walsh_hadamard(states: np.ndarray, n: int, beta: np.ndarray | None = None) -> np.ndarray:
+    """W of each state in a stack, as W_a @ psi @ W_b on each state shaped (2^a, 2^b); with
+    ``beta``, of each state times its row's mixer phases exp(-i beta (n - 2|k|)) / 2^n."""
+    ones, wa, wb = _walsh(n)
+    if beta is not None:
+        states = states * (np.exp(-1j * beta[..., None] * (n - 2.0 * np.arange(n + 1))) / (1 << n))[..., ones]
+    return (wa @ states.reshape(states.shape[:-1] + (len(wa), len(wb))) @ wb).reshape(states.shape)
+
+
 def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
     """Amplitudes of the depth-2 alternating cost/mixer circuit, at (4,) or (S, 4) parameters.
 
@@ -572,14 +596,12 @@ def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
     the computational basis, so it is applied as one phase per basis state,
     exp(-i gamma E(x)).  That equals the gate-level RZ/CNOT-RZ-CNOT circuit on
     the Ising image of the QUBO up to a global phase (Farhi, Goldstone &
-    Gutmann, 2014).
+    Gutmann, 2014).  The mixer is one phase in the Walsh-Hadamard basis.
     """
     psi = np.full(params.shape[:-1] + (1 << n,), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for layer in range(2):
         psi *= np.exp(-1j * params[..., 2 * layer, None] * energies)
-        mixer = _kernel.rotation("RX", 2.0 * params[..., 2 * layer + 1])
-        for i in range(n):
-            _kernel.apply(psi, n, "RX", i, entries=mixer)
+        psi = _walsh_hadamard(_walsh_hadamard(psi, n), n, params[..., 2 * layer + 1])
     return psi
 
 
@@ -598,21 +620,22 @@ def _vqe_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np
 def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies (S,) and their exact gradients (S, 4) at an (S, 4) parameter stack.
 
-    The sweep runs back through each layer: beta drives RX(2 beta) on every
-    qubit, so d/d beta is twice the sum of the n RX gradients; gamma's
-    generator is the diagonal E, so d/d gamma = 2 Im <lambda|E psi>, and the
-    cost layer is undone by the phase exp(+i gamma E) on psi and lambda.
+    The sweep runs back through each layer, reading d/d angle = 2 Im <lambda|G psi>
+    for each generator G.  beta's, sum_i X_i = W diag(n - 2|k|) W / 2^n, is
+    read and undone between transforms by W; gamma's is the diagonal E, undone
+    by the phase exp(+i gamma E).
     """
-    rows = len(params)
     costs, pair = _energy_pair(_qaoa_state(params, n, energies), energies)
-    mixer = [GateSpec(kind="RX", target=i, angle=0.0) for i in range(n)]
+    pair = pair.reshape(2, len(params), -1)  # psi over lambda
+    spectrum = n - 2.0 * _walsh(n)[0]
     grads = np.empty(params.shape)
     for layer in (1, 0):
-        gamma, beta = params[:, 2 * layer], params[:, 2 * layer + 1]
-        rx = _kernel.reverse_sweep(pair, n, mixer, np.repeat(2.0 * beta[:, None], n, axis=1))
-        grads[:, 2 * layer + 1] = 2.0 * rx.sum(axis=1)
-        grads[:, 2 * layer] = 2.0 * (np.conj(pair[rows:]) * energies * pair[:rows]).imag.sum(axis=1)
-        pair *= np.exp(1j * np.tile(gamma, 2)[:, None] * energies)
+        pair = _walsh_hadamard(pair, n)
+        grads[:, 2 * layer + 1] = 2.0 * (np.conj(pair[1]) * spectrum * pair[0]).imag.sum(axis=1) / (1 << n)
+        pair = _walsh_hadamard(pair, n, -params[:, 2 * layer + 1])
+        grads[:, 2 * layer] = 2.0 * (np.conj(pair[1]) * energies * pair[0]).imag.sum(axis=1)
+        if layer:  # nothing reads the states before the first cost layer
+            pair *= np.exp(1j * params[:, 2 * layer, None] * energies)
     return costs, grads
 
 

@@ -20,6 +20,9 @@ the reference.  Every fast path is checked against them, or against
   the gate-level RZ/CNOT-RZ-CNOT circuit, to 1e-12 with the same top-k;
   and their adjoint energy gradients against the two-term shift rule on
   every gate of that construction, through the chain rule;
+* QAOA's mixer, one phase in the Walsh-Hadamard basis, against the same
+  circuit with n RX gates per layer: states and gradients to 1e-12, and
+  the same selected assignments from the solver;
 * the single-bit-flip delta-rho prune against a scan of the dense density
   matrix difference: the same pairs in the same order, and on real
   amplitudes the same entries bit for bit.
@@ -33,6 +36,7 @@ therefore start at three qubits, and the 1e-12 one covers every size.
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -816,15 +820,53 @@ def test_variational_gradients_match_lohi_sweep(n, rows, seed):
     rng = np.random.default_rng(seed)
     _, energies = random_qubo(rng, n)
     vqe = rng.uniform(-math.pi, math.pi, size=(rows, 3 * n))
-    qaoa = rng.uniform(-math.pi, math.pi, size=(rows, 4))
     for params in (vqe, vqe[0]):
         assert same_bits(search._vqe_state(params, n), lohi_vqe_state(params, n))
+    for got, want in zip(search._vqe_gradients(vqe, n, energies), lohi_vqe_gradients(vqe, n, energies)):
+        assert same_bits(got, want)
+
+
+# --- QAOA in the Walsh-Hadamard basis against the RX-by-RX circuit ------------
+# The mixer is one phase between two transforms, not n RX gates, so its sums
+# run in another order: states and gradients agree to 1e-12 with the lo/hi
+# circuit above, and the solver picks the same assignments.
+
+
+@pytest.mark.parametrize("n", range(1, search.VARIATIONAL_MAX_VARS + 1))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_qaoa_matches_lohi_circuit(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    _, energies = random_qubo(rng, n)
+    qaoa = rng.uniform(-math.pi, math.pi, size=(rows, 4))
     for params in (qaoa, qaoa[0]):
-        assert same_bits(search._qaoa_state(params, n, energies), lohi_qaoa_state(params, n, energies))
-    for fast, slow, params in ((search._vqe_gradients, lohi_vqe_gradients, vqe),
-                               (search._qaoa_gradients, lohi_qaoa_gradients, qaoa)):
-        for got, want in zip(fast(params, n, energies), slow(params, n, energies)):
-            assert same_bits(got, want)
+        assert np.max(np.abs(search._qaoa_state(params, n, energies) - lohi_qaoa_state(params, n, energies))) <= 1e-12
+    for got, want in zip(search._qaoa_gradients(qaoa, n, energies), lohi_qaoa_gradients(qaoa, n, energies)):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, search.VARIATIONAL_MAX_VARS + 1))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_qaoa_solver_selects_like_lohi_circuit(n, seed):
+    qp, _ = random_qubo(np.random.default_rng(seed), n)
+    fast = solve_qubo_heuristic(qp, "qaoa", top_k=4)
+    with mock.patch.object(search, "_qaoa_state", lohi_qaoa_state), \
+            mock.patch.object(search, "_qaoa_gradients", lohi_qaoa_gradients):
+        slow = solve_qubo_heuristic(qp, "qaoa", top_k=4)
+    assert [x.tolist() for x, _ in fast] == [x.tolist() for x, _ in slow]
+    assert [e for _, e in fast] == [e for _, e in slow]
+
+
+@pytest.mark.parametrize("n", range(search.VARIATIONAL_MAX_VARS + 1))
+def test_walsh_factors_are_sylvester_matrices(n):
+    factors = search._walsh(n)[1:]
+    assert [len(w) for w in factors] == [1 << (n + 1) // 2, 1 << n // 2]
+    for w in factors:
+        signs = [[(-1.0) ** bin(j & k).count("1") for k in range(len(w))] for j in range(len(w))]
+        assert np.array_equal(w, signs) and not w.flags.writeable
+        assert np.array_equal(w @ w, len(w) * np.eye(len(w)))
+    assert search._walsh(n)[0].tolist() == [bin(k).count("1") for k in range(1 << n)]
 
 
 # --- prune: single-bit-flip entries against the dense delta-rho --------------

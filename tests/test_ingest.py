@@ -221,6 +221,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExpressionMatrix(values=np.array([[np.nan]]), gene_names=["a"])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([[np.nan]], "finite"),
+            ([[1.0, np.inf]], "finite"),
+            ([[-np.inf, 1.0]], "finite"),
+            ([[1.0, -1.0]], "non-negative"),
+            ([[-1.0, np.nan]], "finite"),  # the finite check comes first
+            ([[np.nan, -1.0]], "finite"),
+        ],
+    )
+    def test_matrix_value_messages(self, values, message):
+        with pytest.raises(ValueError, match=f"^expression values must be {message}$"):
+            ExpressionMatrix(values=np.array(values), gene_names=["a", "b"][: len(values[0])])
+
+    def test_matrix_without_rows_passes(self):
+        assert ExpressionMatrix(values=np.empty((0, 2)), gene_names=["a", "b"]).values.shape == (0, 2)
+
     def test_matrix_rejects_duplicate_names(self):
         with pytest.raises(ValueError):
             ExpressionMatrix(values=np.zeros((1, 2)), gene_names=["a", "a"])
@@ -496,6 +514,24 @@ def test_blank_lines_after_the_first_block_do_not_size_the_result():
     with mock.patch.object(ingest.np, "empty", wraps=np.empty) as empty:
         assert ingest._scan_grid(data, data.index(b"\n") + 1, ",", 2) is None
     assert max(np.prod(call.args[0]) for call in empty.call_args_list) <= ingest._GRID_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("bad", ["1,,33", ",22,33", "1,22,"])
+def test_an_empty_field_after_the_first_block_is_named_like_the_per_cell_parser(tmp_path, bad):
+    row = "1,22,33\n"
+    first = ingest._GRID_BLOCK_BYTES // len(row)  # rows that fill the first block exactly
+    text = "gA,gB,gC\n" + row * first + bad + "\n" + row * first
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    scanned = []
+    scan = ingest._scan_block
+    with mock.patch.object(ingest, "_scan_block", side_effect=lambda *args: scanned.append(scan(*args)) or scanned[-1]):
+        outcome = _outcome_and_path(str(path), text)
+    # The last row and the first block scan; the second block, which opens
+    # with the bad row, is where the scan falls back.
+    assert scanned == [3, 3 * first, None]
+    assert outcome == _outcome(per_cell_load_matrix, str(path))
+    assert outcome[0] == "error" and "non-numeric value '' at row" in outcome[1]
 
 
 @pytest.mark.parametrize("shape", [(3000, 40), (3, 30000)])
