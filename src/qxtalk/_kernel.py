@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cost import CostReport
+from .cost import DEFAULT_SMOOTHING, CostReport
 from .qsim import _H_MATRIX, ROTATION_KINDS, GateSpec, _check_qubits, _half_angle_entries, _rotation_entries
 
 # BFGS with Armijo backtracking: a start stops when its largest gradient
@@ -137,9 +137,9 @@ def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | Non
     view += update
 
 
-def _smoothed(target, smoothing: float) -> np.ndarray:
+def _smoothed(target) -> np.ndarray:
     """The epsilon-smoothed target of ``kl_divergence``."""
-    qv = target.probabilities + smoothing
+    qv = target.probabilities + DEFAULT_SMOOTHING
     return qv / qv.sum()
 
 
@@ -277,10 +277,7 @@ class Kernel:
         self.n = layout.num_qubits
         self._split = (1 << layout.n_ct2, 1 << layout.n_ct1)
         self._initial = problem.initial_state.amplitudes.reshape(1, -1).copy()
-        self._targets = (
-            _smoothed(problem.target_ct1, problem.smoothing),
-            _smoothed(problem.target_ct2, problem.smoothing),
-        )
+        self._targets = (_smoothed(problem.target_ct1), _smoothed(problem.target_ct2))
         self._shots = None if problem.eval_mode == "exact" else (problem.nshots, problem.shots_seed)
         self._pair_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.rows_scored = 0  # final states scored by divergences(), over the kernel's life

@@ -41,7 +41,6 @@ MATRIX_KEYS = ("mono_ct1", "mono_ct2", "co_ct1", "co_ct2")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 
 class PipelineError(Exception):
@@ -87,13 +86,13 @@ class RunConfig:
             raise ValueError("eval_mode must be 'exact' or 'shots'")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.n_epochs < 0:
-            raise ValueError("n_epochs must be >= 0 (0 means one epoch per candidate)")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
         if self.nshots <= 0:
             raise ValueError("nshots must be positive")
-        search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose and max_depth
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose, n_epochs and max_depth
 
 
 @dataclass
@@ -124,31 +123,23 @@ class RunReport:
 
 # --- configuration handling ----------------------------------------------
 
-_LIST_FIELDS = {"ct1_genes", "ct2_genes"}
-_BOOL_FIELDS = {"synthetic", "five_gene_ct2"}
-_INT_FIELDS = {"n_choose", "n_epochs", "max_depth", "nshots", "seed", "top_k"}
-_FLOAT_FIELDS = {"threshold", "kl_tol", "eps_prune"}
-
-
 def _coerce(key: str, raw: str):
+    """``raw`` as the type that ``RunConfig`` annotates field ``key`` with."""
     value = raw.strip()
-    if key in _BOOL_FIELDS:
+    kind = {f.name: f.type for f in dataclasses.fields(RunConfig)}[key]
+    if kind == "bool":
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
-    if key in _INT_FIELDS:
+    if kind in ("int", "float"):
         try:
-            return int(value)
+            return int(value) if kind == "int" else float(value)
         except ValueError:
-            raise ValueError(f"config key {key!r}: expected an integer, got {value!r}") from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: expected a number, got {value!r}") from None
-    if key in _LIST_FIELDS:
+            expected = "an integer" if kind == "int" else "a number"
+            raise ValueError(f"config key {key!r}: expected {expected}, got {value!r}") from None
+    if kind == "list[str]":
         return [item.strip() for item in value.split(",") if item.strip()]
     return value
 
@@ -252,8 +243,7 @@ def synthetic_matrices(cfg: RunConfig):
 
 
 def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput) -> None:
-    """The four simulated matrices, the co-culture cell labels and the true edges."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """The four simulated matrices, the co-culture cell labels and the true edges, into an existing ``outdir``."""
     for key, matrix in matrices.items():
         write_matrix_csv(outdir / f"{key}.csv", matrix)
     with (outdir / "labels.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -375,7 +365,7 @@ def search_config(cfg: RunConfig) -> SearchConfig:
         kl_tol=cfg.kl_tol,
         eps_prune=cfg.eps_prune,
         n_choose=cfg.n_choose,
-        n_epochs=cfg.n_epochs or None,
+        n_epochs=cfg.n_epochs,
         max_depth=cfg.max_depth,
         shuffle_seed=cfg.seed,
     )
@@ -605,8 +595,7 @@ def write_contributions(table: ContributionTable, outdir: Path) -> None:
 
 
 def write_report_files(report: RunReport, outdir: Path) -> None:
-    """The report, the learned network and every stage artifact of a run."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """The report, the learned network and every stage artifact of a run, into an existing ``outdir``."""
     _write_json(outdir / "report.json", report_to_dict(report))
     (outdir / "report.txt").write_text(_format_report_text(report), encoding="utf-8")
     with (outdir / "edges.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -665,8 +654,9 @@ def write_trace(result: SearchResult, path: Path) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    report = run_pipeline(cfg)
     outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)  # an unusable run directory fails before any stage
+    report = run_pipeline(cfg)
     if report.synthetic is not None:
         write_synthetic(outdir, *report.synthetic)
     write_report_files(report, outdir)
@@ -679,9 +669,10 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.synthetic:
         raise PipelineError("simulate", "simulate requires synthetic = true")
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     with _stage("simulate"):
         matrices, truth, co = synthetic_matrices(cfg)
-    outdir = Path(cfg.out)
     write_synthetic(outdir, matrices, truth, co)
     sparsity = float((co.observed == 0).mean())
     print(f"wrote {len(matrices)} matrices to {outdir} (co-run sparsity {sparsity:.1%})")
@@ -690,12 +681,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_encode(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     with _stage("ingest"):
         panels = gene_panels(cfg)
         matrices = load_matrices(cfg)
     with _stage("encode"):
         enc = encode_inputs(matrices, *panels)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_encoded(enc, outdir)
     print(f"encoded histograms written to {outdir / 'encoded.json'}")
     return EXIT_OK
@@ -797,7 +788,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error in {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -33,7 +33,6 @@ class Problem:
     eval_mode: str = "exact"
     nshots: int = DEFAULT_NSHOTS
     shots_seed: int = 0
-    smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
         if self.initial_state.num_qubits != self.layout.num_qubits:
@@ -49,8 +48,6 @@ class Problem:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
         if self.nshots <= 0:
             raise ValueError("nshots must be positive")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing epsilon must be positive")
 
     def __setattr__(self, name, value):
         # The kernel caches the initial state, targets and settings; drop it on any change.
@@ -78,14 +75,13 @@ class CostReport:
         return cls(total=kl_ct1 + kl_ct2, kl_ct1=kl_ct1, kl_ct2=kl_ct2)
 
 
-def kl_divergence(p: TargetDistribution, q: TargetDistribution, smoothing: float = DEFAULT_SMOOTHING) -> float:
-    """D_KL(p || q) with epsilon-smoothed q, natural log; p(s)=0 terms contribute 0."""
+def kl_divergence(p: TargetDistribution, q: TargetDistribution) -> float:
+    """D_KL(p || q) in natural log, with q smoothed by adding ``DEFAULT_SMOOTHING``
+    to every state and renormalizing; p(s)=0 terms contribute 0."""
     if p.num_qubits != q.num_qubits:
         raise ValueError("distributions must cover the same number of qubits")
-    if smoothing <= 0:
-        raise ValueError("smoothing epsilon must be positive")
     pv = p.probabilities
-    qv = q.probabilities + smoothing
+    qv = q.probabilities + DEFAULT_SMOOTHING
     qv = qv / qv.sum()
     mask = pv > 0
     return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))

@@ -36,6 +36,9 @@ DEFAULT_EPS_PRUNE = 1e-4
 REFINE_FRACTION = 0.3
 EXACT_SOLVER_MAX_VARS = 22
 VARIATIONAL_MAX_VARS = 12
+# Restarts and sweeps per restart of the annealing solver.
+ANNEAL_RESTARTS = 12
+ANNEAL_SWEEPS = 200
 
 
 @dataclass
@@ -45,19 +48,22 @@ class SearchConfig:
     kl_tol: float = DEFAULT_KL_TOL
     eps_prune: float = DEFAULT_EPS_PRUNE
     n_choose: int = 2
-    n_epochs: int | None = None  # None -> one epoch per candidate
+    n_epochs: int = 0  # 0 -> one epoch per candidate
     max_depth: int = 12
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.kl_tol < 0 or self.eps_prune < 0:
-            raise ValueError("tolerances must be non-negative")
+        for key in ("kl_tol", "eps_prune"):
+            if not getattr(self, key) >= 0:  # NaN fails this too
+                raise ValueError(f"tolerances must be non-negative, got {key} = {getattr(self, key)}")
         if self.n_choose < 1:
             raise ValueError("n_choose must be >= 1")
-        if self.n_epochs is not None and self.n_epochs < 1:
-            raise ValueError("n_epochs must be >= 1 when given")
+        if self.n_epochs < 0:
+            raise ValueError("n_epochs must be >= 0 (0 means one epoch per candidate)")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.shuffle_seed < 0:
+            raise ValueError("shuffle_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,12 +152,12 @@ class SearchResult:
 _SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
 
 
-def gate_for_pair(pair: tuple[int, int], angle: float = SEARCH_ANGLE) -> GateSpec:
-    """The CRX gate of a (control, target) pair; at ``SEARCH_ANGLE`` itself, one shared frozen gate per pair."""
+def gate_for_pair(pair: tuple[int, int]) -> GateSpec:
+    """The CRX gate of a (control, target) pair at ``SEARCH_ANGLE``, one shared frozen gate per pair."""
     control, target = pair
-    if angle is not SEARCH_ANGLE:  # an equal angle of another type may encode differently
-        return GateSpec(kind="CRX", target=target, control=control, angle=angle)
-    return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault((control, target), GateSpec("CRX", target, control, angle))
+    return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault(
+        (control, target), GateSpec("CRX", target, control, SEARCH_ANGLE)
+    )
 
 
 def _unused(gates: tuple[GateSpec, ...], cands: CandidateSet) -> list[tuple[int, int]]:
@@ -331,7 +337,7 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     best = base
     rng = np.random.default_rng(cfg.shuffle_seed)
     order = rng.permutation(len(cands.pairs))
-    epochs = min(cfg.n_epochs if cfg.n_epochs is not None else len(cands.pairs), len(cands.pairs))
+    epochs = min(cfg.n_epochs or len(cands.pairs), len(cands.pairs))
     for e in range(epochs):
         pair = cands.pairs[int(order[e])]
         state = kernel.extend(empty, [pair], SEARCH_ANGLE)
@@ -393,14 +399,10 @@ class QuboProblem:
                              "QUBO energies are exact only below 2^53")
 
 
-def build_kl_matrix(
-    problem: Problem, cands: CandidateSet, baseline: float | None = None
-) -> tuple[np.ndarray, float]:
+def build_kl_matrix(problem: Problem, cands: CandidateSet) -> np.ndarray:
     """Pairwise cost matrix: diagonal = single-gate cost, (i, j) = G_i then G_j."""
     kernel = problem.kernel
     n = len(cands.pairs)
-    if baseline is None:
-        baseline = evaluate(problem, Topology(())).total
     m = np.zeros((n, n), dtype=np.float64)
     singles = kernel.extend(kernel.start(), cands.pairs, SEARCH_ANGLE)
     for i in range(n):
@@ -408,7 +410,7 @@ def build_kl_matrix(
         states[i] = singles[i]
         kl_ct1, kl_ct2 = kernel.divergences(states)
         m[i] = kl_ct1 + kl_ct2
-    return m, float(baseline)
+    return m
 
 
 def build_qubo(m: np.ndarray, baseline: float) -> QuboProblem:
@@ -649,18 +651,12 @@ def _top_k_probable(probs: np.ndarray, energies: np.ndarray, n: int, k: int) -> 
     return [(_bits(i, n), float(energies[i])) for i in order.tolist()]
 
 
-def solve_qubo_heuristic(
-    qp: QuboProblem,
-    mode: str,
-    seed: int = 0,
-    top_k: int = 4,
-    restarts: int = 12,
-    sweeps: int = 200,
-) -> list[tuple[np.ndarray, float]]:
+def solve_qubo_heuristic(qp: QuboProblem, mode: str, seed: int = 0, top_k: int = 4) -> list[tuple[np.ndarray, float]]:
     """Heuristic QUBO solvers.
 
     ``annealing`` returns the top_k distinct lowest-energy assignments
-    found by restarted geometric-schedule simulated annealing.  ``vqe``
+    found by ``ANNEAL_RESTARTS`` restarts of ``ANNEAL_SWEEPS`` sweeps of
+    geometric-schedule simulated annealing.  ``vqe``
     and ``qaoa`` run seeded variational circuits on the statevector
     simulator (capped at 12 variables) and return the top_k most probable
     assignments of the optimized state with their classical energies.
@@ -668,7 +664,7 @@ def solve_qubo_heuristic(
     n = qp.size
     _check_solver(mode, n, top_k, ("annealing", "vqe", "qaoa"))
     if mode == "annealing":
-        ranked = sorted((e, i) for i, e in _anneal(qp, seed, restarts, sweeps).items())
+        ranked = sorted((e, i) for i, e in _anneal(qp, seed, ANNEAL_RESTARTS, ANNEAL_SWEEPS).items())
         return [(_bits(i, n), float(e)) for e, i in ranked[:top_k]]
     energies = _energies(qp, np.arange(1 << n, dtype=np.int64))
     rng = np.random.default_rng(seed)
@@ -734,8 +730,7 @@ def qubo_search(
     history.add("baseline", (), kernel.divergences(kernel.start()), [()])
     best = history[0]
     if cands.pairs:
-        m, l0 = build_kl_matrix(problem, cands, baseline=best.cost.total)
-        qp = build_qubo(m, l0)
+        qp = build_qubo(build_kl_matrix(problem, cands), best.cost.total)
         if solver == "exact":
             solutions = [solve_qubo_exact(qp)]
         else:

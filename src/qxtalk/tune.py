@@ -7,19 +7,19 @@ circuit prefixes.
 
 The gradients come from the kernel's adjoint sweep (``Kernel.gradients``),
 and the kernel's lockstep BFGS scores every start in one stacked pass per
-round.  The first start is the topology's own angles (or a given start);
-the others are drawn once from a fixed seed.  theta = 0 is no start,
-because the encoded states are real and every angle's first-order effect
-vanishes there.  Each end point is wrapped into [0, 4*pi), the period of
-a CRX angle (CRX at theta + 2*pi is CRX at theta followed by a Z on the
-control), and the best end point is kept only when it beats the first
-start, so the tuned cost never exceeds the start's.
+round.  The first start is the topology's own angles; the others are drawn
+once from a fixed seed.  theta = 0 is no start, because the encoded states
+are real and every angle's first-order effect vanishes there.  Each end
+point is wrapped into [0, 4*pi), the period of a CRX angle (CRX at
+theta + 2*pi is CRX at theta followed by a Z on the control), and the best
+end point is kept only when it beats the first start, so the tuned cost
+never exceeds the start's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,61 +69,46 @@ class NetworkEdge:
     edge_class: str
 
 
-def _with_angles(topology: Topology, values: np.ndarray) -> Topology:
-    gates = tuple(replace(g, angle=float(a)) for g, a in zip(topology.gates, values))
-    return Topology(gates=gates)
-
-
 def _check_rotations(topology: Topology) -> None:
     for gate in topology:
         if gate.kind not in ROTATION_KINDS:
             raise ValueError(f"cannot tune non-rotation gate {gate.kind}")
 
 
-def optimize_angles(
-    problem: Problem, topology: Topology, start: AngleVector | None = None
-) -> tuple[AngleVector, CostReport]:
+def optimize_angles(problem: Problem, topology: Topology) -> tuple[AngleVector, CostReport]:
     """Tune all rotation angles by multi-start BFGS on exact gradients.
 
-    The first start is ``start``, or the topology's own angles when it is
-    None; ``RANDOM_STARTS`` more are drawn uniformly from [0, 2*pi).  Each
-    start's end point is wrapped into [0, 4*pi).  The wrapped end points and
-    the first start itself are scored by the problem's own cost (shots
-    included); the lowest wins, the earliest on a tie, with the first start
-    listed first.  So the returned angles are wrapped unless the first start
-    stands, and the tuned cost never exceeds the first start's.  The
-    reported cost is evaluated at exactly the returned angles.
+    The first start is the topology's own angles; ``RANDOM_STARTS`` more
+    are drawn uniformly from [0, 2*pi).  Each start's end point is wrapped
+    into [0, 4*pi).  The wrapped end points and the first start itself are
+    scored by the problem's own cost (shots included); the lowest wins, the
+    earliest on a tie, with the first start listed first.  So the returned
+    angles are wrapped unless the first start stands, and the tuned cost
+    never exceeds the first start's.  The reported cost is the one
+    ``evaluate`` gives the topology at exactly the returned angles.
     """
     _check_rotations(topology)
     if len(topology) == 0:
         return AngleVector(values=np.zeros(0)), evaluate(problem, topology)
-    if start is None:
-        x0 = np.array([g.angle for g in topology], dtype=np.float64)
-    else:
-        if len(start.values) != len(topology):
-            raise ValueError(
-                f"start vector has {len(start.values)} angles for {len(topology)} gates"
-            )
-        x0 = np.asarray(start.values, dtype=np.float64)
+    x0 = np.array([g.angle for g in topology], dtype=np.float64)
     drawn = np.random.default_rng(START_SEED).uniform(0.0, 2.0 * math.pi, (RANDOM_STARTS, len(topology)))
     kernel = problem.kernel
     ends, _ = bfgs(lambda a: kernel.gradients(topology.gates, a), np.vstack([x0, drawn]))
     ends = np.mod(ends, ANGLE_PERIOD)
     points = np.vstack([x0, ends])
-    # Scored one topology at a time, the first start gets exactly its evaluate() cost.
-    reports = [evaluate(problem, _with_angles(topology, p)) for p in points]
+    # Each point is run as a 1-D angle vector, with evaluate()'s math cos and sin,
+    # and a score does not depend on its batch, so each gets exactly its evaluate() cost.
+    reports = kernel.reports(np.concatenate([kernel.run(topology.gates, p) for p in points]))
     best = int(np.argmin([r.total for r in reports]))
     return AngleVector(values=points[best]), reports[best]
 
 
-def _labels(topology: Topology, gene_map: dict[int, str] | None) -> list[tuple[str, str]]:
+def _labels(topology: Topology, gene_map: dict[int, str]) -> list[tuple[str, str]]:
     def name(q: int) -> str:
-        if gene_map is not None:
-            try:
-                return gene_map[q]
-            except KeyError:
-                raise ValueError(f"gene map has no entry for qubit {q}") from None
-        return f"q{q}"
+        try:
+            return gene_map[q]
+        except KeyError:
+            raise ValueError(f"gene map has no entry for qubit {q}") from None
 
     out = []
     for gate in topology:
@@ -141,7 +126,7 @@ def contribution_analysis(
     problem: Problem,
     topology: Topology,
     angles: AngleVector,
-    gene_map: dict[int, str] | None = None,
+    gene_map: dict[int, str],
 ) -> ContributionTable:
     """Per-gate KL deltas from prefix evaluation at the tuned angles.
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: config handling, staged artifacts, full runs."""
 
+import dataclasses
 import json
 import math
 import re
@@ -435,6 +436,9 @@ def _candidate_problem() -> Problem:
 BAD_VALUES = [
     pytest.param("kl_tol = -1", r"tolerances must be non-negative", id="kl_tol-negative"),
     pytest.param("eps_prune = -1", r"tolerances must be non-negative", id="eps_prune-negative"),
+    pytest.param("kl_tol = nan", r"tolerances must be non-negative, got kl_tol = nan", id="kl_tol-nan"),
+    pytest.param("eps_prune = nan", r"tolerances must be non-negative, got eps_prune = nan", id="eps_prune-nan"),
+    pytest.param("seed = -1", r"error: seed must be >= 0", id="seed-negative"),
     pytest.param("n_choose = 0", r"n_choose must be >= 1", id="n_choose-0"),
     pytest.param("max_depth = 0", r"max_depth must be >= 1", id="max_depth-0"),
     pytest.param("threshold = 0", r"threshold must be positive", id="threshold-0"),
@@ -506,6 +510,28 @@ def test_qubit_cap_fails_before_any_matrix_is_read(tmp_path, capsys, monkeypatch
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_ERROR
     assert re.search(limit, capsys.readouterr().err)
     assert loads == []
+
+
+@pytest.mark.parametrize("command,first_stage", [("run", "run_pipeline"), ("simulate", "synthetic_matrices"),
+                                                 ("encode", "load_matrices")])
+def test_unusable_out_fails_before_any_stage(tmp_path, capsys, monkeypatch, command, first_stage):
+    """An --out below a regular file is an error line and exit 1, not a traceback,
+    reported before the command's first stage runs."""
+    stages = []
+    monkeypatch.setattr(f"qxtalk.cli.{first_stage}", lambda cfg: stages.append(cfg))
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main([command, "--synthetic", "--out", str(blocker / "out")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert stages == []
+
+
+def test_readme_lists_every_config_key():
+    """The README's key table has one row per RunConfig field, in field order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Configuration keys\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, flags=re.M) == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 class TestMissingArtifacts:

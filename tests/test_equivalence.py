@@ -44,7 +44,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qxtalk import _kernel, qsim, search
-from qxtalk.cost import CostReport, Problem, evaluate, kl_divergence
+from qxtalk.cost import DEFAULT_SMOOTHING, CostReport, Problem, evaluate, kl_divergence
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet, delta_rho, extract_candidates
 from qxtalk.qsim import (
@@ -149,7 +149,7 @@ def oracle_cost(problem: Problem, gates) -> CostReport:
             for bits, count in hist.counts.items():
                 probs[bitstring_to_index(bits)] = count / problem.nshots
             p = TargetDistribution(num_qubits=hist.num_genes, probabilities=probs)
-        parts.append(kl_divergence(p, target, problem.smoothing))
+        parts.append(kl_divergence(p, target))
     return CostReport.from_parts(*parts)
 
 
@@ -238,7 +238,7 @@ def test_phases_match_topology_at_a_time_scoring(data):
         removed = scored(Topology(seq.gates[:r] + seq.gates[r + 1 :]) for r in range(len(seq)))
         check(lambda: best_deletion(problem, seq), first_lowest(removed), len(removed))
 
-    m, _ = build_kl_matrix(problem, cands, baseline=0.0)
+    m = build_kl_matrix(problem, cands)
     want = [
         [evaluate(problem, Topology((gate_for_pair(a),) if a == b else (gate_for_pair(a), gate_for_pair(b)))).total
          for b in cands.pairs]
@@ -324,7 +324,8 @@ def test_annealing_matches_state_at_a_time_oracle(qp, seed, top_k):
     # The same states in the same visiting order, each with the same energy bits.
     assert list(visited.items()) == [(sum(b << i for i, b in enumerate(k)), e) for k, e in oracle.items()]
     ranked = sorted(oracle.items(), key=lambda kv: (kv[1], sum(b << i for i, b in enumerate(kv[0]))))
-    top = solve_qubo_heuristic(qp, "annealing", seed=seed, top_k=top_k, restarts=restarts, sweeps=sweeps)
+    with mock.patch.multiple(search, ANNEAL_RESTARTS=restarts, ANNEAL_SWEEPS=sweeps):
+        top = solve_qubo_heuristic(qp, "annealing", seed=seed, top_k=top_k)
     assert [(x.tolist(), e) for x, e in top] == [(list(k), e) for k, e in ranked[:top_k]]
 
 
@@ -340,7 +341,8 @@ def test_annealing_decodes_indices_past_64_bits(n):
     restarts, sweeps, top_k = 2, 20, 8
     oracle = oracle_anneal(qp, 0, restarts, sweeps)
     ranked = sorted(oracle.items(), key=lambda kv: (kv[1], sum(b << i for i, b in enumerate(kv[0]))))
-    top = solve_qubo_heuristic(qp, "annealing", seed=0, top_k=top_k, restarts=restarts, sweeps=sweeps)
+    with mock.patch.multiple(search, ANNEAL_RESTARTS=restarts, ANNEAL_SWEEPS=sweeps):
+        top = solve_qubo_heuristic(qp, "annealing", seed=0, top_k=top_k)
     assert [(x.tolist(), e) for x, e in top] == [(list(k), e) for k, e in ranked[:top_k]]
     assert top[0][0][63] == 1 and not top[0][0][64:].any()
 
@@ -374,7 +376,7 @@ def test_qubo_entries_must_lie_on_the_grid():
 
 def crx_topology(data, n, max_size=4):
     pairs = data.draw(pair_lists(n, min_size=1, max_size=max_size))
-    return Topology(tuple(gate_for_pair(p, angle=data.draw(ANGLES)) for p in pairs))
+    return Topology(tuple(GateSpec("CRX", target, control, data.draw(ANGLES)) for control, target in pairs))
 
 
 @EXAMPLES
@@ -394,7 +396,8 @@ def test_ablation_matches_oracle(data):
     problem = data.draw(problems(min_qubits=3))
     topology = crx_topology(data, problem.layout.num_qubits)
     angles = AngleVector(values=np.array([data.draw(ANGLES) for _ in topology.gates]))
-    table = contribution_analysis(problem, topology, angles)
+    gene_map = {q: f"q{q}" for q in range(problem.layout.num_qubits)}
+    table = contribution_analysis(problem, topology, angles, gene_map)
     tuned = [GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, angles.values)]
     assert table.baseline_kl == oracle_cost(problem, []).total
     assert [row.kl_after_prefix for row in table.rows] == [
@@ -432,7 +435,7 @@ def shift_rule_gradient(problem, topology, theta):
     slopes = []
     for p, target in zip(oracle_marginals(problem, at_angles(topology, theta)),
                          (problem.target_ct1, problem.target_ct2)):
-        q = target.probabilities + problem.smoothing
+        q = target.probabilities + DEFAULT_SMOOTHING
         q = q / q.sum()
         slopes.append(np.where(p > 0, np.log(np.where(p > 0, p, 1.0) / q) + 1.0, 0.0))
     grad = np.zeros(len(theta))

@@ -107,9 +107,6 @@ class TestGateForPair:
         assert gate.control == 2 and gate.target == 5
         assert gate.angle == SEARCH_ANGLE
 
-    def test_custom_angle(self):
-        assert gate_for_pair((0, 1), angle=1.0).angle == 1.0
-
 
 class TestRowsScored:
     def test_counts_every_call(self):
@@ -452,17 +449,16 @@ class TestBuildKlMatrix:
         rng = np.random.default_rng(26)
         problem = product_problem(rng, 1, 2)
         cands = CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
-        m, baseline = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands)
         assert m.shape == (1, 1)
         assert m[0, 0] == evaluate(problem, Topology((gate_for_pair((0, 1)),))).total
-        assert baseline == evaluate(problem, Topology(())).total
 
     def test_entries_match_direct_two_gate_evaluation(self):
         rng = np.random.default_rng(27)
         problem = product_problem(rng, 2, 2)
         pairs = [(0, 2), (2, 1), (1, 3)]
         cands = CandidateSet(pairs=pairs, threshold_used=0.01)
-        m, _ = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands)
         for i, j in ((0, 1), (1, 2), (2, 0)):
             direct = evaluate(
                 problem, Topology((gate_for_pair(pairs[i]), gate_for_pair(pairs[j])))
@@ -473,16 +469,15 @@ class TestBuildKlMatrix:
         rng = np.random.default_rng(28)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 2), (2, 1)], threshold_used=0.01)
-        m, _ = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands)
         assert m[0, 1] != m[1, 0]
 
     def test_evaluation_count_is_n_squared(self):
         rng = np.random.default_rng(29)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 2), (2, 1), (1, 3)], threshold_used=0.01)
-        base = evaluate(problem, Topology(())).total
         before = problem.kernel.rows_scored
-        build_kl_matrix(problem, cands, baseline=base)
+        build_kl_matrix(problem, cands)
         assert problem.kernel.rows_scored - before == 9
 
 
@@ -879,11 +874,16 @@ class TestSearchConfig:
         assert cfg.max_depth == 12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(kl_tol=-1)
+        assert SearchConfig(n_epochs=0).n_epochs == 0
+        for key in ("kl_tol", "eps_prune"):
+            for bad in (-1.0, math.nan):
+                with pytest.raises(ValueError, match=f"tolerances must be non-negative, got {key} = "):
+                    SearchConfig(**{key: bad})
         with pytest.raises(ValueError):
             SearchConfig(n_choose=0)
         with pytest.raises(ValueError):
             SearchConfig(max_depth=0)
-        with pytest.raises(ValueError):
-            SearchConfig(n_epochs=0)
+        with pytest.raises(ValueError, match="n_epochs must be >= 0"):
+            SearchConfig(n_epochs=-1)
+        with pytest.raises(ValueError, match="shuffle_seed must be >= 0"):
+            SearchConfig(shuffle_seed=-1)
