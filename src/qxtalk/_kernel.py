@@ -279,7 +279,7 @@ class Kernel:
         self._initial = problem.initial_state.amplitudes.reshape(1, -1).copy()
         self._targets = (_smoothed(problem.target_ct1), _smoothed(problem.target_ct2))
         self._shots = None if problem.eval_mode == "exact" else (problem.nshots, problem.shots_seed)
-        self._pair_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._pair_table: tuple[np.ndarray, np.ndarray] | None = None
         self.rows_scored = 0  # final states scored by divergences(), over the kernel's life
 
     def start(self, rows: int = 1) -> np.ndarray:
@@ -313,30 +313,49 @@ class Kernel:
             apply(states, self.n, gate.kind, gate.target, gate.control, entries)
         return states
 
-    def _indices(self, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        found = self._pair_index.get(pair)
-        if found is None:
-            control, target = pair
-            _check_qubits(GateSpec(kind="CRX", target=target, control=control, angle=0.0), self.n)
-            idx = np.arange(1 << self.n)
-            lo = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-            found = self._pair_index[pair] = (lo, lo | (1 << target))
-        return found
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (n, n, 2**(n-2)): entry [c, t] holds the ascending amplitude
+        indices with bit c set and bit t clear, and those with both set."""
+        if self._pair_table is None:
+            n = self.n
+            pairs = np.arange(n)
+            control, target = (a.reshape(a.shape + (1,)) for a in np.meshgrid(pairs, pairs, indexing="ij"))
+            low, high = np.minimum(control, target), np.maximum(control, target)
+            # Insert a clear bit at the lower qubit, then at the higher one, into every
+            # (n - 2)-bit index; both steps keep the order, so each row ascends.
+            idx = np.arange(1 << max(n - 2, 0))
+            idx = (idx >> low << (low + 1)) | (idx & ((1 << low) - 1))
+            idx = (idx >> high << (high + 1)) | (idx & ((1 << high) - 1))
+            lo = idx | (1 << control)
+            self._pair_table = (lo, lo | (1 << target))
+        return self._pair_table
 
-    def extend(self, state: np.ndarray, pairs, angle: float) -> np.ndarray:
-        """One row per (control, target) pair: ``state`` followed by CRX(angle) on that pair."""
-        states = np.repeat(state.reshape(1, -1), len(pairs), axis=0)
-        if not pairs:
-            return states
-        index = [self._indices(p) for p in pairs]
-        rows = np.arange(len(pairs))[:, None]
-        lo = np.array([i[0] for i in index])
-        hi = np.array([i[1] for i in index])
+    def extend(self, states: np.ndarray, parents, pairs, angle: float) -> np.ndarray:
+        """Row r: row ``parents[r]`` of a (k, 2**n) stack followed by CRX(angle) on
+        the (control, target) pair ``pairs[r]``, as one gather over every row."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        control, target = pairs.T
+        bad = (control == target) | ((pairs < 0) | (pairs >= self.n)).any(axis=1)
+        if bad.any():
+            c, t = pairs[int(np.argmax(bad))].tolist()
+            _check_qubits(GateSpec(kind="CRX", target=t, control=c, angle=0.0), self.n)
+        out = states[np.asarray(parents, dtype=np.intp)]
+        lo, hi = self._table()
+        offset = (np.arange(len(out)) * out.shape[1])[:, None]
+        lo, hi = lo[control, target], hi[control, target]
+        lo += offset
+        hi += offset
         m00, m01, m10, m11 = _rotation_entries("CRX", angle)
-        a0, a1 = states[rows, lo], states[rows, hi]
-        states[rows, lo] = m00 * a0 + m01 * a1
-        states[rows, hi] = m10 * a0 + m11 * a1
-        return states
+        flat = out.reshape(-1)
+        a0, a1 = flat.take(lo), flat.take(hi)
+        update = m00 * a0
+        update += m01 * a1
+        flat.put(lo, update)
+        a0 *= m10
+        a1 *= m11
+        a0 += a1
+        flat.put(hi, a0)
+        return out
 
     def deletions(self, gates) -> np.ndarray:
         """Row r: the initial state after every gate of ``gates`` except gate r."""

@@ -92,6 +92,8 @@ class RunConfig:
             raise ValueError("nshots must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if len(self.delimiter) > 1:  # "" auto-detects tab or comma
+            raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
         search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose, n_epochs and max_depth
 
 
@@ -615,12 +617,13 @@ def write_trace(result: SearchResult, path: Path) -> None:
     of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}.
 
     Lines are written batch by batch from the history's columns: a batch's
-    parent and phase are encoded once for all its rows.  A gate's text is
-    kept with the first gate of its (control, target) pair and reused for
-    that same object only, so equal gates whose angles encode differently,
-    such as 0.0 and -0.0, or 1 and 1.0, never share a text.  A finite cost
-    is written as its ``repr``, the text ``json`` writes for it.  Lines are
-    streamed, so the trace is never held in memory whole.
+    phase is encoded, and its parent encoded and joined, once for all its
+    rows.  A gate's text is kept with the first gate of its (control, target)
+    pair and reused for that same object only, so equal gates whose angles
+    encode differently, such as 0.0 and -0.0, or 1 and 1.0, never share a
+    text.  A finite cost is written as its ``repr``, the text ``json``
+    writes for it.  Each batch is written with one ``write``, so the trace
+    is never held in memory whole.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
     known: dict[tuple, tuple[GateSpec, str]] = {}
@@ -639,15 +642,16 @@ def write_trace(result: SearchResult, path: Path) -> None:
 
     with path.open("w", encoding="utf-8") as fh:
         for batch in result.history.batches:
-            phase = encode(batch.phase)
             parent = [text(g) for g in batch.parent]
             if batch.appended is None:
                 sequences = [", ".join(parent[:r] + parent[r + 1 :]) for r in range(len(parent))]
             else:
-                sequences = [", ".join(parent + [pair_text(p) for p in pairs]) for pairs in batch.appended]
-            for cost, sequence in zip(batch.total.tolist(), sequences):
-                cost = repr(cost) if math.isfinite(cost) else encode(cost)
-                fh.write(f'{{"cost": {cost}, "phase": {phase}, "sequence": [{sequence}]}}\n')
+                head = ", ".join(parent)
+                lead = head + ", " if head else ""
+                sequences = [lead + ", ".join(map(pair_text, pairs)) if pairs else head for pairs in batch.appended]
+            middle = f', "phase": {encode(batch.phase)}, "sequence": ['
+            fh.write("".join(f'{{"cost": {repr(cost) if math.isfinite(cost) else encode(cost)}{middle}{sequence}]}}\n'
+                             for cost, sequence in zip(batch.total.tolist(), sequences)))
 
 
 # --- stage subcommands ----------------------------------------------------

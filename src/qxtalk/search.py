@@ -39,6 +39,9 @@ VARIATIONAL_MAX_VARS = 12
 # Restarts and sweeps per restart of the annealing solver.
 ANNEAL_RESTARTS = 12
 ANNEAL_SWEEPS = 200
+# A batched search step extends and scores stacks of states of at most this
+# many bytes (a state is 16 * 2**n); a step with more rows is split.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass
@@ -89,10 +92,10 @@ class Batch:
     kl_ct2: np.ndarray
     total: np.ndarray
 
-    def lengths(self) -> list[int]:
+    def lengths(self) -> np.ndarray:
         if self.appended is None:
-            return [len(self.parent) - 1] * len(self.parent)
-        return [len(self.parent) + len(pairs) for pairs in self.appended]
+            return np.full(len(self.parent), len(self.parent) - 1)
+        return len(self.parent) + np.fromiter(map(len, self.appended), dtype=np.intp, count=len(self.appended))
 
     def entry(self, row: int) -> HistoryEntry:
         if self.appended is None:
@@ -171,21 +174,58 @@ def _lowest(history: History) -> tuple[Topology, CostReport]:
     return entry.topology, entry.cost
 
 
+def _stack_rows(kernel) -> int:
+    """The number of states in a stack of at most ``_STACK_BYTES``, at least one."""
+    return max(1, _STACK_BYTES // (16 << kernel.n))
+
+
+def _extension_divergences(kernel, states: np.ndarray, parents: np.ndarray,
+                           pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kl_ct1, kl_ct2) of row ``parents[r]`` of ``states`` followed by the search
+    gate of ``pairs[r]``, for every r, in stacks of at most ``_STACK_BYTES``."""
+    step = _stack_rows(kernel)
+    parts = [kernel.divergences(kernel.extend(states, parents[i : i + step], pairs[i : i + step], SEARCH_ANGLE))
+             for i in range(0, len(parents), step)]
+    if not parts:
+        return np.empty(0), np.empty(0)
+    return tuple(np.concatenate(register) for register in zip(*parts))
+
+
 def _permutations(kernel, state: np.ndarray, pairs: list[tuple[int, int]], depth: int) -> tuple[np.ndarray, ...]:
     """(kl_ct1, kl_ct2) of the final state ``state`` followed by each ordered
     ``depth``-tuple of ``pairs``' search gates, in ``itertools.permutations(pairs, depth)`` order.
 
-    The walk is depth first, so each prefix gate is applied once and shared
-    by every tuple below it.
+    The walk is breadth first: each level of the prefix tree is one extension
+    of the level above, so each prefix gate is applied once and shared by every
+    tuple below it.
     """
     if depth == 0:
         return kernel.divergences(state)
-    children = kernel.extend(state, pairs, SEARCH_ANGLE)
+    return _walk(kernel, state, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.arange(len(pairs))[None], depth)
+
+
+def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
+    """The ``depth`` levels of the prefix tree below the nodes ``states``, node r
+    followed in turn by each pair of ``table`` that row r of ``unused`` indexes.
+
+    Children are listed node by node, each node's in the order of its unused
+    pairs, which keeps the order of ``itertools.permutations``.  A level that
+    would outgrow ``_STACK_BYTES`` is walked in groups of nodes, one group at a
+    time; a single node is always expanded.
+    """
+    nodes, width = unused.shape
+    rows = _stack_rows(kernel)
+    if nodes > 1 and nodes * width > rows:
+        group = max(1, rows // width)
+        parts = [_walk(kernel, states[i : i + group], table, unused[i : i + group], depth)
+                 for i in range(0, nodes, group)]
+        return tuple(np.concatenate(register) for register in zip(*parts))
+    children = kernel.extend(states, np.repeat(np.arange(nodes), width), table[unused.reshape(-1)], SEARCH_ANGLE)
     if depth == 1:
         return kernel.divergences(children)
-    parts = [_permutations(kernel, children[i : i + 1], pairs[:i] + pairs[i + 1 :], depth - 1)
-             for i in range(len(pairs))]
-    return tuple(np.concatenate(register) for register in zip(*parts))
+    # Child (r, j) keeps row r of unused without its column j.
+    rest = np.broadcast_to(unused[:, None, :], (nodes, width, width))[:, ~np.eye(width, dtype=bool)]
+    return _walk(kernel, children, table, rest.reshape(nodes * width, width - 1), depth - 1)
 
 
 def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet) -> tuple[Topology, CostReport]:
@@ -201,7 +241,7 @@ def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet) -> tupl
     prefix = kernel.start()
     by_pos = []
     for pos in range(len(seq) + 1):
-        states = kernel.extend(prefix, unused, SEARCH_ANGLE)
+        states = kernel.extend(prefix, [0] * len(unused), unused, SEARCH_ANGLE)
         for gate in seq.gates[pos:]:
             kernel.apply(states, gate)
         by_pos.append(kernel.divergences(states))
@@ -284,7 +324,7 @@ def occam_select(history: History, kl_tol: float) -> int:
     if not len(history):
         raise ValueError("history is empty")
     totals = history.totals().tolist()
-    order = np.argsort([n for batch in history.batches for n in batch.lengths()], kind="stable").tolist()
+    order = np.argsort(np.concatenate([batch.lengths() for batch in history.batches]), kind="stable").tolist()
     incumbent = order[0]
     for i in order[1:]:
         if totals[i] < totals[incumbent] - kl_tol:
@@ -292,21 +332,48 @@ def occam_select(history: History, kl_tol: float) -> int:
     return incumbent
 
 
-def _greedy_forward(kernel, gates: tuple[GateSpec, ...], total: float, state: np.ndarray, cands: CandidateSet,
-                    max_depth: int, history: History) -> tuple[tuple[GateSpec, ...], float]:
-    """Append the best unused gate to ``gates``, whose final state is ``state``,
-    while that lowers the total."""
-    while len(gates) < max_depth:
-        unused = _unused(gates, cands)
-        if not unused:
+def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, totals: np.ndarray,
+                    max_depth: int) -> tuple[list[list[Batch]], list[tuple]]:
+    """Grow one greedy path from each index of ``firsts`` into the candidate
+    ``pairs``, whose single gate scores ``totals``, by appending the best unused
+    candidate while that lowers the path's total, up to ``max_depth`` gates.
+
+    A path reads only its own gates and state, so the paths grow in lockstep:
+    each depth extends and scores the unused candidates of every growing path
+    together.  Returns each path's "forward" batches and its final (gates, total).
+    """
+    table = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    batches: list[list[Batch]] = [[] for _ in firsts]
+    paths = [((gate_for_pair(pairs[c]),), float(t)) for c, t in zip(firsts.tolist(), totals.tolist())]
+    used = np.zeros((len(firsts), len(pairs)), dtype=bool)
+    used[np.arange(len(firsts)), firsts] = True
+    growing = np.arange(len(firsts))
+    states = kernel.extend(kernel.start(), np.zeros(len(firsts), dtype=np.intp), table[firsts], SEARCH_ANGLE)
+    for _ in range(max_depth - 1):
+        counts = (~used[growing]).sum(axis=1)
+        growing, states, counts = growing[counts > 0], states[counts > 0], counts[counts > 0]
+        if not len(growing):
             break
-        states = kernel.extend(state, unused, SEARCH_ANGLE)
-        batch = history.add("forward", gates, kernel.divergences(states), [(p,) for p in unused])
-        i = int(np.argmin(batch.total))
-        if batch.total[i] >= total:
-            break
-        gates, total, state = gates + (gate_for_pair(unused[i]),), float(batch.total[i]), states[i : i + 1]
-    return gates, total
+        rows, cols = np.nonzero(~used[growing])
+        kl_ct1, kl_ct2 = _extension_divergences(kernel, states, rows, table[cols])
+        total = kl_ct1 + kl_ct2
+        kept, picked = [], []
+        for row, (path, end, count) in enumerate(zip(growing.tolist(), np.cumsum(counts).tolist(), counts.tolist())):
+            block = slice(end - count, end)
+            gates, path_total = paths[path]
+            appended = [(pairs[c],) for c in cols[block].tolist()]
+            batches[path].append(Batch("forward", gates, appended, kl_ct1[block], kl_ct2[block], total[block]))
+            i = end - count + int(np.argmin(total[block]))
+            if total[i] >= path_total:
+                continue
+            paths[path] = gates + (gate_for_pair(pairs[cols[i]]),), float(total[i])
+            kept.append(row)
+            picked.append(cols[i])
+        kept, picked = np.array(kept, dtype=np.intp), np.array(picked, dtype=np.intp)
+        growing = growing[kept]
+        used[growing, picked] = True
+        states = kernel.extend(states, kept, table[picked], SEARCH_ANGLE)
+    return batches, paths
 
 
 def _greedy_removal(kernel, gates: tuple[GateSpec, ...], total: float, delta: float, history: History) -> float:
@@ -326,7 +393,9 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     Each epoch grows a sequence from one shuffled candidate (only when
     that start already beats the empty baseline), refines new champions
     backwards with margin 0.3 * kl_tol, and finally picks the shortest
-    history entry whose cost is not beaten by more than kl_tol.
+    history entry whose cost is not beaten by more than kl_tol.  The epochs
+    grow in lockstep (``_greedy_forward``) and are then replayed in order
+    into the history, refining each new champion.
     """
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
@@ -334,19 +403,22 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     history = History()
     empty = kernel.start()
     base = float(history.add("baseline", (), kernel.divergences(empty), [()]).total[0])
-    best = base
     rng = np.random.default_rng(cfg.shuffle_seed)
     order = rng.permutation(len(cands.pairs))
     epochs = min(cfg.n_epochs or len(cands.pairs), len(cands.pairs))
-    for e in range(epochs):
-        pair = cands.pairs[int(order[e])]
-        state = kernel.extend(empty, [pair], SEARCH_ANGLE)
-        start = float(history.add("epoch-start", (), kernel.divergences(state), [(pair,)]).total[0])
-        if start >= base:
+    table = np.array(cands.pairs, dtype=np.intp).reshape(-1, 2)
+    firsts = order[:epochs]
+    kl_ct1, kl_ct2 = _extension_divergences(kernel, empty, np.zeros(epochs, dtype=np.intp), table[firsts])
+    starts = kl_ct1 + kl_ct2
+    grows = ~(starts >= base)  # a NaN start grows too
+    grown = zip(*_greedy_forward(kernel, cands.pairs, firsts[grows], starts[grows], cfg.max_depth))
+    best = base
+    for e, first in enumerate(firsts.tolist()):
+        history.add("epoch-start", (), (kl_ct1[e : e + 1], kl_ct2[e : e + 1]), [(cands.pairs[first],)])
+        if not grows[e]:
             continue
-        path, path_total = _greedy_forward(
-            kernel, (gate_for_pair(pair),), start, state, cands, cfg.max_depth, history
-        )
+        batches, (path, path_total) = next(grown)
+        history.batches += batches
         if path_total < best:
             best = _greedy_removal(kernel, path, path_total, REFINE_FRACTION * cfg.kl_tol, history)
     chosen = history[occam_select(history, cfg.kl_tol)]
@@ -403,13 +475,14 @@ def build_kl_matrix(problem: Problem, cands: CandidateSet) -> np.ndarray:
     """Pairwise cost matrix: diagonal = single-gate cost, (i, j) = G_i then G_j."""
     kernel = problem.kernel
     n = len(cands.pairs)
-    m = np.zeros((n, n), dtype=np.float64)
-    singles = kernel.extend(kernel.start(), cands.pairs, SEARCH_ANGLE)
-    for i in range(n):
-        states = kernel.extend(singles[i], cands.pairs, SEARCH_ANGLE)
-        states[i] = singles[i]
-        kl_ct1, kl_ct2 = kernel.divergences(states)
-        m[i] = kl_ct1 + kl_ct2
+    table = np.array(cands.pairs, dtype=np.intp).reshape(-1, 2)
+    singles = kernel.extend(kernel.start(), np.zeros(n, dtype=np.intp), table, SEARCH_ANGLE)
+    m = np.empty((n, n), dtype=np.float64)
+    kl_ct1, kl_ct2 = kernel.divergences(singles)
+    m[np.diag_indices(n)] = kl_ct1 + kl_ct2
+    first, second = np.nonzero(~np.eye(n, dtype=bool))
+    kl_ct1, kl_ct2 = _extension_divergences(kernel, singles, first, table[second])
+    m[first, second] = kl_ct1 + kl_ct2
     return m
 
 

@@ -527,6 +527,24 @@ def test_unusable_out_fails_before_any_stage(tmp_path, capsys, monkeypatch, comm
     assert stages == []
 
 
+@pytest.mark.parametrize("command", ["run", "encode"])
+def test_multi_character_delimiter_fails_up_front(tmp_path, capsys, monkeypatch, command):
+    """A synthetic run reads no matrix file, yet it rejects the delimiter as encode does."""
+    monkeypatch.setenv("QXTALK_DELIMITER", "ab")
+    assert main([command, "--synthetic", "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: delimiter must be a single character, got 'ab'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("delimiter", ["", ",", "\t"])
+def test_single_character_delimiters_run(tmp_path, monkeypatch, delimiter):
+    assert RunConfig(delimiter=delimiter).delimiter == delimiter
+    monkeypatch.setenv("QXTALK_DELIMITER", delimiter)
+    out = str(tmp_path / "out")
+    assert main(["run", "--synthetic", "--strategy", "local", "--out", out]) == EXIT_OK
+    assert main(["encode", "--synthetic", "--out", out]) == EXIT_OK
+
+
 def test_readme_lists_every_config_key():
     """The README's key table has one row per RunConfig field, in field order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

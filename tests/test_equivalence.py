@@ -189,11 +189,17 @@ def test_kernel_gates_match_apply_gate(data):
 def test_extensions_and_deletions_score_like_evaluate(data):
     problem = data.draw(problems())
     n = problem.layout.num_qubits
-    seq = Topology(tuple(gate_for_pair(p) for p in data.draw(pair_lists(n, max_size=4))))
+    seqs = [Topology(tuple(gate_for_pair(p) for p in data.draw(pair_lists(n, max_size=4))))
+            for _ in range(data.draw(st.integers(1, 3)))]
     pairs = data.draw(pair_lists(n, min_size=1, max_size=6))
+    parents = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=len(pairs), max_size=len(pairs)))
     kernel = problem.kernel
-    extended = kernel.reports(kernel.extend(kernel.run(seq.gates), pairs, search.SEARCH_ANGLE))
-    assert extended == [evaluate(problem, Topology(seq.gates + (gate_for_pair(p),))) for p in pairs]
+    stack = np.concatenate([kernel.run(s.gates) for s in seqs])
+    extended = kernel.reports(kernel.extend(stack, parents, pairs, search.SEARCH_ANGLE))
+    assert extended == [
+        evaluate(problem, Topology(seqs[r].gates + (gate_for_pair(p),))) for r, p in zip(parents, pairs)
+    ]
+    seq = seqs[0]
     if len(seq):
         shorter = kernel.reports(kernel.deletions(seq.gates))
         assert shorter == [
@@ -272,6 +278,140 @@ def test_ordering_matches_topology_at_a_time_scoring(data):
     assert [(e.topology, e.cost) for e in result.history] == [(t, evaluate(problem, t)) for t in topologies]
     assert result.evaluations == len(topologies)
     assert (result.topology, result.cost) == first_lowest((e.topology, e.cost) for e in result.history)
+
+
+# --- lockstep search paths against their serial forms -------------------------
+#
+# Serial copies of three search paths as they were before they moved in
+# lockstep: multi_epoch growing one epoch at a time, the ordering walk depth
+# first with every leaf its own batch, and the pairwise matrix row by row.
+# A score does not depend on its batch, so the lockstep forms must match them
+# bit for bit, also with the stack budget cut down to a few states, where
+# rounds are split and the walk recurses group by group.
+
+
+def extend_one(kernel, state, pairs):
+    return kernel.extend(state.reshape(1, -1), [0] * len(pairs), pairs, search.SEARCH_ANGLE)
+
+
+def serial_permutations(kernel, state, pairs, depth):
+    if depth == 0:
+        return kernel.divergences(state)
+    children = extend_one(kernel, state, pairs)
+    if depth == 1:
+        return kernel.divergences(children)
+    parts = [serial_permutations(kernel, children[i : i + 1], pairs[:i] + pairs[i + 1 :], depth - 1)
+             for i in range(len(pairs))]
+    return tuple(np.concatenate(register) for register in zip(*parts))
+
+
+def serial_kl_matrix(problem, cands):
+    kernel = problem.kernel
+    n = len(cands.pairs)
+    m = np.zeros((n, n), dtype=np.float64)
+    singles = extend_one(kernel, kernel.start(), cands.pairs)
+    for i in range(n):
+        states = extend_one(kernel, singles[i], cands.pairs)
+        states[i] = singles[i]
+        kl_ct1, kl_ct2 = kernel.divergences(states)
+        m[i] = kl_ct1 + kl_ct2
+    return m
+
+
+def serial_multi_epoch(problem, cands, cfg):
+    kernel = problem.kernel
+    scored = kernel.rows_scored
+    history = search.History()
+    empty = kernel.start()
+    base = float(history.add("baseline", (), kernel.divergences(empty), [()]).total[0])
+    best = base
+    order = np.random.default_rng(cfg.shuffle_seed).permutation(len(cands.pairs))
+    for e in range(min(cfg.n_epochs or len(cands.pairs), len(cands.pairs))):
+        pair = cands.pairs[int(order[e])]
+        state = extend_one(kernel, empty, [pair])
+        total = float(history.add("epoch-start", (), kernel.divergences(state), [(pair,)]).total[0])
+        if total >= base:
+            continue
+        gates = (gate_for_pair(pair),)
+        while len(gates) < cfg.max_depth:
+            unused = [p for p in cands.pairs if p not in {(g.control, g.target) for g in gates}]
+            if not unused:
+                break
+            states = extend_one(kernel, state, unused)
+            batch = history.add("forward", gates, kernel.divergences(states), [(p,) for p in unused])
+            i = int(np.argmin(batch.total))
+            if batch.total[i] >= total:
+                break
+            gates, total, state = gates + (gate_for_pair(unused[i]),), float(batch.total[i]), states[i : i + 1]
+        if total < best:
+            best = search._greedy_removal(kernel, gates, total, search.REFINE_FRACTION * cfg.kl_tol, history)
+    chosen = history[search.occam_select(history, cfg.kl_tol)]
+    return search.SearchResult(chosen.topology, chosen.cost, kernel.rows_scored - scored, history)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def batch_bits(history):
+    return [(b.phase, b.parent, b.appended, bits(b.kl_ct1), bits(b.kl_ct2), bits(b.total)) for b in history.batches]
+
+
+def stack_budget(data, n):
+    """A drawn stack budget: the module's, or a few states, down to one."""
+    states = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
+    return mock.patch.object(search, "_STACK_BYTES", states * (16 << n) if states else search._STACK_BYTES)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_multi_epoch_matches_its_serial_form(data):
+    problem = data.draw(problems(max_qubits=6))
+    n = problem.layout.num_qubits
+    cands = CandidateSet(pairs=data.draw(pair_lists(n, min_size=1, max_size=8)), threshold_used=0.01)
+    cfg = search.SearchConfig(
+        kl_tol=data.draw(st.sampled_from([0.0, 1e-3, 0.01, 0.1])),
+        n_epochs=data.draw(st.integers(0, len(cands.pairs))),
+        max_depth=data.draw(st.integers(1, 8)),
+        shuffle_seed=data.draw(st.integers(0, 50)),
+    )
+    want = serial_multi_epoch(problem, cands, cfg)
+    with stack_budget(data, n):
+        got = multi_epoch(problem, cands, cfg)
+    assert batch_bits(got.history) == batch_bits(want.history)
+    assert got.evaluations == want.evaluations
+    assert (got.topology, bits([got.cost.kl_ct1, got.cost.kl_ct2])) == (
+        want.topology, bits([want.cost.kl_ct1, want.cost.kl_ct2]))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_breadth_first_orderings_match_the_depth_first_walk(data):
+    problem = data.draw(problems(max_qubits=6))
+    n = problem.layout.num_qubits
+    kernel = problem.kernel
+    state = kernel.run(tuple(gate_for_pair(p) for p in data.draw(pair_lists(n, max_size=3))))
+    pairs = data.draw(pair_lists(n, min_size=1, max_size=6))
+    depth = data.draw(st.integers(0, len(pairs)))
+    want = serial_permutations(kernel, state, pairs, depth)
+    with stack_budget(data, n):
+        got = search._permutations(kernel, state, pairs, depth)
+    assert [bits(kl) for kl in got] == [bits(kl) for kl in want]
+    assert len(got[0]) == math.perm(len(pairs), depth)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_pairwise_matrix_matches_its_row_by_row_form(data):
+    problem = data.draw(problems(max_qubits=6))
+    n = problem.layout.num_qubits
+    cands = CandidateSet(pairs=data.draw(pair_lists(n, min_size=1, max_size=8)), threshold_used=0.01)
+    want = serial_kl_matrix(problem, cands)
+    before = problem.kernel.rows_scored
+    with stack_budget(data, n):
+        got = build_kl_matrix(problem, cands)
+    assert bits(got) == bits(want)
+    assert problem.kernel.rows_scored - before == len(cands.pairs) ** 2
 
 
 # --- the annealer against its state-at-a-time form ---------------------------

@@ -119,6 +119,15 @@ class TestRowsScored:
         assert problem.kernel.rows_scored == 3
 
 
+class TestKernelExtend:
+    def test_bad_pairs_rejected_like_gates(self):
+        kernel = product_problem(np.random.default_rng(1), 1, 2).kernel  # 3 qubits
+        with pytest.raises(ValueError, match=r"gate CRX addresses qubit 3 outside 0\.\.2"):
+            kernel.extend(kernel.start(), [0, 0], [(0, 1), (0, 3)], SEARCH_ANGLE)
+        with pytest.raises(ValueError, match="control and target qubits must differ"):
+            kernel.extend(kernel.start(), [0], [(1, 1)], SEARCH_ANGLE)
+
+
 class TestBestInsertion:
     def test_nine_evaluations_for_two_gate_seq(self):
         rng = np.random.default_rng(1)
@@ -442,6 +451,23 @@ class TestDefaultPanel:
         monkeypatch.setattr(search, "Topology", Counted)
         result = multi_epoch(synth4.problem, synth4.candidates())
         assert built == [result.topology.gates]
+
+    def test_eight_gate_ordering_keeps_its_stacks_bounded(self, synth4, monkeypatch):
+        """All 8! orderings are scored, and no extension stack outgrows the budget."""
+        kernel = synth4.problem.kernel
+        sizes = []
+        extend = type(kernel).extend
+
+        def counted(self, states, parents, pairs, angle):
+            out = extend(self, states, parents, pairs, angle)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(type(kernel), "extend", counted)
+        result = order_selected(synth4.problem, synth4.candidates().pairs[:8])
+        assert result.evaluations == len(result.history) == math.factorial(8)
+        assert max(sizes) <= search._stack_rows(kernel) < math.factorial(8)
+        assert result.cost.total == result.history.totals().min()
 
 
 class TestBuildKlMatrix:
