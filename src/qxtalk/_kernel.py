@@ -24,14 +24,19 @@ does not depend on the batch it was computed in and no tie-break can flip.
 ``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
 stack of angle vectors, from one reverse sweep over the gates
 (:func:`reverse_sweep`, which the VQE solver shares with its energy as the
-cost).  :func:`bfgs` minimizes such a cost from a stack of starts in
-lockstep.
+cost).  Both sweeps run through a plan built once per gate sequence and row
+count (:class:`_Plan`): the state and psi/lambda buffers, every numpy call of
+each gate bound to its block and flipped-block views and to scratch views,
+and the rotation entries, set for a round from one cos and sin of the
+stacked [theta; -theta; -theta].  :func:`bfgs` minimizes such a cost from a
+stack of starts in lockstep, on arrays of the active starts only, so a round
+that accepts every trial updates them whole.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -99,15 +104,23 @@ def rotation(kind: str, angle) -> tuple:
     return m00, m01
 
 
-def _columns(gates, angles: np.ndarray) -> list:
-    """The entries of gate j of ``gates`` at column j of an (S, L) angle stack
-    (None for a gate without an angle), from one cos and one sin per kind."""
-    rows = angles.T  # gate j's angles are row j
-    found = {}
-    for kind in {g.kind for g in gates} & set(ROTATION_KINDS):
-        d, o = rotation(kind, rows)
-        found[kind] = list(zip(d, o if np.ndim(o) else [o] * len(rows)))
-    return [found[g.kind][j] if g.kind in found else None for j, g in enumerate(gates)]
+def _gate(states: np.ndarray, n: int, kind: str, target: int, control: int | None, entries: tuple | None,
+          scratch: np.ndarray | None = None) -> list[tuple]:
+    """The calls (function, operands) that apply one gate in place to a C-contiguous stack of
+    states: ``block = d * block + o * flip`` on its block for a rotation's ``entries`` (d, o) or
+    H, with ``o * flip`` in (a view of) ``scratch``; or ``block = flip`` for a CNOT."""
+    shape, block, flip, _, along = _fold(n, target, control)
+    psi = states.reshape(states.shape[:-1] + shape)
+    block, flip = psi[block], psi[flip]
+    scratch = np.empty(block.shape, np.complex128) if scratch is None else scratch[: block.size].reshape(block.shape)
+    if kind == "CNOT":
+        return [(np.copyto, (scratch, flip)), (np.copyto, (block, scratch))]
+    d, o = _H_ENTRIES if kind == "H" else entries
+    if kind == "RY":  # a pair replaces an array's unit axes, lying along the target axis
+        o = o.reshape(o.shape[: -1 - _BLOCK_AXES] + along)
+    elif kind in ("RZ", "H"):
+        d = d.reshape(d.shape[: -1 - _BLOCK_AXES] + along)
+    return [(np.multiply, (o, flip, scratch)), (np.multiply, (d, block, block)), (np.add, (block, scratch, block))]
 
 
 def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | None = None,
@@ -121,20 +134,8 @@ def apply(states: np.ndarray, n: int, kind: str, target: int, control: int | Non
     """
     if not states.flags.c_contiguous:
         raise ValueError("the kernel updates C-contiguous state arrays only")
-    shape, block, flip, _, along = _fold(n, target, control)
-    psi = states.reshape(states.shape[:-1] + shape)
-    if kind == "CNOT":
-        psi[block] = psi[flip].copy()
-        return
-    d, o = _H_ENTRIES if kind == "H" else entries
-    if kind == "RY":  # a pair replaces an array's unit axes, lying along the target axis
-        o = o.reshape(o.shape[: -1 - _BLOCK_AXES] + along)
-    elif kind in ("RZ", "H"):
-        d = d.reshape(d.shape[: -1 - _BLOCK_AXES] + along)
-    update = o * psi[flip]
-    view = psi[block]
-    np.multiply(d, view, out=view)
-    view += update
+    for call, operands in _gate(states, n, kind, target, control, entries):
+        call(*operands)
 
 
 def _smoothed(target) -> np.ndarray:
@@ -170,27 +171,74 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator_overlap(pair: np.ndarray, n: int, gate: GateSpec) -> np.ndarray:
-    """2 Im <lam|G|psi> per row of a stack of states psi over their cotangents
-    lam, for the generator G of a rotation gate.
+def _bind(call, operands):
+    """``call`` on ``operands``, a ufunc's (output last) as views numpy iterates over the fewest axes."""
+    if isinstance(call, np.ufunc):
+        operands = np.nditer(operands, op_flags=[["readonly"]] * (len(operands) - 1) + [["readwrite"]]).itviews
+    return partial(call, *operands)
 
-    G is X/2, Y/2 or Z/2 on the target (restricted to control = 1 for CRX),
-    so the factor 2 cancels against the 1/2 of the Pauli matrix.  The terms
-    l0 a1 + l1 a0 (X), l1 a0 - l0 a1 (Y) and l0 a0 - l1 a1 (Z), with l the
-    conjugate of lam, are read off the gate's block and its flip.
-    """
-    shape, block, flip, (lo, hi), _ = _fold(n, gate.target, gate.control)
-    psi, lam = pair.reshape((2, len(pair) // 2) + shape)
-    terms = np.conj(lam[block]) * psi[block if gate.kind == "RZ" else flip]
-    if gate.kind in ("CRX", "RX"):
-        terms = (terms[lo] + terms[hi]).imag
-    elif gate.kind == "RY":  # Im(-i z) = -Re z, with Y = [[0, -i], [i, 0]]
-        terms = (terms[hi] - terms[lo]).real
-    elif gate.kind == "RZ":
-        terms = (terms[lo] - terms[hi]).imag
-    else:
-        raise ValueError(f"{gate.kind} has no angle to differentiate")
-    return terms.reshape(len(terms), -1).sum(axis=1)
+
+class _Plan:
+    """The sweep plan of one gate sequence over ``rows`` stacked states (see the module notes)."""
+
+    def __init__(self, n: int, gates: tuple, rows: int):
+        self.pair = np.empty((2 * rows, 1 << n), dtype=np.complex128)  # the states psi over their lambda
+        self.psi, self.lam = self.pair[:rows], self.pair[rows:]
+        scratch = np.empty(2 * rows << n, dtype=np.complex128)
+        kinds = [g.kind for g in gates if g.kind in ROTATION_KINDS]
+        self.grads = np.empty((rows, len(kinds)))
+        # Per kind, its columns and the entries (d, o) of its rotations at each sweep and row.
+        self.kinds = {kind: ([j for j, k in enumerate(kinds) if k == kind], [np.array(e, dtype=np.complex128) for e in
+                             rotation(kind, np.zeros((kinds.count(kind), 3, rows)))]) for kind in set(kinds)}
+        self._forward, self._reverse, done = [], [], []  # done: the kinds of the rotations so far
+        for gate in gates:
+            _check_qubits(gate, n)
+            entries, overlap = [None, None], []
+            if gate.kind in ROTATION_KINDS:
+                i = done.count(gate.kind)
+                entries = [tuple(e[i, c] if e.ndim else e for e in self.kinds[gate.kind][1]) for c in (0, slice(1, 3))]
+                shape, block, flip, (lo, hi), _ = _fold(n, gate.target, gate.control)
+                psi, lam = self.pair.reshape((2, rows) + shape)
+                terms = scratch[: lam[block].size].reshape(lam[block].shape)
+                half = scratch[terms.size: terms.size + terms[lo].size].reshape(terms[lo].shape)
+                # l0 a1 + l1 a0 (X), l1 a0 - l0 a1 (Y: Im(-i z) = -Re z) or l0 a0 - l1 a1 (Z), l = conj(lambda)
+                op, first, second, part = {"RY": (np.subtract, hi, lo, half.real), "RZ": (
+                    np.subtract, lo, hi, half.imag)}.get(gate.kind, (np.add, lo, hi, half.imag))
+                overlap = [(np.conjugate, (lam[block], terms)),
+                           (np.multiply, (terms, psi[block if gate.kind == "RZ" else flip], terms)),
+                           (op, (terms[first], terms[second], half)),
+                           (np.add.reduce, (part.reshape(rows, -1), 1, None, self.grads[:, len(done)]))]
+                done.append(gate.kind)
+            forward, undo = (_gate(stack, n, gate.kind, gate.target, gate.control, e, scratch)
+                             for stack, e in zip((self.psi, self.pair.reshape(2, rows, -1)), entries))
+            self._forward += [_bind(*call) for call in forward]
+            self._reverse[:0] = [_bind(*call) for call in overlap + undo]
+
+    def fill(self, angles: np.ndarray) -> None:
+        """Set every rotation's entries at a (rows, R) stack, one angle column per rotation."""
+        stacked = np.stack([angles, -angles, -angles]).transpose(2, 0, 1)
+        for kind, (columns, entries) in self.kinds.items():
+            for entry, value in zip(entries, rotation(kind, stacked[columns])):
+                entry[...] = value
+
+    def run(self, initial: np.ndarray, angles: np.ndarray) -> np.ndarray:
+        """The final states from ``initial`` at a (rows, R) angle stack, left in ``psi``."""
+        self.fill(angles)
+        self.psi[...] = initial
+        for call in self._forward:
+            call()
+        return self.psi
+
+    def gradients(self) -> np.ndarray:
+        """The gradients from ``pair``, by the sweep of :func:`reverse_sweep`."""
+        for call in self._reverse:
+            call()
+        return self.grads.copy()
+
+
+# bfgs only drops starts, so one tuning of eight starts uses at most eight plans.  Each use
+# writes every buffer of a plan before reading it, so no call sees another's values.
+_plan = lru_cache(maxsize=8)(_Plan)
 
 
 def reverse_sweep(pair: np.ndarray, n: int, gates, angles: np.ndarray) -> np.ndarray:
@@ -204,17 +252,11 @@ def reverse_sweep(pair: np.ndarray, n: int, gates, angles: np.ndarray) -> np.nda
     sweep then undoes the gate, at -theta, on psi and lambda alike.  A gate
     without an angle (CNOT, H) is its own inverse.
     """
-    rotations = [g for g in gates if g.kind in ROTATION_KINDS]
-    undo = _columns(rotations, -np.concatenate([angles, angles]))  # one row per row of pair
-    grads = np.empty(angles.shape)
-    col = angles.shape[1]
-    for gate in reversed(gates):
-        entries = None
-        if gate.kind in ROTATION_KINDS:
-            col -= 1
-            grads[:, col] = _generator_overlap(pair, n, gate)
-            entries = undo[col]
-        apply(pair, n, gate.kind, gate.target, gate.control, entries)
+    plan = _plan(n, tuple(gates), len(angles))
+    plan.fill(angles)
+    plan.pair[...] = pair
+    grads = plan.gradients()
+    pair[...] = plan.pair
     return grads
 
 
@@ -226,47 +268,43 @@ def bfgs(value_and_grad, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point of each active start in one call.  A trial is accepted under the
     Armijo condition; otherwise its step is halved for the next round.
     """
-    x = x.copy()
+    ends, x = x.copy(), x.copy()
     rows, size = x.shape
     f, g = value_and_grad(x)
-    inverse = np.repeat(np.eye(size)[None], rows, axis=0)
-    direction = -g
-    step = np.ones(rows)
-    active = np.ones(rows, dtype=bool)
+    costs, live, eye = f.copy(), np.arange(rows), np.eye(size)  # live: each active row's start
+    inverse, direction, step = np.repeat(eye[None], rows, axis=0), -g, np.ones(rows)
+    stop = np.zeros(rows, dtype=bool)
     for _ in range(MAX_ROUNDS):
-        active &= np.abs(g).max(axis=1) >= GRAD_TOL
-        act = np.flatnonzero(active)
-        if not act.size:
-            break
-        step[act] = np.minimum(step[act], MAX_STEP / np.abs(direction[act]).max(axis=1))
-        trial = x[act] + step[act, None] * direction[act]
+        keep = ~stop & (np.abs(g).max(axis=1) >= GRAD_TOL)
+        if not keep.all():
+            ends[live], costs[live] = x, f
+            live, x, f, g, inverse, direction, step = (a[keep] for a in (live, x, f, g, inverse, direction, step))
+            if not len(live):
+                break
+        step = np.minimum(step, MAX_STEP / np.abs(direction).max(axis=1))
+        trial = x + step[:, None] * direction
         f_trial, g_trial = value_and_grad(trial)
-        slope = (g[act] * direction[act]).sum(axis=1)
-        ok = f_trial <= f[act] + ARMIJO * step[act] * slope
+        ok = f_trial <= f + ARMIJO * step * (g * direction).sum(axis=1)
+        acc = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice takes no gather
+        step[~ok] /= 2.0
+        stop = np.where(ok, f - f_trial < DROP_TOL, step * np.abs(direction).max(axis=1) < STEP_TOL)
 
-        back = act[~ok]
-        step[back] /= 2.0
-        active[back[step[back] * np.abs(direction[back]).max(axis=1) < STEP_TOL]] = False
-
-        acc = act[ok]
-        s, y = trial[ok] - x[acc], g_trial[ok] - g[acc]
+        s, y = trial - x, g_trial - g
         sy = (s * y).sum(axis=1)
-        curved = sy > 1e-12  # the curvature condition, with a margin against division by ~0
+        curved = ok & (sy > 1e-12)  # the curvature condition, with a margin against division by ~0
         if curved.any():
-            c = acc[curved]
-            rho = 1.0 / sy[curved]
-            v = np.eye(size) - rho[:, None, None] * s[curved, :, None] * y[curved, None, :]
-            inverse[c] = v @ inverse[c] @ v.transpose(0, 2, 1) + rho[:, None, None] * (
-                s[curved, :, None] * s[curved, None, :]
-            )
-        active[acc[f[acc] - f_trial[ok] < DROP_TOL]] = False
-        x[acc], f[acc], g[acc] = trial[ok], f_trial[ok], g_trial[ok]
+            c = slice(None) if curved.all() else np.flatnonzero(curved)
+            rho = 1.0 / sy[c]
+            v = eye - rho[:, None, None] * s[c, :, None] * y[c, None, :]
+            inverse[c] = v @ inverse[c] @ v.transpose(0, 2, 1) + rho[:, None, None] * (s[c, :, None] * s[c, None, :])
+        x[acc], f[acc], g[acc] = trial[acc], f_trial[acc], g_trial[acc]
         direction[acc] = -np.einsum("kij,kj->ki", inverse[acc], g[acc])
-        uphill = acc[(direction[acc] * g[acc]).sum(axis=1) >= 0]
-        inverse[uphill] = np.eye(size)
+        uphill = (direction * g).sum(axis=1) >= 0  # only an accepted start's direction changed
+        inverse[uphill] = eye
         direction[uphill] = -g[uphill]
         step[acc] = 1.0
-    return x, f
+    ends[live], costs[live] = x, f
+    return ends, costs
 
 
 class Kernel:
@@ -298,8 +336,8 @@ class Kernel:
 
         ``angles`` replaces the gates' own angles one for one, so a tuning
         objective builds no ``GateSpec``.  A (L,) vector gives one (1, 2**n)
-        row; an (S, L) stack, whose entries come from one cos and one sin,
-        gives S rows, row s at angles[s].
+        row; an (S, R) stack, one column per rotation, runs through the sweep
+        plan and gives S rows, row s at angles[s].
         """
         angles = None if angles is None else np.asarray(angles, dtype=np.float64)
         if angles is None or angles.ndim == 1:
@@ -307,11 +345,7 @@ class Kernel:
             for i, gate in enumerate(gates):
                 self.apply(states, gate, None if angles is None else angles[i])
             return states
-        states = self.start(len(angles))
-        for gate, entries in zip(gates, _columns(gates, angles)):
-            _check_qubits(gate, self.n)
-            apply(states, self.n, gate.kind, gate.target, gate.control, entries)
-        return states
+        return _plan(self.n, tuple(gates), len(angles)).run(self._initial, angles).copy()
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), each (n, n, 2**(n-2)): entry [c, t] holds the ascending amplitude
@@ -378,9 +412,14 @@ class Kernel:
         out = []
         for offset, (marg, target) in enumerate(zip(self._register_marginals(states), self._targets)):
             if self._shots is not None:
-                # Every state is sampled with the problem's fixed seed (CT2: seed + 1).
+                # Every state is sampled with the problem's fixed seed (CT2: seed + 1), rewound per row.
                 nshots, seed = self._shots
-                draws = [np.random.default_rng(seed + offset).multinomial(nshots, row) for row in marg]
+                rng = np.random.default_rng(seed + offset)
+                seeded = rng.bit_generator.state
+                draws = []
+                for row in marg:
+                    rng.bit_generator.state = seeded
+                    draws.append(rng.multinomial(nshots, row))
                 marg = np.array(draws) / nshots
             out.append(_kl_rows(marg, target))
         return out[0], out[1]
@@ -399,11 +438,11 @@ class Kernel:
         over the state.
         """
         angles = np.asarray(angles, dtype=np.float64)
-        rows = len(angles)
-        states = self.run(gates, angles)
+        plan = _plan(self.n, tuple(gates), len(angles))
+        states = plan.run(self._initial, angles)
         parts = list(zip(self._register_marginals(states), self._targets))
         costs = sum(_kl_rows(marg, target) for marg, target in parts)
         w1, w2 = (np.log(np.where(marg > 0, marg / target, 1.0)) for marg, target in parts)
         # CT2 indexes the high bits of an amplitude, CT1 the low ones.
-        w = (w2[:, :, None] + w1[:, None, :]).reshape(rows, -1)
-        return costs, reverse_sweep(np.concatenate([states, w * states]), self.n, gates, angles)
+        np.multiply((w2[:, :, None] + w1[:, None, :]).reshape(len(states), -1), states, out=plan.lam)
+        return costs, plan.gradients()

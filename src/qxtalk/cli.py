@@ -496,11 +496,12 @@ def _format_report_text(report: RunReport) -> str:
 
 
 def write_matrix_csv(path: Path, matrix: ingest.ExpressionMatrix) -> None:
+    bits = np.ascontiguousarray(matrix.values).view(np.uint64)
+    # Each distinct value is formatted once, keyed by its bits, so that -0.0 and 0.0 keep their own text.
+    text = {k: "%g" % v for k, v in dict(zip(bits.ravel().tolist(), bits.view(np.float64).ravel().tolist())).items()}
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.gene_names)
-        for row in matrix.values:
-            writer.writerow([("%g" % v) for v in row])
+        csv.writer(fh).writerow(matrix.gene_names)
+        fh.writelines(",".join(map(text.__getitem__, row)) + "\r\n" for row in bits.tolist())
 
 
 def _write_json(path: Path, payload: dict) -> None:

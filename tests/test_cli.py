@@ -1,6 +1,8 @@
 """Command-line pipeline: config handling, staged artifacts, full runs."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -25,6 +27,7 @@ from qxtalk.cli import (
     parse_config_file,
     resolve_config,
     run_strategy,
+    write_matrix_csv,
     write_trace,
 )
 from qxtalk import ingest, synth
@@ -252,6 +255,25 @@ def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
         write_trace(result, path)
         assert path.read_bytes() == per_row_trace(result).encode("utf-8")
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5, 1e-300, 5e-324, 123456789.0, 1e21])
+                              | st.floats(0.0, 1e6), min_size=3, max_size=3), max_size=30),
+       reverse=st.booleans())
+def test_matrix_csv_bytes_match_per_cell_formatting(tmp_path_factory, rows, reverse):
+    """Each distinct value is formatted once: -0.0 and 0.0 keep their own text, a strided
+    matrix reads in row order, and rows end in csv's \r\n after the csv-quoted header."""
+    values = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    matrix = ingest.ExpressionMatrix(values[:, ::-1] if reverse else values, ["g1", "g,2", 'g"3'])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(matrix.gene_names)
+    for row in matrix.values:
+        writer.writerow(["%g" % v for v in row])
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix_csv(path, matrix)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 # Count-like values.  Within a matrix spanning more than ~1e300, median
 # scaling can underflow a positive value to 0, which normalizing first reads

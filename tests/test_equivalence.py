@@ -528,6 +528,12 @@ def test_tuning_objective_matches_oracle(data):
     kernel = problem.kernel
     retuned = tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta))
     assert kernel.reports(kernel.run(topology.gates, theta))[0] == oracle_cost(problem, retuned)
+    # A stack of 24 rows in shots mode: each row is sampled as the row-by-row oracle samples it.
+    problem.eval_mode = "shots"
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = rng.uniform(-2 * math.pi, 2 * math.pi, (24, len(theta)))
+    reports = problem.kernel.reports(problem.kernel.run(topology.gates, stack))
+    assert reports == [oracle_cost(problem, at_angles(topology, row)) for row in stack]
 
 
 @EXAMPLES
@@ -1058,3 +1064,152 @@ def test_prune_matches_dense_delta_rho(n, data, real, sparsity, seed, fraction):
         assert np.array_equal(dr, gathered)
     else:  # numpy may multiply complex broadcasts and outer products in different loops
         assert np.max(np.abs(dr - gathered)) <= 1e-15
+
+
+# --- cached sweep plans ------------------------------------------------------
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cached_plans_are_reused_safely(data):
+    """Stacks of 8, 3, 1 and 8 rows on two topologies, interleaved on one kernel, and
+    then again on the plans those calls cached: every row equals a one-row call made
+    on a fresh plan, writing into a returned array changes no later result, and no
+    later call changes states that ``Kernel.run`` returned."""
+    problem = data.draw(problems(min_qubits=3))
+    kernel = problem.kernel
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    topologies = [rotation_topology(data, problem.layout.num_qubits) for _ in range(2)]
+    calls = [(t, rng.uniform(-2 * math.pi, 2 * math.pi, (rows, len(t)))) for rows in (8, 3, 1, 8) for t in topologies]
+    fresh = []
+    for topology, theta in calls:
+        for row in theta:
+            _kernel._plan.cache_clear()
+            fresh.append(kernel.gradients(topology.gates, row[None]))
+    _kernel._plan.cache_clear()
+    states = kernel.run(topologies[0].gates, calls[0][1])
+    expected = states.copy()
+    for _ in range(2):
+        results = [kernel.gradients(topology.gates, theta) for topology, theta in calls]
+        rows = iter(fresh)
+        for costs, grads in results:
+            for cost, grad, (one_cost, one_grad) in zip(costs, grads, rows):
+                assert same_bits(cost, one_cost[0]) and same_bits(grad, one_grad[0])
+            costs[:], grads[:] = np.nan, np.nan
+    assert _kernel._plan.cache_info().hits >= len(calls)
+    assert same_bits(states, expected)
+
+
+# --- BFGS on the active starts only, against the loop that gathers them ------
+
+
+def gathering_bfgs(value_and_grad, x, seen):
+    """BFGS as it ran when every round gathered the active starts out of arrays of all
+    of them.  ``seen`` collects the branches taken: Armijo backtracks, steps that fail
+    the curvature test (sy <= 1e-12), uphill resets of a start that goes on, and starts
+    that stop in different rounds."""
+    x = x.copy()
+    rows, size = x.shape
+    f, g = value_and_grad(x)
+    inverse = np.repeat(np.eye(size)[None], rows, axis=0)
+    direction = -g
+    step = np.ones(rows)
+    active = np.ones(rows, dtype=bool)
+    stopped = np.full(rows, -1)
+    for round_ in range(_kernel.MAX_ROUNDS):
+        active &= np.abs(g).max(axis=1) >= _kernel.GRAD_TOL
+        stopped[~active & (stopped < 0)] = round_
+        act = np.flatnonzero(active)
+        if not act.size:
+            break
+        step[act] = np.minimum(step[act], _kernel.MAX_STEP / np.abs(direction[act]).max(axis=1))
+        trial = x[act] + step[act, None] * direction[act]
+        f_trial, g_trial = value_and_grad(trial)
+        slope = (g[act] * direction[act]).sum(axis=1)
+        ok = f_trial <= f[act] + _kernel.ARMIJO * step[act] * slope
+        back = act[~ok]
+        if back.size:
+            seen.add("backtrack")
+        step[back] /= 2.0
+        active[back[step[back] * np.abs(direction[back]).max(axis=1) < _kernel.STEP_TOL]] = False
+        acc = act[ok]
+        s, y = trial[ok] - x[acc], g_trial[ok] - g[acc]
+        sy = (s * y).sum(axis=1)
+        curved = sy > 1e-12
+        if not curved.all():
+            seen.add("not curved")
+        if curved.any():
+            c = acc[curved]
+            rho = 1.0 / sy[curved]
+            v = np.eye(size) - rho[:, None, None] * s[curved, :, None] * y[curved, None, :]
+            inverse[c] = v @ inverse[c] @ v.transpose(0, 2, 1) + rho[:, None, None] * (
+                s[curved, :, None] * s[curved, None, :]
+            )
+        active[acc[f[acc] - f_trial[ok] < _kernel.DROP_TOL]] = False
+        x[acc], f[acc], g[acc] = trial[ok], f_trial[ok], g_trial[ok]
+        direction[acc] = -np.einsum("kij,kj->ki", inverse[acc], g[acc])
+        uphill = acc[(direction[acc] * g[acc]).sum(axis=1) >= 0]
+        if (np.abs(g[uphill]).max(axis=1, initial=0.0) >= _kernel.GRAD_TOL).any():
+            seen.add("uphill")
+        inverse[uphill] = np.eye(size)
+        direction[uphill] = -g[uphill]
+        step[acc] = 1.0
+        stopped[~active & (stopped < 0)] = round_
+    if len(set(stopped[stopped >= 0].tolist())) > 1:
+        seen.add("staggered stops")
+    return x, f
+
+
+def check_bfgs(value_and_grad, starts, seen):
+    want = gathering_bfgs(value_and_grad, starts, seen)
+    got = _kernel.bfgs(value_and_grad, starts)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_bfgs_matches_gathering_loop_on_quartics():
+    """Ill-conditioned quadratic-plus-quartic costs, indefinite ones among them (whose
+    inverse Hessians can lose definiteness in rounding, so that a start turns uphill),
+    some floored so that a trial can land where the gradient is exactly zero."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(1, 6), rows=st.integers(1, 8), cond=st.floats(0, 16), scale=st.floats(-2, 3),
+           indefinite=st.booleans(), floored=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def check(size, rows, cond, scale, indefinite, floored, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        a = (q * np.logspace(0, cond, size) * np.where(indefinite & (rng.random(size) < 0.5), -1, 1)) @ q.T
+        b, c, floor = rng.normal(size=size), 10.0 ** rng.uniform(-8, 1), -10.0 ** rng.uniform(-1, 2)
+
+        def value_and_grad(x):
+            cost = 0.5 * np.einsum("ki,ij,kj->k", x, a, x) + x @ b + c * (x**4).sum(axis=1)
+            grad = x @ a + b + 4 * c * x**3
+            if floored:
+                return np.maximum(cost, floor), np.where((cost < floor)[:, None], 0.0, grad)
+            return cost, grad
+
+        with np.errstate(all="ignore"):
+            check_bfgs(value_and_grad, rng.normal(size=(rows, size)) * 10.0**scale, seen)
+
+    check()
+    assert seen == {"backtrack", "not curved", "uphill", "staggered stops"}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bfgs_matches_gathering_loop_on_tuning(data):
+    problem = data.draw(problems(max_qubits=6))
+    topology = rotation_topology(data, problem.layout.num_qubits, max_size=6)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    starts = rng.uniform(0.0, 2 * math.pi, (data.draw(st.integers(1, 8)), len(topology)))
+    check_bfgs(lambda a: problem.kernel.gradients(topology.gates, a), starts, set())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), rows=st.integers(1, 4), width=st.sampled_from([0.2, math.pi]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bfgs_matches_gathering_loop_on_energies(n, rows, width, seed):
+    rng = np.random.default_rng(seed)
+    _, energies = random_qubo(rng, n)
+    check_bfgs(lambda p: search._vqe_gradients(p, n, energies), rng.uniform(-width, width, (rows, 3 * n)), set())
+    check_bfgs(lambda p: search._qaoa_gradients(p, n, energies), rng.uniform(-width, width, (rows, 4)), set())
