@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernel
-from .cost import CostReport, Problem, evaluate
+from .cost import CostReport, Problem
 from .prune import CandidateSet
 from .qsim import GateSpec, Topology
 
@@ -105,6 +105,10 @@ class Batch:
         cost = CostReport.from_parts(float(self.kl_ct1[row]), float(self.kl_ct2[row]))
         return HistoryEntry(Topology(gates), cost, self.phase)
 
+    def best(self) -> HistoryEntry:
+        """The row with the lowest total; the first one wins ties."""
+        return self.entry(int(np.argmin(self.total)))
+
 
 class History:
     """Every scored topology of a search, one :class:`Batch` per scored batch.
@@ -122,10 +126,6 @@ class History:
         batch = Batch(phase, tuple(parent), appended, kl_ct1, kl_ct2, kl_ct1 + kl_ct2)
         self.batches.append(batch)
         return batch
-
-    def record(self, phase: str, topology: Topology, cost: CostReport) -> None:
-        """Record one scored topology."""
-        self.add(phase, topology.gates, ([cost.kl_ct1], [cost.kl_ct2]), [()])
 
     def totals(self) -> np.ndarray:
         return np.concatenate([b.total for b in self.batches])
@@ -148,8 +148,12 @@ class History:
 class SearchResult:
     topology: Topology
     cost: CostReport
-    evaluations: int
     history: History
+
+    @property
+    def evaluations(self) -> int:
+        """The number of topologies the search scored, one per history entry."""
+        return len(self.history)
 
 
 _SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
@@ -166,12 +170,6 @@ def gate_for_pair(pair: tuple[int, int]) -> GateSpec:
 def _unused(gates: tuple[GateSpec, ...], cands: CandidateSet) -> list[tuple[int, int]]:
     used = {(g.control, g.target) for g in gates}
     return [p for p in cands.pairs if p not in used]
-
-
-def _lowest(history: History) -> tuple[Topology, CostReport]:
-    """The entry with the lowest total; the first one wins ties."""
-    entry = history[int(np.argmin(history.totals()))]
-    return entry.topology, entry.cost
 
 
 def _stack_rows(kernel) -> int:
@@ -228,15 +226,18 @@ def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, dep
     return _walk(kernel, children, table, rest.reshape(nodes * width, width - 1), depth - 1)
 
 
-def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet) -> tuple[Topology, CostReport]:
-    """Best (unused gate, position) insertion, regardless of acceptance.
+def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet, history: History) -> Batch | None:
+    """Score every (unused gate, position) insertion into ``seq``, a sequence of
+    search gates, as one "insertion" batch added to ``history``; None when every
+    candidate is used.
 
-    The caller applies the kl_tol acceptance rule; ties are broken by
-    candidate order, then by lower insertion index.
+    Each row is its whole sequence of pairs under an empty parent.  Rows run
+    in candidate order, then by insertion index, so the batch's first lowest
+    row breaks ties by candidate order, then by the lower index.
     """
     unused = _unused(seq.gates, cands)
     if not unused:
-        return seq, evaluate(problem, seq)
+        return None
     kernel = problem.kernel
     prefix = kernel.start()
     by_pos = []
@@ -248,74 +249,61 @@ def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet) -> tupl
         if pos < len(seq):
             kernel.apply(prefix, seq.gates[pos])
     kl = np.array(by_pos)  # (position, register, candidate)
-    # The flat index of (candidate, position): candidate order first, then position.
-    i, pos = divmod(int(np.argmin((kl[:, 0] + kl[:, 1]).T)), len(seq) + 1)
-    topology = Topology(gates=seq.gates[:pos] + (gate_for_pair(unused[i]),) + seq.gates[pos:])
-    return topology, CostReport.from_parts(float(kl[pos, 0, i]), float(kl[pos, 1, i]))
+    held = tuple((g.control, g.target) for g in seq.gates)
+    appended = [held[:pos] + (pair,) + held[pos:] for pair in unused for pos in range(len(seq) + 1)]
+    return history.add("insertion", (), (kl[:, 0].T.ravel(), kl[:, 1].T.ravel()), appended)
 
 
 def best_permutation_addition(
-    problem: Problem, seq: Topology, cands: CandidateSet, n: int
-) -> tuple[Topology, CostReport]:
-    """Best ordered n-tuple of unused gates appended to the sequence.
-
-    With fewer than n unused candidates this is a no-op (returns the
-    current sequence and its cost).
-    """
+    problem: Problem, seq: Topology, cands: CandidateSet, n: int, history: History
+) -> Batch | None:
+    """Score every ordered n-tuple of unused gates appended to ``seq`` as one
+    "addition" batch added to ``history``; None with fewer than n unused candidates."""
     if n < 1:
         raise ValueError("n must be >= 1")
     unused = _unused(seq.gates, cands)
     if len(unused) < n:
-        return seq, evaluate(problem, seq)
-    scored = History()
+        return None
     divergences = _permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
-    scored.add("addition", seq.gates, divergences, list(itertools.permutations(unused, n)))
-    return _lowest(scored)
+    return history.add("addition", seq.gates, divergences, list(itertools.permutations(unused, n)))
 
 
-def best_deletion(problem: Problem, seq: Topology) -> tuple[Topology, CostReport]:
-    """Best single-gate removal; no-op on an empty sequence."""
+def best_deletion(problem: Problem, seq: Topology, history: History) -> Batch | None:
+    """Score every single-gate removal from ``seq`` as one "deletion" batch added
+    to ``history``; None on an empty sequence."""
     if len(seq) == 0:
-        return seq, evaluate(problem, seq)
-    scored = History()
-    scored.add("deletion", seq.gates, problem.kernel.divergences(problem.kernel.deletions(seq.gates)), None)
-    return _lowest(scored)
+        return None
+    return history.add("deletion", seq.gates, problem.kernel.divergences(problem.kernel.deletions(seq.gates)), None)
 
 
 def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
     """Iterative local search: insertion, n-wise addition, deletion until stable.
 
-    Insertions and additions must beat the incumbent by more than kl_tol;
-    deletions by more than eps_prune.  Improvements are adopted
-    immediately and the loop ends after a full pass without change.  The
-    history holds the baseline and each accepted move.
+    Each step takes the first lowest row of its batch.  Insertions and
+    additions must beat the incumbent by more than kl_tol; deletions by more
+    than eps_prune.  Improvements are adopted immediately and the loop ends
+    after a full pass without change.  The history holds the empty baseline
+    and every batch the steps scored.
     """
     cfg = cfg or SearchConfig()
-    kernel = problem.kernel
-    scored = kernel.rows_scored
-    seq = Topology(())
-    cost = evaluate(problem, seq)
     history = History()
-    history.record("baseline", seq, cost)
+    best = history.add("baseline", (), problem.kernel.divergences(problem.kernel.start()), [()]).best()
+    steps = (
+        (lambda seq: best_insertion(problem, seq, cands, history), cfg.kl_tol),
+        (lambda seq: best_permutation_addition(problem, seq, cands, cfg.n_choose, history), cfg.kl_tol),
+        (lambda seq: best_deletion(problem, seq, history), cfg.eps_prune),
+    )
     improved = True
     while improved:
         improved = False
-        cand_seq, cand_cost = best_insertion(problem, seq, cands)
-        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
-            seq, cost = cand_seq, cand_cost
-            history.record("insertion", seq, cost)
-            improved = True
-        cand_seq, cand_cost = best_permutation_addition(problem, seq, cands, cfg.n_choose)
-        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
-            seq, cost = cand_seq, cand_cost
-            history.record("addition", seq, cost)
-            improved = True
-        cand_seq, cand_cost = best_deletion(problem, seq)
-        if len(cand_seq) < len(seq) and cand_cost.total < cost.total - cfg.eps_prune:
-            seq, cost = cand_seq, cand_cost
-            history.record("deletion", seq, cost)
-            improved = True
-    return SearchResult(topology=seq, cost=cost, evaluations=kernel.rows_scored - scored, history=history)
+        for step, tol in steps:
+            batch = step(best.topology)
+            if batch is None:
+                continue
+            move = batch.best()
+            if len(move.topology) <= cfg.max_depth and move.cost.total < best.cost.total - tol:
+                best, improved = move, True
+    return SearchResult(best.topology, best.cost, history)
 
 
 def occam_select(history: History, kl_tol: float) -> int:
@@ -399,7 +387,6 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     """
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
-    scored = kernel.rows_scored
     history = History()
     empty = kernel.start()
     base = float(history.add("baseline", (), kernel.divergences(empty), [()]).total[0])
@@ -422,9 +409,7 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
         if path_total < best:
             best = _greedy_removal(kernel, path, path_total, REFINE_FRACTION * cfg.kl_tol, history)
     chosen = history[occam_select(history, cfg.kl_tol)]
-    return SearchResult(
-        topology=chosen.topology, cost=chosen.cost, evaluations=kernel.rows_scored - scored, history=history
-    )
+    return SearchResult(chosen.topology, chosen.cost, history)
 
 
 # --- QUBO-based selection -------------------------------------------------
@@ -471,18 +456,21 @@ class QuboProblem:
                              "QUBO energies are exact only below 2^53")
 
 
-def build_kl_matrix(problem: Problem, cands: CandidateSet) -> np.ndarray:
-    """Pairwise cost matrix: diagonal = single-gate cost, (i, j) = G_i then G_j."""
+def build_kl_matrix(problem: Problem, cands: CandidateSet, history: History) -> np.ndarray:
+    """Pairwise cost matrix: diagonal = single-gate cost, (i, j) = G_i then G_j.
+
+    Its rows are added to ``history`` as two "pairwise" batches: the single
+    gates, then the ordered pairs in row-major order.
+    """
     kernel = problem.kernel
     n = len(cands.pairs)
     table = np.array(cands.pairs, dtype=np.intp).reshape(-1, 2)
     singles = kernel.extend(kernel.start(), np.zeros(n, dtype=np.intp), table, SEARCH_ANGLE)
     m = np.empty((n, n), dtype=np.float64)
-    kl_ct1, kl_ct2 = kernel.divergences(singles)
-    m[np.diag_indices(n)] = kl_ct1 + kl_ct2
-    first, second = np.nonzero(~np.eye(n, dtype=bool))
-    kl_ct1, kl_ct2 = _extension_divergences(kernel, singles, first, table[second])
-    m[first, second] = kl_ct1 + kl_ct2
+    m[np.diag_indices(n)] = history.add("pairwise", (), kernel.divergences(singles), [(p,) for p in cands.pairs]).total
+    first, second = np.nonzero(~np.eye(n, dtype=bool))  # the order of itertools.permutations(pairs, 2)
+    divergences = _extension_divergences(kernel, singles, first, table[second])
+    m[first, second] = history.add("pairwise", (), divergences, list(itertools.permutations(cands.pairs, 2))).total
     return m
 
 
@@ -616,13 +604,14 @@ def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[int,
     return seen
 
 
-def _vqe_gates(n: int) -> list[GateSpec]:
+@lru_cache(maxsize=None)
+def _vqe_gates(n: int) -> tuple[GateSpec, ...]:
     """Two entangling layers of RY rotations + CNOT chains, plus a final RY layer.
 
-    Rotation i of the list takes parameter i; the angles here are placeholders.
+    Rotation i of the tuple takes parameter i; the angles here are placeholders.
     """
-    ry = [GateSpec(kind="RY", target=i, angle=0.0) for i in range(n)]
-    chain = [GateSpec(kind="CNOT", target=i + 1, control=i) for i in range(n - 1)]
+    ry = tuple(GateSpec(kind="RY", target=i, angle=0.0) for i in range(n))
+    chain = tuple(GateSpec(kind="CNOT", target=i + 1, control=i) for i in range(n - 1))
     return ry + chain + ry + chain + ry
 
 
@@ -764,21 +753,18 @@ def order_selected(problem: Problem, gates: list[tuple[int, int]], cfg: SearchCo
     """
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
-    scored = kernel.rows_scored
     history = History()
     if len(gates) <= 8:
         divergences = _permutations(kernel, kernel.start(), list(gates), len(gates))
-        history.add("ordering", (), divergences, list(itertools.permutations(gates)))
-        return SearchResult(*_lowest(history), kernel.rows_scored - scored, history)
-    identity = Topology(gates=tuple(gate_for_pair(p) for p in gates))
-    id_report = evaluate(problem, identity)
-    history.record("ordering", identity, id_report)
+        best = history.add("ordering", (), divergences, list(itertools.permutations(gates))).best()
+        return SearchResult(best.topology, best.cost, history)
+    identity = kernel.divergences(kernel.run(tuple(gate_for_pair(p) for p in gates)))
+    best = history.add("ordering", (), identity, [tuple(gates)]).best()
     inner = multi_epoch(problem, CandidateSet(pairs=list(gates), threshold_used=0.0), cfg)
     history.batches += inner.history.batches
-    evals = kernel.rows_scored - scored
-    if inner.cost.total <= id_report.total:
-        return SearchResult(inner.topology, inner.cost, evals, history)
-    return SearchResult(identity, id_report, evals, history)
+    if inner.cost.total <= best.cost.total:
+        best = inner
+    return SearchResult(best.topology, best.cost, history)
 
 
 def qubo_search(
@@ -798,12 +784,10 @@ def qubo_search(
     _check_solver(solver, len(cands.pairs), top_k)
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
-    scored = kernel.rows_scored
     history = History()
-    history.add("baseline", (), kernel.divergences(kernel.start()), [()])
-    best = history[0]
+    best = history.add("baseline", (), kernel.divergences(kernel.start()), [()]).best()
     if cands.pairs:
-        qp = build_qubo(build_kl_matrix(problem, cands), best.cost.total)
+        qp = build_qubo(build_kl_matrix(problem, cands, history), best.cost.total)
         if solver == "exact":
             solutions = [solve_qubo_exact(qp)]
         else:
@@ -816,4 +800,4 @@ def qubo_search(
             history.batches += ordered.history.batches
             if ordered.cost.total < best.cost.total:
                 best = ordered
-    return SearchResult(best.topology, best.cost, kernel.rows_scored - scored, history)
+    return SearchResult(best.topology, best.cost, history)

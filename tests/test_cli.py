@@ -17,22 +17,27 @@ from qxtalk.cli import (
     EXIT_ERROR,
     EXIT_OK,
     MATRIX_KEYS,
+    STRATEGIES,
     RunConfig,
     build_parser,
+    build_problem,
     encode_inputs,
     env_overrides,
+    extract_candidate_pairs,
     gate_from_dict,
     gate_to_dict,
+    gene_panels,
     main,
     parse_config_file,
     resolve_config,
     run_strategy,
+    synthetic_matrices,
     write_matrix_csv,
     write_trace,
 )
 from qxtalk import ingest, synth
 from qxtalk._kernel import Kernel
-from qxtalk.cost import CostReport, Problem
+from qxtalk.cost import Problem
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet
 from qxtalk.qsim import GateSpec, RegisterLayout, StateVector, Topology
@@ -221,6 +226,22 @@ def per_row_trace(result: SearchResult) -> str:
     )
 
 
+@pytest.mark.parametrize("five_gene_ct2,threshold", [(False, 0.07), (True, 0.06)])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_scored_topology_is_one_history_entry_and_trace_line(tmp_path, strategy, five_gene_ct2, threshold):
+    """On the 4-gene and 5-gene panels at 5 candidates each, a search's
+    evaluations are its history's length and the kernel rows it scored, and its
+    trace has that many lines."""
+    cfg = RunConfig(synthetic=True, five_gene_ct2=five_gene_ct2, threshold=threshold, strategy=strategy)
+    encoded = encode_inputs(synthetic_matrices(cfg)[0], *gene_panels(cfg))
+    problem = build_problem(encoded, cfg)
+    cands = extract_candidate_pairs(encoded, cfg)
+    result = run_strategy(problem, cands, cfg)
+    assert result.evaluations == len(result.history) == problem.kernel.rows_scored
+    write_trace(result, tmp_path / "trace.jsonl")
+    assert len((tmp_path / "trace.jsonl").read_bytes().splitlines()) == result.evaluations
+
+
 def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
     rx = GateSpec(kind="RX", target=2, control=None, angle=math.pi / 3)
     cnot = GateSpec(kind="CNOT", target=0, control=1)
@@ -234,23 +255,24 @@ def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
              (np.float64(0.1), np.float64(0.7)), (1, 2), (np.float64(math.nan), 0.0), (-0.0, -0.0)]
     phases = ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x", "forward", "x", 'quote"d', "baseline"]
     history = History()
-    for seq, cost, phase in zip(sequences, costs, phases):
-        history.record(phase, Topology(seq), CostReport.from_parts(*cost))
+    for seq, (kl_ct1, kl_ct2), phase in zip(sequences, costs, phases):
+        history.add(phase, seq, ([kl_ct1], [kl_ct2]), [()])
     rng = np.random.default_rng(7)
     amps = rng.uniform(0.1, 1.0, size=16)
     targets = [TargetDistribution(num_qubits=2, probabilities=t / t.sum()) for t in rng.uniform(0.1, 1.0, (2, 4))]
     problem = Problem(initial_state=StateVector(4, amps / np.linalg.norm(amps)),
                       layout=RegisterLayout(n_ct1=2, n_ct2=2), target_ct1=targets[0], target_ct2=targets[1])
     searched = multi_epoch(problem, CandidateSet(pairs=[(0, 2), (2, 1), (1, 3), (3, 0)], threshold_used=0.01))
-    # Real histories: appended, removed and single rows, and ordering by permutations and by multi_epoch.
+    # Real histories of every strategy: rows that append pairs to a parent, that remove one of its
+    # gates, or that are a whole sequence of pairs (insertions, pairwise rows, orderings).
     strategies = ["local", "multi-epoch", "qubo-annealing", "qubo-exact", "qubo-vqe", "qubo-qaoa"]
     real = [synth4.search(strategy) for strategy in strategies]
     batches = [b for result in real for b in result.history.batches]
-    assert {b.phase for b in batches} == {"baseline", "insertion", "addition", "epoch-start", "forward", "refine",
-                                          "ordering"}
-    # Rows that remove a gate, and rows that append no pair, one pair or a permutation of 3-5 pairs.
-    assert {None if b.appended is None else len(b.appended[0]) for b in batches} == {None, 0, 1, 3, 4, 5}
-    for result in (SearchResult(Topology(()), history[0].cost, 0, history), searched, *real):
+    assert {b.phase for b in batches} == {"baseline", "insertion", "addition", "deletion", "pairwise", "epoch-start",
+                                          "forward", "refine", "ordering"}
+    # Rows that remove a gate, and rows of no pair up to a whole identity ordering of 29 pairs.
+    assert {None, *range(6), 29} <= {None if b.appended is None else len(b.appended[0]) for b in batches}
+    for result in (SearchResult(Topology(()), history[0].cost, history), searched, *real):
         path = tmp_path / "trace.jsonl"
         write_trace(result, path)
         assert path.read_bytes() == per_row_trace(result).encode("utf-8")

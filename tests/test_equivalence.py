@@ -9,6 +9,9 @@ the reference.  Every fast path is checked against them, or against
   score, bit for bit against ``evaluate`` on the full topology, including
   the evaluation counts and tie-breaks of the phases and of the ordering of
   a selected gate set;
+* local search against a copy of its object-path form, whose helpers each
+  returned one topology: the same topology, cost bits and accepted moves, and
+  the same count less that form's no-op rows;
 * the annealer against its state-at-a-time form (tuple keys, a fresh
   ``qubo_energy`` per new state): the same visited states in the same
   order, bit-identical energies and the same top-k;
@@ -216,41 +219,46 @@ def test_phases_match_topology_at_a_time_scoring(data):
     seq = Topology(tuple(gate_for_pair(p) for p in data.draw(pair_lists(n, max_size=3))))
     unused = [p for p in cands.pairs if p not in {(g.control, g.target) for g in seq}]
 
-    def scored(topologies):
-        return [(t, evaluate(problem, t)) for t in topologies]
+    def topology(pairs):
+        return Topology(tuple(gate_for_pair(p) for p in pairs))
 
-    def check(phase, want, count):
+    def scored(add, want):
+        """The history ``add`` fills: the topologies of ``want`` in order, each scored
+        bit for bit like ``evaluate``, one scored kernel row per row."""
+        history = search.History()
         before = problem.kernel.rows_scored
-        assert phase() == want
-        assert problem.kernel.rows_scored - before == count
+        returned = add(history)
+        assert problem.kernel.rows_scored - before == len(history) == len(want)
+        assert [e.topology for e in history] == want
+        for e in history:
+            assert cost_bits(e.cost) == cost_bits(evaluate(problem, e.topology))
+        return history, returned
 
-    if unused:
-        inserted = scored(
-            Topology(seq.gates[:pos] + (gate_for_pair(p),) + seq.gates[pos:])
-            for p in unused
-            for pos in range(len(seq) + 1)
-        )
-        check(lambda: best_insertion(problem, seq, cands),
-              first_lowest(inserted), len(inserted))
+    def check(phase, want):
+        """The phase adds one batch and returns it, or None and no batch when ``want``
+        is empty; the batch's best row is its first lowest."""
+        history, batch = scored(phase, want)
+        if not want:
+            assert batch is None and not history.batches
+            return
+        assert len(history.batches) == 1 and history.batches[0] is batch
+        assert (batch.best().topology, batch.best().cost) == first_lowest((e.topology, e.cost) for e in history)
+
+    check(lambda history: best_insertion(problem, seq, cands, history),
+          [Topology(seq.gates[:pos] + (gate_for_pair(p),) + seq.gates[pos:])
+           for p in unused for pos in range(len(seq) + 1)])
     for k in (1, 2, 3):
-        if len(unused) >= k:
-            added = scored(
-                Topology(seq.gates + tuple(gate_for_pair(p) for p in combo))
-                for combo in itertools.permutations(unused, k)
-            )
-            check(lambda: best_permutation_addition(problem, seq, cands, k),
-                  first_lowest(added), len(added))
-    if len(seq):
-        removed = scored(Topology(seq.gates[:r] + seq.gates[r + 1 :]) for r in range(len(seq)))
-        check(lambda: best_deletion(problem, seq), first_lowest(removed), len(removed))
+        check(lambda history: best_permutation_addition(problem, seq, cands, k, history),
+              [Topology(seq.gates + topology(combo).gates) for combo in itertools.permutations(unused, k)])
+    check(lambda history: best_deletion(problem, seq, history),
+          [Topology(seq.gates[:r] + seq.gates[r + 1 :]) for r in range(len(seq))])
 
-    m = build_kl_matrix(problem, cands)
-    want = [
-        [evaluate(problem, Topology((gate_for_pair(a),) if a == b else (gate_for_pair(a), gate_for_pair(b)))).total
-         for b in cands.pairs]
-        for a in cands.pairs
-    ]
-    assert m.tolist() == want
+    history, m = scored(lambda history: build_kl_matrix(problem, cands, history),
+                        [topology([p]) for p in cands.pairs]
+                        + [topology([a, b]) for a in cands.pairs for b in cands.pairs if a != b])
+    assert [b.phase for b in history.batches] == ["pairwise", "pairwise"]
+    assert m.tolist() == [[evaluate(problem, topology([a] if a == b else [a, b])).total for b in cands.pairs]
+                          for a in cands.pairs]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -346,11 +354,16 @@ def serial_multi_epoch(problem, cands, cfg):
         if total < best:
             best = search._greedy_removal(kernel, gates, total, search.REFINE_FRACTION * cfg.kl_tol, history)
     chosen = history[search.occam_select(history, cfg.kl_tol)]
-    return search.SearchResult(chosen.topology, chosen.cost, kernel.rows_scored - scored, history)
+    assert kernel.rows_scored - scored == len(history)
+    return search.SearchResult(chosen.topology, chosen.cost, history)
 
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def cost_bits(cost):
+    return bits([cost.kl_ct1, cost.kl_ct2, cost.total])
 
 
 def batch_bits(history):
@@ -408,10 +421,133 @@ def test_pairwise_matrix_matches_its_row_by_row_form(data):
     cands = CandidateSet(pairs=data.draw(pair_lists(n, min_size=1, max_size=8)), threshold_used=0.01)
     want = serial_kl_matrix(problem, cands)
     before = problem.kernel.rows_scored
+    history = search.History()
     with stack_budget(data, n):
-        got = build_kl_matrix(problem, cands)
+        got = build_kl_matrix(problem, cands, history)
     assert bits(got) == bits(want)
-    assert problem.kernel.rows_scored - before == len(cands.pairs) ** 2
+    assert problem.kernel.rows_scored - before == len(history) == len(cands.pairs) ** 2
+
+
+# --- local search against its object-path form ------------------------------
+#
+# A copy of local_search and its three helpers as they were when each helper
+# returned one (Topology, CostReport) and the search recorded only accepted
+# moves.  A helper with nothing to score then returned the incumbent itself,
+# scored again by ``evaluate``: a no-op row that could never be accepted.
+
+
+def object_path_insertion(problem, seq, cands):
+    unused = search._unused(seq.gates, cands)
+    if not unused:
+        return seq, evaluate(problem, seq)
+    kernel = problem.kernel
+    prefix = kernel.start()
+    by_pos = []
+    for pos in range(len(seq) + 1):
+        states = kernel.extend(prefix, [0] * len(unused), unused, search.SEARCH_ANGLE)
+        for gate in seq.gates[pos:]:
+            kernel.apply(states, gate)
+        by_pos.append(kernel.divergences(states))
+        if pos < len(seq):
+            kernel.apply(prefix, seq.gates[pos])
+    kl = np.array(by_pos)  # (position, register, candidate)
+    i, pos = divmod(int(np.argmin((kl[:, 0] + kl[:, 1]).T)), len(seq) + 1)
+    topology = Topology(gates=seq.gates[:pos] + (gate_for_pair(unused[i]),) + seq.gates[pos:])
+    return topology, CostReport.from_parts(float(kl[pos, 0, i]), float(kl[pos, 1, i]))
+
+
+def object_path_addition(problem, seq, cands, n):
+    unused = search._unused(seq.gates, cands)
+    if len(unused) < n:
+        return seq, evaluate(problem, seq)
+    kl_ct1, kl_ct2 = search._permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
+    i = int(np.argmin(kl_ct1 + kl_ct2))
+    combo = list(itertools.permutations(unused, n))[i]
+    return (Topology(seq.gates + tuple(gate_for_pair(p) for p in combo)),
+            CostReport.from_parts(float(kl_ct1[i]), float(kl_ct2[i])))
+
+
+def object_path_deletion(problem, seq):
+    if len(seq) == 0:
+        return seq, evaluate(problem, seq)
+    kl_ct1, kl_ct2 = problem.kernel.divergences(problem.kernel.deletions(seq.gates))
+    i = int(np.argmin(kl_ct1 + kl_ct2))
+    return Topology(seq.gates[:i] + seq.gates[i + 1 :]), CostReport.from_parts(float(kl_ct1[i]), float(kl_ct2[i]))
+
+
+def object_path_local_search(problem, cands, cfg):
+    """(topology, cost, scored rows, no-op rows, accepted (phase, topology, cost) moves)."""
+    scored = problem.kernel.rows_scored
+    seq = Topology(())
+    cost = evaluate(problem, seq)
+    moves, noops = [], 0
+    improved = True
+    while improved:
+        improved = False
+        cand_seq, cand_cost = object_path_insertion(problem, seq, cands)
+        noops += cand_seq is seq
+        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
+            seq, cost = cand_seq, cand_cost
+            moves.append(("insertion", seq, cost))
+            improved = True
+        cand_seq, cand_cost = object_path_addition(problem, seq, cands, cfg.n_choose)
+        noops += cand_seq is seq
+        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
+            seq, cost = cand_seq, cand_cost
+            moves.append(("addition", seq, cost))
+            improved = True
+        cand_seq, cand_cost = object_path_deletion(problem, seq)
+        noops += cand_seq is seq
+        if len(cand_seq) < len(seq) and cand_cost.total < cost.total - cfg.eps_prune:
+            seq, cost = cand_seq, cand_cost
+            moves.append(("deletion", seq, cost))
+            improved = True
+    return seq, cost, problem.kernel.rows_scored - scored, noops, moves
+
+
+def accepted_moves(result, cands, cfg):
+    """The moves local search took, replayed from its batches: each batch after the
+    baseline scores the moves from the incumbent of its time, and its best row is
+    adopted under the acceptance rule."""
+    best = result.history.batches[0].best()
+    moves = []
+    for batch in result.history.batches[1:]:
+        held = tuple((g.control, g.target) for g in best.topology)
+        if batch.phase == "insertion":
+            unused = [p for p in cands.pairs if p not in held]
+            assert (batch.parent, batch.appended) == (
+                (), [held[:pos] + (p,) + held[pos:] for p in unused for pos in range(len(held) + 1)])
+        else:
+            assert batch.parent == best.topology.gates
+        move = batch.best()
+        tol = cfg.eps_prune if batch.phase == "deletion" else cfg.kl_tol
+        if len(move.topology) <= cfg.max_depth and move.cost.total < best.cost.total - tol:
+            best = move
+            moves.append((batch.phase, move.topology, move.cost))
+    assert (best.topology, best.cost) == (result.topology, result.cost)
+    return moves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_local_search_matches_its_object_path_form(data):
+    problem = data.draw(problems(max_qubits=6))
+    n = problem.layout.num_qubits
+    cands = CandidateSet(pairs=data.draw(pair_lists(n, max_size=8)), threshold_used=0.01)
+    # Small tolerances, so that some draws accept a deletion after a few insertions.
+    cfg = search.SearchConfig(
+        kl_tol=data.draw(st.sampled_from([0.0, 1e-3, 0.01])),
+        eps_prune=data.draw(st.sampled_from([0.0, 1e-4, 0.05])),
+        n_choose=data.draw(st.integers(1, 3)),
+        max_depth=data.draw(st.integers(1, 8)),
+    )
+    topology, cost, scored, noops, moves = object_path_local_search(problem, cands, cfg)
+    before = problem.kernel.rows_scored
+    got = local_search(problem, cands, cfg)
+    assert (got.topology, cost_bits(got.cost)) == (topology, cost_bits(cost))
+    assert [(phase, t, cost_bits(c)) for phase, t, c in accepted_moves(got, cands, cfg)] == [
+        (phase, t, cost_bits(c)) for phase, t, c in moves]
+    assert got.evaluations == len(got.history) == problem.kernel.rows_scored - before == scored - noops
 
 
 # --- the annealer against its state-at-a-time form ---------------------------

@@ -136,14 +136,16 @@ class TestBestInsertion:
             pairs=[(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)], threshold_used=0.01
         )
         seq = Topology((gate_for_pair((0, 1)), gate_for_pair((0, 2))))
-        best_insertion(problem, seq, cands)
-        assert problem.kernel.rows_scored == 9  # 3 unused gates x 3 positions
+        history = History()
+        best_insertion(problem, seq, cands, history)
+        assert problem.kernel.rows_scored == len(history) == 9  # 3 unused gates x 3 positions
 
     def test_empty_seq_reduces_to_best_single(self):
         rng = np.random.default_rng(2)
         problem = reachable_problem(rng, 1, 2, [(0, 1)])
         cands = CandidateSet(pairs=[(0, 1), (1, 2), (2, 0)], threshold_used=0.01)
-        topo, report = best_insertion(problem, Topology(()), cands)
+        best = best_insertion(problem, Topology(()), cands, History()).best()
+        topo, report = best.topology, best.cost
         assert len(topo) == 1
         singles = [
             evaluate(problem, Topology((gate_for_pair(p),))).total for p in cands.pairs
@@ -155,9 +157,9 @@ class TestBestInsertion:
         problem = product_problem(rng, 1, 2)
         cands = CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
         seq = Topology((gate_for_pair((0, 1)),))
-        topo, report = best_insertion(problem, seq, cands)
-        assert topo.gates == seq.gates
-        assert report.total == evaluate(problem, seq).total
+        history = History()
+        assert best_insertion(problem, seq, cands, history) is None
+        assert problem.kernel.rows_scored == len(history) == 0
 
     def test_returns_best_even_if_worse_than_current(self):
         # targets equal the initial marginals: every insertion hurts
@@ -175,11 +177,11 @@ class TestBestInsertion:
             target_ct2=TargetDistribution(num_qubits=1, probabilities=np.array([0.64, 0.36])),
         )
         current = evaluate(problem, Topology(())).total
-        topo, report = best_insertion(
-            problem, Topology(()), CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
-        )
-        assert len(topo) == 1
-        assert report.total > current
+        best = best_insertion(
+            problem, Topology(()), CandidateSet(pairs=[(0, 1)], threshold_used=0.01), History()
+        ).best()
+        assert len(best.topology) == 1
+        assert best.cost.total > current
 
 
 class TestBestPermutationAddition:
@@ -187,34 +189,35 @@ class TestBestPermutationAddition:
         rng = np.random.default_rng(5)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 1), (0, 2), (1, 2), (2, 3)], threshold_used=0.01)
-        best_permutation_addition(problem, Topology(()), cands, n=2)
-        assert problem.kernel.rows_scored == 12  # 4 * 3 ordered pairs
+        history = History()
+        best_permutation_addition(problem, Topology(()), cands, 2, history)
+        assert problem.kernel.rows_scored == len(history) == 12  # 4 * 3 ordered pairs
 
     def test_insufficient_unused_is_noop(self):
         rng = np.random.default_rng(6)
         problem = product_problem(rng, 1, 2)
         cands = CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
-        topo, report = best_permutation_addition(problem, Topology(()), cands, n=2)
-        assert len(topo) == 0
-        assert report.total == evaluate(problem, Topology(())).total
+        history = History()
+        assert best_permutation_addition(problem, Topology(()), cands, 2, history) is None
+        assert problem.kernel.rows_scored == len(history) == 0
 
     def test_n_one_appends_best_single(self):
         rng = np.random.default_rng(7)
         problem = reachable_problem(rng, 1, 2, [(1, 2)])
         cands = CandidateSet(pairs=[(0, 1), (1, 2)], threshold_used=0.01)
-        topo, report = best_permutation_addition(problem, Topology(()), cands, n=1)
+        best = best_permutation_addition(problem, Topology(()), cands, 1, History()).best()
         appended = [
             evaluate(problem, Topology((gate_for_pair(p),))).total for p in cands.pairs
         ]
-        assert report.total == min(appended)
-        assert len(topo) == 1
+        assert best.cost.total == min(appended)
+        assert len(best.topology) == 1
 
     def test_n_validated(self):
         rng = np.random.default_rng(8)
         problem = product_problem(rng, 1, 2)
         with pytest.raises(ValueError):
             best_permutation_addition(
-                problem, Topology(()), CandidateSet(pairs=[(0, 1)], threshold_used=0.01), n=0
+                problem, Topology(()), CandidateSet(pairs=[(0, 1)], threshold_used=0.01), 0, History()
             )
 
 
@@ -225,25 +228,25 @@ class TestBestDeletion:
         problem = reachable_problem(rng, 1, 2, [(0, 1)])
         gate = gate_for_pair((0, 1))
         doubled = Topology((gate, gate))
-        topo, report = best_deletion(problem, doubled)
-        assert len(topo) == 1
-        assert report.total < evaluate(problem, doubled).total
-        assert report.total == pytest.approx(0.0, abs=1e-7)
+        best = best_deletion(problem, doubled, History()).best()
+        assert len(best.topology) == 1
+        assert best.cost.total < evaluate(problem, doubled).total
+        assert best.cost.total == pytest.approx(0.0, abs=1e-7)
 
     def test_beneficial_gate_removal_raises_cost(self):
         rng = np.random.default_rng(10)
         problem = reachable_problem(rng, 1, 2, [(0, 1)])
         seq = Topology((gate_for_pair((0, 1)),))
-        topo, report = best_deletion(problem, seq)
-        assert len(topo) == 0
-        assert report.total > evaluate(problem, seq).total
+        best = best_deletion(problem, seq, History()).best()
+        assert len(best.topology) == 0
+        assert best.cost.total > evaluate(problem, seq).total
 
     def test_empty_seq_is_noop(self):
         rng = np.random.default_rng(11)
         problem = product_problem(rng, 1, 2)
-        topo, report = best_deletion(problem, Topology(()))
-        assert len(topo) == 0
-        assert report.total == evaluate(problem, Topology(())).total
+        history = History()
+        assert best_deletion(problem, Topology(()), history) is None
+        assert problem.kernel.rows_scored == len(history) == 0
 
 
 class TestLocalSearch:
@@ -253,7 +256,7 @@ class TestLocalSearch:
         result = local_search(problem, CandidateSet(pairs=[], threshold_used=0.01))
         assert len(result.topology) == 0
         assert result.cost.total == evaluate(problem, Topology(())).total
-        assert result.history[0].phase == "baseline"
+        assert [h.phase for h in result.history] == ["baseline"]
 
     def test_single_beneficial_candidate_selected(self):
         rng = np.random.default_rng(13)
@@ -316,20 +319,17 @@ class TestLocalSearch:
         problem = reachable_problem(rng, 2, 2, [(0, 2), (3, 1)])
         cands = CandidateSet(pairs=[(0, 2), (3, 1), (1, 2)], threshold_used=0.01)
         result = local_search(problem, cands)
-        phases = {h.phase for h in result.history}
-        assert "baseline" in phases
-        assert phases <= {"baseline", "insertion", "addition", "deletion"}
+        phases = [b.phase for b in result.history.batches]
+        assert phases[0] == "baseline"
+        assert set(phases[1:]) == {"insertion", "addition", "deletion"}
 
 
 class TestOccamSelect:
     def history(self, *entries):
         """A history of (length, cost) entries."""
-        from qxtalk.cost import CostReport
-
         history = History()
         for length, cost in entries:
-            gates = tuple(gate_for_pair((i, i + 1)) for i in range(length))
-            history.record("x", Topology(gates), CostReport.from_parts(cost, 0.0))
+            history.add("x", (), ([cost], [0.0]), [tuple((i, i + 1) for i in range(length))])
         return history
 
     def test_hand_case_prefers_short(self):
@@ -431,9 +431,9 @@ class TestDefaultPanel:
     """The 4-gene synthetic panel that ``qxtalk run --synthetic`` searches."""
 
     @pytest.mark.parametrize("strategy,evaluations,entries", [
-        ("local", 3447, 9),
+        ("local", 3447, 3447),
         ("multi-epoch", 5773, 5773),
-        ("qubo-annealing", 22891, 21991),
+        ("qubo-annealing", 22891, 22891),
     ])
     def test_evaluations_and_history_lengths(self, synth4, strategy, evaluations, entries):
         result = synth4.search(strategy)
@@ -475,7 +475,7 @@ class TestBuildKlMatrix:
         rng = np.random.default_rng(26)
         problem = product_problem(rng, 1, 2)
         cands = CandidateSet(pairs=[(0, 1)], threshold_used=0.01)
-        m = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands, History())
         assert m.shape == (1, 1)
         assert m[0, 0] == evaluate(problem, Topology((gate_for_pair((0, 1)),))).total
 
@@ -484,7 +484,7 @@ class TestBuildKlMatrix:
         problem = product_problem(rng, 2, 2)
         pairs = [(0, 2), (2, 1), (1, 3)]
         cands = CandidateSet(pairs=pairs, threshold_used=0.01)
-        m = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands, History())
         for i, j in ((0, 1), (1, 2), (2, 0)):
             direct = evaluate(
                 problem, Topology((gate_for_pair(pairs[i]), gate_for_pair(pairs[j])))
@@ -495,7 +495,7 @@ class TestBuildKlMatrix:
         rng = np.random.default_rng(28)
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 2), (2, 1)], threshold_used=0.01)
-        m = build_kl_matrix(problem, cands)
+        m = build_kl_matrix(problem, cands, History())
         assert m[0, 1] != m[1, 0]
 
     def test_evaluation_count_is_n_squared(self):
@@ -503,8 +503,10 @@ class TestBuildKlMatrix:
         problem = product_problem(rng, 2, 2)
         cands = CandidateSet(pairs=[(0, 2), (2, 1), (1, 3)], threshold_used=0.01)
         before = problem.kernel.rows_scored
-        build_kl_matrix(problem, cands)
-        assert problem.kernel.rows_scored - before == 9
+        history = History()
+        build_kl_matrix(problem, cands, history)
+        assert problem.kernel.rows_scored - before == len(history) == 9
+        assert [b.phase for b in history.batches] == ["pairwise", "pairwise"]
 
 
 class TestBuildQubo:
