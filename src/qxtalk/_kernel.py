@@ -22,15 +22,15 @@ Scoring keeps the arithmetic of ``marginal_probabilities`` and
 ``kl_divergence``, including the summation order of each KL sum, so a score
 does not depend on the batch it was computed in and no tie-break can flip.
 ``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
-stack of angle vectors, from one reverse sweep over the gates
-(:func:`reverse_sweep`, which the VQE solver shares with its energy as the
-cost).  Both sweeps run through a plan built once per gate sequence and row
-count (:class:`_Plan`): the state and psi/lambda buffers, every numpy call of
-each gate bound to its block and flipped-block views and to scratch views,
-and the rotation entries, set for a round from one cos and sin of the
-stacked [theta; -theta; -theta].  :func:`bfgs` minimizes such a cost from a
-stack of starts in lockstep, on arrays of the active starts only, so a round
-that accepts every trial updates them whole.
+stack of angle vectors.  It and the VQE solver (with the energy as the cost)
+make one call each to :meth:`_Plan.gradients`, a forward and a reverse sweep
+on a plan built once per gate sequence and row count (:class:`_Plan`): the
+state and psi/lambda buffers, every numpy call of each gate bound to its
+block and flipped-block views and to scratch views, and the rotation entries,
+set for a round from one cos and sin of the stacked [theta; -theta; -theta].
+:func:`bfgs` minimizes such a cost from a stack of starts in lockstep, on
+arrays of the active starts only, so a round that accepts every trial
+updates them whole.
 """
 
 from __future__ import annotations
@@ -150,17 +150,19 @@ def _marginals(probs: np.ndarray, axis: int) -> np.ndarray:
     return marg / marg.sum(axis=1, keepdims=True)
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D_KL(p_i || q) for each row p_i, summed exactly as ``kl_divergence`` sums.
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D_KL(p_i || q) for each row p_i, summed exactly as ``kl_divergence`` sums,
+    and the log ratio log(p / q) of every entry (0 where p = 0).
 
     ``kl_divergence`` adds the terms of p > 0 with ``np.sum``, whose pairwise
     grouping depends on how many terms there are.  Rows are therefore summed
     in groups of equal term count, each row over exactly its own terms.
     """
     mask = p > 0
+    ratio = np.log(np.where(mask, p / q, 1.0))
     if mask.all():
-        return (p * np.log(p / q)).sum(axis=1)
-    terms = p[mask] * np.log((p / q)[mask])
+        return (p * ratio).sum(axis=1), ratio
+    terms = (p * ratio)[mask]
     counts = mask.sum(axis=1)
     starts = np.cumsum(counts) - counts
     out = np.empty(len(p), dtype=np.float64)
@@ -168,7 +170,7 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     for m in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == m)
         out[rows] = terms[starts[rows][:, None] + np.arange(m)].sum(axis=1)
-    return out
+    return out, ratio
 
 
 def _bind(call, operands):
@@ -182,8 +184,8 @@ class _Plan:
     """The sweep plan of one gate sequence over ``rows`` stacked states (see the module notes)."""
 
     def __init__(self, n: int, gates: tuple, rows: int):
-        self.pair = np.empty((2 * rows, 1 << n), dtype=np.complex128)  # the states psi over their lambda
-        self.psi, self.lam = self.pair[:rows], self.pair[rows:]
+        pair = np.empty((2 * rows, 1 << n), dtype=np.complex128)  # the states psi over their lambda
+        self.psi, self.lam = pair[:rows], pair[rows:]
         scratch = np.empty(2 * rows << n, dtype=np.complex128)
         kinds = [g.kind for g in gates if g.kind in ROTATION_KINDS]
         self.grads = np.empty((rows, len(kinds)))
@@ -198,7 +200,7 @@ class _Plan:
                 i = done.count(gate.kind)
                 entries = [tuple(e[i, c] if e.ndim else e for e in self.kinds[gate.kind][1]) for c in (0, slice(1, 3))]
                 shape, block, flip, (lo, hi), _ = _fold(n, gate.target, gate.control)
-                psi, lam = self.pair.reshape((2, rows) + shape)
+                psi, lam = pair.reshape((2, rows) + shape)
                 terms = scratch[: lam[block].size].reshape(lam[block].shape)
                 half = scratch[terms.size: terms.size + terms[lo].size].reshape(terms[lo].shape)
                 # l0 a1 + l1 a0 (X), l1 a0 - l0 a1 (Y: Im(-i z) = -Re z) or l0 a0 - l1 a1 (Z), l = conj(lambda)
@@ -210,7 +212,7 @@ class _Plan:
                            (np.add.reduce, (part.reshape(rows, -1), 1, None, self.grads[:, len(done)]))]
                 done.append(gate.kind)
             forward, undo = (_gate(stack, n, gate.kind, gate.target, gate.control, e, scratch)
-                             for stack, e in zip((self.psi, self.pair.reshape(2, rows, -1)), entries))
+                             for stack, e in zip((self.psi, pair.reshape(2, rows, -1)), entries))
             self._forward += [_bind(*call) for call in forward]
             self._reverse[:0] = [_bind(*call) for call in overlap + undo]
 
@@ -229,35 +231,27 @@ class _Plan:
             call()
         return self.psi
 
-    def gradients(self) -> np.ndarray:
-        """The gradients from ``pair``, by the sweep of :func:`reverse_sweep`."""
+    def gradients(self, initial: np.ndarray, angles: np.ndarray, weigh) -> tuple[np.ndarray, np.ndarray]:
+        """Costs (rows,) and their adjoint gradients (rows, R) at a (rows, R) angle stack.
+
+        ``weigh`` maps the final states to their costs and the weights w of
+        each basis state in the cost (for an energy, w = E), whose cotangents
+        are lambda = w * psi.  The derivative in the angle of a gate
+        exp(-i theta G) is 2 Im <lambda|G|psi>, read after the gate; the sweep
+        back then undoes the gate, at -theta, on psi and lambda alike.  A gate
+        without an angle (CNOT, H) is its own inverse.
+        """
+        costs, w = weigh(self.run(initial, angles))
+        np.multiply(w, self.psi, out=self.lam)
         for call in self._reverse:
             call()
-        return self.grads.copy()
+        return costs, self.grads.copy()
 
 
-# bfgs only drops starts, so one tuning of eight starts uses at most eight plans.  Each use
-# writes every buffer of a plan before reading it, so no call sees another's values.
+# bfgs only drops starts, so one tuning of eight starts uses at most eight plans, and a
+# VQE solve of two starts two more, in the same cache.  Each use writes every buffer of a
+# plan before reading it, so no call sees another's values.
 _plan = lru_cache(maxsize=8)(_Plan)
-
-
-def reverse_sweep(pair: np.ndarray, n: int, gates, angles: np.ndarray) -> np.ndarray:
-    """Adjoint gradients (S, R) in the angles of ``gates``, from one sweep back over them.
-
-    ``pair`` stacks S final states psi over their cotangents lambda = w * psi,
-    where w weighs each basis state in the cost (for an energy, w = E); the
-    sweep leaves it holding the states before the gates.  ``angles`` has one
-    column per rotation gate, in gate order.  The derivative in the angle of
-    a gate exp(-i theta G) is 2 Im <lambda|G|psi>, read after the gate; the
-    sweep then undoes the gate, at -theta, on psi and lambda alike.  A gate
-    without an angle (CNOT, H) is its own inverse.
-    """
-    plan = _plan(n, tuple(gates), len(angles))
-    plan.fill(angles)
-    plan.pair[...] = pair
-    grads = plan.gradients()
-    pair[...] = plan.pair
-    return grads
 
 
 def bfgs(value_and_grad, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,20 +326,13 @@ class Kernel:
         apply(states, self.n, gate.kind, gate.target, gate.control, entries)
 
     def run(self, gates, angles=None) -> np.ndarray:
-        """The final states of a gate sequence, optionally at other angles.
-
-        ``angles`` replaces the gates' own angles one for one, so a tuning
-        objective builds no ``GateSpec``.  A (L,) vector gives one (1, 2**n)
-        row; an (S, R) stack, one column per rotation, runs through the sweep
-        plan and gives S rows, row s at angles[s].
-        """
-        angles = None if angles is None else np.asarray(angles, dtype=np.float64)
-        if angles is None or angles.ndim == 1:
-            states = self.start()
-            for i, gate in enumerate(gates):
-                self.apply(states, gate, None if angles is None else angles[i])
-            return states
-        return _plan(self.n, tuple(gates), len(angles)).run(self._initial, angles).copy()
+        """The final state (1, 2**n) of a gate sequence, optionally at an (L,) vector
+        of other angles, which replaces the gates' own one for one, so a tuning
+        objective builds no ``GateSpec``."""
+        states = self.start()
+        for i, gate in enumerate(gates):
+            self.apply(states, gate, None if angles is None else angles[i])
+        return states
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), each (n, n, 2**(n-2)): entry [c, t] holds the ascending amplitude
@@ -421,7 +408,7 @@ class Kernel:
                     rng.bit_generator.state = seeded
                     draws.append(rng.multinomial(nshots, row))
                 marg = np.array(draws) / nshots
-            out.append(_kl_rows(marg, target))
+            out.append(_kl_rows(marg, target)[0])
         return out[0], out[1]
 
     def reports(self, states: np.ndarray) -> list[CostReport]:
@@ -433,16 +420,16 @@ class Kernel:
         for L gates that are all rotations.
 
         The cost is the exact KL total, in either eval mode.  Its gradient
-        comes from :func:`reverse_sweep` (the adjoint method), with weights
-        w = log(p / q) on each register marginal (0 where p = 0) broadcast
-        over the state.
+        comes from :meth:`_Plan.gradients` (the adjoint method), with weights
+        from :meth:`_weigh`.
         """
         angles = np.asarray(angles, dtype=np.float64)
-        plan = _plan(self.n, tuple(gates), len(angles))
-        states = plan.run(self._initial, angles)
-        parts = list(zip(self._register_marginals(states), self._targets))
-        costs = sum(_kl_rows(marg, target) for marg, target in parts)
-        w1, w2 = (np.log(np.where(marg > 0, marg / target, 1.0)) for marg, target in parts)
+        return _plan(self.n, tuple(gates), len(angles)).gradients(self._initial, angles, self._weigh)
+
+    def _weigh(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exact KL totals of a (k, 2**n) stack of final states, and the weights
+        w = log(p / q) of each register marginal (0 where p = 0) broadcast over the state."""
+        (kl1, w1), (kl2, w2) = (_kl_rows(marg, target) for marg, target in
+                                zip(self._register_marginals(states), self._targets))
         # CT2 indexes the high bits of an amplitude, CT1 the low ones.
-        np.multiply((w2[:, :, None] + w1[:, None, :]).reshape(len(states), -1), states, out=plan.lam)
-        return costs, plan.gradients()
+        return kl1 + kl2, (w2[:, :, None] + w1[:, None, :]).reshape(len(states), -1)

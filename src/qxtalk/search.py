@@ -616,17 +616,8 @@ def _vqe_gates(n: int) -> tuple[GateSpec, ...]:
 
 
 def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes of the VQE circuit: (2**n,) at a (3n,) vector, (S, 2**n) at an (S, 3n) stack."""
-    psi = np.zeros(params.shape[:-1] + (1 << n,), dtype=np.complex128)
-    psi[..., 0] = 1.0
-    column = 0
-    for gate in _vqe_gates(n):
-        if gate.kind == "CNOT":
-            _kernel.apply(psi, n, "CNOT", gate.target, gate.control)
-        else:
-            _kernel.apply(psi, n, "RY", gate.target, entries=_kernel.rotation("RY", params[..., column]))
-            column += 1
-    return psi
+    """Amplitudes (S, 2**n) of the VQE circuit from |0...0> at an (S, 3n) parameter stack."""
+    return _kernel._plan(n, _vqe_gates(n), len(params)).run(np.eye(1, 1 << n), params).copy()
 
 
 @lru_cache(maxsize=None)
@@ -669,16 +660,10 @@ def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _energy_pair(states: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<E> of each state in an (S, 2**n) stack, and the states stacked over their cotangents E * psi."""
-    costs = (np.abs(states) ** 2 * energies).sum(axis=1)
-    return costs, np.concatenate([states, energies * states])
-
-
 def _vqe_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies (S,) and their exact gradients (S, 3n) at an (S, 3n) parameter stack."""
-    costs, pair = _energy_pair(_vqe_state(params, n), energies)
-    return costs, _kernel.reverse_sweep(pair, n, _vqe_gates(n), params)
+    weigh = lambda states: ((np.abs(states) ** 2 * energies).sum(axis=1), energies)
+    return _kernel._plan(n, _vqe_gates(n), len(params)).gradients(np.eye(1, 1 << n), params, weigh)
 
 
 def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -689,8 +674,9 @@ def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[n
     read and undone between transforms by W; gamma's is the diagonal E, undone
     by the phase exp(+i gamma E).
     """
-    costs, pair = _energy_pair(_qaoa_state(params, n, energies), energies)
-    pair = pair.reshape(2, len(params), -1)  # psi over lambda
+    states = _qaoa_state(params, n, energies)
+    costs = (np.abs(states) ** 2 * energies).sum(axis=1)
+    pair = np.stack([states, energies * states])  # psi over its cotangent lambda = E * psi
     spectrum = n - 2.0 * _walsh(n)[0]
     grads = np.empty(params.shape)
     for layer in (1, 0):
@@ -740,7 +726,8 @@ def solve_qubo_heuristic(qp: QuboProblem, mode: str, seed: int = 0, top_k: int =
         gradients = lambda p: _qaoa_gradients(p, n, energies)
     starts = np.stack([rng.uniform(-0.2, 0.2, size=n_params) for _ in range(2)])
     ends, final = _kernel.bfgs(gradients, starts)
-    probs = np.abs(make_state(ends[int(np.argmin(final))])) ** 2
+    best = int(np.argmin(final))
+    probs = np.abs(make_state(ends[best : best + 1])[0]) ** 2
     return _top_k_probable(probs, energies, n, top_k)
 
 

@@ -71,6 +71,15 @@ seed = 0
 """
 
 
+# The VQE selector on the default panel: five candidates, 68 evaluations.
+QUBO_VQE_CONFIG = """\
+synthetic = true
+strategy = qubo-vqe
+threshold = 0.07
+seed = 0
+"""
+
+
 def write_config(tmp_path, text=SMALL_CONFIG):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
@@ -448,6 +457,7 @@ class TestStageChain:
             pytest.param(SMALL_CONFIG, id="small"),
             pytest.param(DEFAULT_LOCAL_CONFIG, id="default-local"),
             pytest.param(TWELVE_QUBIT_CONFIG, id="twelve-qubit"),
+            pytest.param(QUBO_VQE_CONFIG, id="qubo-vqe"),
         ],
     )
     def test_stage_results_match_full_run(self, tmp_path, text):

@@ -664,11 +664,11 @@ def test_tuning_objective_matches_oracle(data):
     kernel = problem.kernel
     retuned = tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta))
     assert kernel.reports(kernel.run(topology.gates, theta))[0] == oracle_cost(problem, retuned)
-    # A stack of 24 rows in shots mode: each row is sampled as the row-by-row oracle samples it.
+    # 24 vector runs scored as one stack in shots mode: each row is sampled as the row-by-row oracle samples it.
     problem.eval_mode = "shots"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     stack = rng.uniform(-2 * math.pi, 2 * math.pi, (24, len(theta)))
-    reports = problem.kernel.reports(problem.kernel.run(topology.gates, stack))
+    reports = problem.kernel.reports(np.concatenate([problem.kernel.run(topology.gates, row) for row in stack]))
     assert reports == [oracle_cost(problem, at_angles(topology, row)) for row in stack]
 
 
@@ -747,6 +747,22 @@ def test_gradients_match_parameter_shift_oracle(data):
 
 
 @EXAMPLES
+@given(m=st.integers(1, 8), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_kl_rows_share_one_log_ratio(m, rows, seed):
+    """One log ratio serves the KL rows and the gradient weights: the rows keep the bits of
+    ``kl_divergence``, and the ratio those of log(where(p > 0, p / q, 1)), on rows with and
+    without zero entries."""
+    rng = np.random.default_rng(seed)
+    target = random_distribution(rng, m)
+    q = _kernel._smoothed(target)
+    p = np.stack([random_distribution(rng, m).probabilities if rng.random() < 0.5
+                  else np.abs(random_state(rng, m)) ** 2 for _ in range(rows)])
+    kl, ratio = _kernel._kl_rows(p, q)
+    assert same_bits(kl, [kl_divergence(TargetDistribution(m, row), target) for row in p])
+    assert same_bits(ratio, np.log(np.where(p > 0, p / q, 1.0)))
+
+
+@EXAMPLES
 @given(data=st.data())
 def test_gradient_rows_match_one_row_calls(data):
     problem = data.draw(problems())
@@ -754,7 +770,8 @@ def test_gradient_rows_match_one_row_calls(data):
     theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(data.draw(st.integers(1, 5)))])
     kernel = problem.kernel
     costs, grads = kernel.gradients(topology.gates, theta)
-    assert np.array_equal(kernel.run(topology.gates, theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
+    plan = _kernel._plan(kernel.n, topology.gates, len(theta))
+    assert np.array_equal(plan.run(kernel.start(), theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
     for row, cost, grad in zip(theta, costs, grads):
         one_cost, one_grad = kernel.gradients(topology.gates, row[None])
         assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
@@ -890,7 +907,7 @@ def test_variational_states_match_gate_level(n, seed):
     qp, energies = random_qubo(rng, n)
     vqe_params = rng.uniform(-math.pi, math.pi, size=3 * n)
     qaoa_params = rng.uniform(-math.pi, math.pi, size=4)
-    assert np.array_equal(np.abs(search._vqe_state(vqe_params, n)) ** 2, gate_level_vqe(vqe_params, n))
+    assert np.array_equal(np.abs(search._vqe_state(vqe_params[None], n)[0]) ** 2, gate_level_vqe(vqe_params, n))
     fast = np.abs(search._qaoa_state(qaoa_params, n, energies)) ** 2
     oracle = gate_level_qaoa(qaoa_params, n, *ising_coefficients(qp))
     assert np.max(np.abs(fast - oracle)) <= 1e-12
@@ -1027,14 +1044,19 @@ def lohi_qaoa_state(params, n, energies):
     return psi
 
 
+def lohi_energy_pair(states, energies):
+    """<E> of each state in an (S, 2**n) stack, and the states stacked over their cotangents E * psi."""
+    return (np.abs(states) ** 2 * energies).sum(axis=1), np.concatenate([states, energies * states])
+
+
 def lohi_vqe_gradients(params, n, energies):
-    costs, pair = search._energy_pair(lohi_vqe_state(params, n), energies)
+    costs, pair = lohi_energy_pair(lohi_vqe_state(params, n), energies)
     return costs, lohi_sweep(pair, n, search._vqe_gates(n), params)
 
 
 def lohi_qaoa_gradients(params, n, energies):
     rows = len(params)
-    costs, pair = search._energy_pair(lohi_qaoa_state(params, n, energies), energies)
+    costs, pair = lohi_energy_pair(lohi_qaoa_state(params, n, energies), energies)
     mixer = [GateSpec(kind="RX", target=i, angle=0.0) for i in range(n)]
     grads = np.empty(params.shape)
     for layer in (1, 0):
@@ -1070,33 +1092,33 @@ def test_block_update_matches_lohi_update(data):
         assert same_bits(states, expected)
 
 
-def kernel_on(rng, n):
-    """The kernel of a problem on n >= 2 qubits with a random initial state."""
-    return Problem(initial_state=StateVector(n, random_state(rng, n)), layout=RegisterLayout(1, n - 1),
-                   target_ct1=random_distribution(rng, 1), target_ct2=random_distribution(rng, n - 1)).kernel
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_run_and_sweep_match_lohi_sweep(data):
+    """``_Plan.gradients`` on any gate list, at a drawn real weight per row and basis state:
+    ``weigh`` sees the lo/hi update's final states, its costs come back as they are, and the
+    gradients are the lo/hi sweep's on (psi, w * psi)."""
     n = data.draw(st.integers(2, 12))
     rows = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sequence = data.draw(st.lists(gates(n), min_size=1, max_size=8))
-    rotations = [g for g in sequence if g.angle is not None]
-    if rotations:
-        theta = np.array([[data.draw(ANGLES) for _ in rotations] for _ in range(rows)])
-        kernel = kernel_on(rng, n)
-        expected = np.repeat(kernel.start(), rows, axis=0)
-        for j, gate in enumerate(rotations):
-            lohi_apply(expected, n, gate.kind, gate.target, gate.control, theta[:, j])
-        assert same_bits(kernel.run(rotations, theta), expected)
-    else:
-        theta = np.empty((rows, 0))
-    pair = np.stack([random_state(rng, n) for _ in range(2 * rows)])
-    expected = pair.copy()
-    assert same_bits(_kernel.reverse_sweep(pair, n, sequence, theta), lohi_sweep(expected, n, sequence, theta))
-    assert same_bits(pair, expected)
+    theta = np.array([[data.draw(ANGLES) for g in sequence if g.angle is not None] for _ in range(rows)])
+    theta = theta.reshape(rows, -1)
+    initial = np.stack([random_state(rng, n) for _ in range(rows)])
+    weights = rng.normal(size=(rows, 1 << n))
+    seen, costs = [], rng.normal(size=rows)
+
+    def weigh(states):
+        seen.append(states.copy())
+        return costs, weights
+
+    got_costs, grads = _kernel._plan(n, tuple(sequence), rows).gradients(initial, theta, weigh)
+    expected, column = initial.copy(), 0
+    for gate in sequence:
+        lohi_apply(expected, n, gate.kind, gate.target, gate.control, None if gate.angle is None else theta[:, column])
+        column += gate.angle is not None
+    assert len(seen) == 1 and same_bits(seen[0], expected) and got_costs is costs
+    assert same_bits(grads, lohi_sweep(np.concatenate([expected, weights * expected]), n, sequence, theta))
 
 
 @EXAMPLES
@@ -1105,7 +1127,7 @@ def test_variational_gradients_match_lohi_sweep(n, rows, seed):
     rng = np.random.default_rng(seed)
     _, energies = random_qubo(rng, n)
     vqe = rng.uniform(-math.pi, math.pi, size=(rows, 3 * n))
-    for params in (vqe, vqe[0]):
+    for params in (vqe, vqe[0][None]):
         assert same_bits(search._vqe_state(params, n), lohi_vqe_state(params, n))
     for got, want in zip(search._vqe_gradients(vqe, n, energies), lohi_vqe_gradients(vqe, n, energies)):
         assert same_bits(got, want)
@@ -1211,7 +1233,7 @@ def test_cached_plans_are_reused_safely(data):
     """Stacks of 8, 3, 1 and 8 rows on two topologies, interleaved on one kernel, and
     then again on the plans those calls cached: every row equals a one-row call made
     on a fresh plan, writing into a returned array changes no later result, and no
-    later call changes states that ``Kernel.run`` returned."""
+    later call, on the same VQE plan or another, changes states that ``_vqe_state`` returned."""
     problem = data.draw(problems(min_qubits=3))
     kernel = problem.kernel
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1223,9 +1245,11 @@ def test_cached_plans_are_reused_safely(data):
             _kernel._plan.cache_clear()
             fresh.append(kernel.gradients(topology.gates, row[None]))
     _kernel._plan.cache_clear()
-    states = kernel.run(topologies[0].gates, calls[0][1])
+    n = problem.layout.num_qubits
+    states = search._vqe_state(rng.uniform(-math.pi, math.pi, (8, 3 * n)), n)
     expected = states.copy()
     for _ in range(2):
+        search._vqe_gradients(rng.uniform(-math.pi, math.pi, (8, 3 * n)), n, rng.normal(size=1 << n))
         results = [kernel.gradients(topology.gates, theta) for topology, theta in calls]
         rows = iter(fresh)
         for costs, grads in results:
