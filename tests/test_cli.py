@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,7 @@ from qxtalk.cli import (
     write_matrix_csv,
     write_trace,
 )
+import qxtalk
 from qxtalk import ingest, synth
 from qxtalk._kernel import Kernel
 from qxtalk.cost import Problem
@@ -340,6 +346,13 @@ def test_encoded_histograms_match_normalizing_first(case):
         assert enc.histograms[key] == ingest.binarize(normalized, ct1 if key.endswith("ct1") else ct2)
 
 
+def report_without_timing(outdir: Path) -> dict:
+    report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    report.pop("timing")
+    report["config"].pop("out")
+    return report
+
+
 class TestFullRun:
     def test_run_synthetic_writes_artifacts(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -369,7 +382,12 @@ class TestFullRun:
         assert report["registers"]["ct2_genes"] == ["g60", "g70"]
         assert report["search"]["strategy"] == "local"
         assert report["tuned"]["cost"]["total"] <= report["baseline"]["total"]
-        assert report["timing"]["wall_time_s"] > 0
+        timing = report["timing"]
+        assert timing["wall_time_s"] > 0
+        stages = timing["stages"]
+        assert set(stages) == {"ingest", "encode", "prune", "search", "tune", "ablate", "export"}
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert sum(stages.values()) <= timing["wall_time_s"]
         captured = capsys.readouterr()
         assert "wall time" in captured.out
 
@@ -417,12 +435,7 @@ class TestFullRun:
             "co_ct1.csv",
         ):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        a = json.loads((out_a / "report.json").read_text(encoding="utf-8"))
-        b = json.loads((out_b / "report.json").read_text(encoding="utf-8"))
-        for report in (a, b):
-            report.pop("timing")
-            report["config"].pop("out")
-        assert a == b
+        assert report_without_timing(out_a) == report_without_timing(out_b)
 
 
 class TestStageChain:
@@ -652,3 +665,55 @@ class TestExitCodes:
         path.write_text("bogus = 1\n", encoding="utf-8")
         assert main(["run", "--config", str(path)]) == EXIT_ERROR
         assert "bogus" in capsys.readouterr().err
+
+
+def run_child(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``args`` through ``main`` in a fresh interpreter, as the benchmark starts a run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qxtalk.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from qxtalk.cli import main; sys.exit(main())", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+    )
+
+
+class TestExitPath:
+    """What a process keeps once ``main`` has frozen every live object."""
+
+    def test_child_run_prints_and_writes_what_an_in_process_run_does(self, tmp_path, capsys):
+        child, here = tmp_path / "child", tmp_path / "here"
+        proc = run_child("run", "--synthetic", "--out", str(child), cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["run", "--synthetic", "--out", str(here)]) == EXIT_OK
+        capsys.readouterr()
+        *body, wall, written = proc.stdout.splitlines(keepends=True)
+        assert "".join(body) == (child / "report.txt").read_text(encoding="utf-8")
+        assert re.fullmatch(r"wall time: \d+\.\d\ds\n", wall)
+        assert written == f"report written to {child / 'report.json'}\n"
+        names = sorted(path.name for path in child.iterdir())
+        assert names == sorted(path.name for path in here.iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (child / name).read_bytes() == (here / name).read_bytes(), name
+        assert report_without_timing(child) == report_without_timing(here)
+
+    def test_child_error_exits_one_without_a_traceback(self, tmp_path):
+        proc = run_child("run", "--synthetic", "--kl-tol", "nan", "--out", str(tmp_path / "nan"), cwd=tmp_path)
+        assert proc.returncode == EXIT_ERROR
+        assert "error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_in_process_main_leaves_the_collector_working(self, tmp_path):
+        gc.unfreeze()
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        alive = weakref.ref(node)
+        del node
+        gc.collect()
+        assert alive() is None
