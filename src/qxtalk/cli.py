@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -623,41 +624,27 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
 
 def write_trace(result: SearchResult, path: Path) -> None:
     """One line per history entry: the bytes of ``json.dumps`` with sorted keys
-    of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}.
+    of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}, the
+    sequence listing the search gate of each (control, target) pair of the row.
 
     Lines are written batch by batch from the history's columns: a batch's
-    phase is encoded, and its parent encoded and joined, once for all its
-    rows.  A gate's text is kept with the first gate of its (control, target)
-    pair and reused for that same object only, so equal gates whose angles
-    encode differently, such as 0.0 and -0.0, or 1 and 1.0, never share a
-    text.  A finite cost is written as its ``repr``, the text ``json``
-    writes for it.  Each batch is written with one ``write``, so the trace
-    is never held in memory whole.
+    phase is encoded, and its parent joined, once for all its rows, and each
+    pair's text is encoded once.  A finite cost is written as its ``repr``,
+    the text ``json`` writes for it.  Each batch is written with one
+    ``write``, so the trace is never held in memory whole.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
-    known: dict[tuple, tuple[GateSpec, str]] = {}
-    appended: dict[tuple, str] = {}  # by pair, as gate_for_pair shares one gate per pair
 
-    def text(gate: GateSpec) -> str:
-        found = known.get((gate.control, gate.target))
-        if found is not None and found[0] is gate:
-            return found[1]
-        encoded = encode([gate.kind, gate.control, gate.target, gate.angle])
-        known.setdefault((gate.control, gate.target), (gate, encoded))
-        return encoded
-
-    def pair_text(pair: tuple) -> str:
-        return appended.get(pair) or appended.setdefault(pair, text(search.gate_for_pair(pair)))
+    @functools.lru_cache(maxsize=None)
+    def text(pair: tuple) -> str:
+        gate = search.gate_for_pair(pair)
+        return encode([gate.kind, gate.control, gate.target, gate.angle])
 
     with path.open("w", encoding="utf-8") as fh:
         for batch in result.history.batches:
-            parent = [text(g) for g in batch.parent]
-            if batch.appended is None:
-                sequences = [", ".join(parent[:r] + parent[r + 1 :]) for r in range(len(parent))]
-            else:
-                head = ", ".join(parent)
-                lead = head + ", " if head else ""
-                sequences = [lead + ", ".join(map(pair_text, pairs)) if pairs else head for pairs in batch.appended]
+            head = ", ".join(map(text, batch.parent))
+            lead = head + ", " if head else ""
+            sequences = [lead + ", ".join(map(text, pairs)) if pairs else head for pairs in batch.appended]
             middle = f', "phase": {encode(batch.phase)}, "sequence": ['
             fh.write("".join(f'{{"cost": {repr(cost) if math.isfinite(cost) else encode(cost)}{middle}{sequence}]}}\n'
                              for cost, sequence in zip(batch.total.tolist(), sequences)))

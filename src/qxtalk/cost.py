@@ -22,9 +22,10 @@ DEFAULT_NSHOTS = 8192
 EVAL_MODES = ("exact", "shots")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """Fixed initial state, register layout, targets and evaluation settings."""
+    """Fixed initial state, register layout, targets and evaluation settings, frozen
+    so that the cached kernel never goes stale (``dataclasses.replace`` makes another)."""
 
     initial_state: StateVector
     layout: RegisterLayout
@@ -48,11 +49,6 @@ class Problem:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
         if self.nshots <= 0:
             raise ValueError("nshots must be positive")
-
-    def __setattr__(self, name, value):
-        # The kernel caches the initial state, targets and settings; drop it on any change.
-        self.__dict__.pop("kernel", None)
-        super().__setattr__(name, value)
 
     @cached_property
     def kernel(self):

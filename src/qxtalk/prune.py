@@ -58,8 +58,8 @@ def extract_candidates(dr: np.ndarray, layout: RegisterLayout, threshold: float 
     and keeps first-seen order, which downstream search uses for
     deterministic tie-breaking.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:  # NaN fails this too
+        raise ValueError(f"threshold must be positive, got {threshold}")
     n = layout.num_qubits
     dr = np.asarray(dr)
     if dr.shape != (1 << n, n):

@@ -78,30 +78,25 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class Batch:
-    """Scored rows that share a phase and a parent gate sequence.
+    """Scored rows that share a phase and a parent sequence of (control, target) pairs.
 
-    Row r is the parent followed by the search gates of the pairs
-    ``appended[r]`` (none for the parent itself) or, where ``appended`` is
-    None, the parent without its gate r.
+    Row r is the search gates of the pairs ``parent + appended[r]``.  Rows
+    that are not one parent's extensions, such as insertions and deletions,
+    each list their whole sequence under an empty parent.
     """
 
     phase: str
-    parent: tuple[GateSpec, ...]
-    appended: list[tuple[tuple[int, int], ...]] | None
+    parent: tuple[tuple[int, int], ...]
+    appended: list[tuple[tuple[int, int], ...]]
     kl_ct1: np.ndarray
     kl_ct2: np.ndarray
     total: np.ndarray
 
     def lengths(self) -> np.ndarray:
-        if self.appended is None:
-            return np.full(len(self.parent), len(self.parent) - 1)
         return len(self.parent) + np.fromiter(map(len, self.appended), dtype=np.intp, count=len(self.appended))
 
     def entry(self, row: int) -> HistoryEntry:
-        if self.appended is None:
-            gates = self.parent[:row] + self.parent[row + 1 :]
-        else:
-            gates = self.parent + tuple(gate_for_pair(p) for p in self.appended[row])
+        gates = tuple(map(gate_for_pair, self.parent + self.appended[row]))
         cost = CostReport.from_parts(float(self.kl_ct1[row]), float(self.kl_ct2[row]))
         return HistoryEntry(Topology(gates), cost, self.phase)
 
@@ -121,7 +116,8 @@ class History:
         self.batches: list[Batch] = []
 
     def add(self, phase: str, parent, divergences, appended) -> Batch:
-        """Record a batch from its (kl_ct1, kl_ct2) arrays, as ``Kernel.divergences`` returns them."""
+        """Record a batch of the rows ``parent + appended[r]``, sequences of (control, target)
+        pairs, from their (kl_ct1, kl_ct2) arrays, as ``Kernel.divergences`` returns them."""
         kl_ct1, kl_ct2 = (np.asarray(kl, dtype=np.float64) for kl in divergences)
         batch = Batch(phase, tuple(parent), appended, kl_ct1, kl_ct2, kl_ct1 + kl_ct2)
         self.batches.append(batch)
@@ -156,19 +152,19 @@ class SearchResult:
         return len(self.history)
 
 
-_SEARCH_GATES: dict[tuple[int, int], GateSpec] = {}
-
-
+@lru_cache(maxsize=None)
 def gate_for_pair(pair: tuple[int, int]) -> GateSpec:
-    """The CRX gate of a (control, target) pair at ``SEARCH_ANGLE``, one shared frozen gate per pair."""
+    """The CRX gate of a (control, target) pair at ``SEARCH_ANGLE``."""
     control, target = pair
-    return _SEARCH_GATES.get((control, target)) or _SEARCH_GATES.setdefault(
-        (control, target), GateSpec("CRX", target, control, SEARCH_ANGLE)
-    )
+    return GateSpec("CRX", target, control, SEARCH_ANGLE)
+
+
+def _pairs(gates: tuple[GateSpec, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((g.control, g.target) for g in gates)
 
 
 def _unused(gates: tuple[GateSpec, ...], cands: CandidateSet) -> list[tuple[int, int]]:
-    used = {(g.control, g.target) for g in gates}
+    used = set(_pairs(gates))
     return [p for p in cands.pairs if p not in used]
 
 
@@ -249,7 +245,7 @@ def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet, history
         if pos < len(seq):
             kernel.apply(prefix, seq.gates[pos])
     kl = np.array(by_pos)  # (position, register, candidate)
-    held = tuple((g.control, g.target) for g in seq.gates)
+    held = _pairs(seq.gates)
     appended = [held[:pos] + (pair,) + held[pos:] for pair in unused for pos in range(len(seq) + 1)]
     return history.add("insertion", (), (kl[:, 0].T.ravel(), kl[:, 1].T.ravel()), appended)
 
@@ -265,15 +261,17 @@ def best_permutation_addition(
     if len(unused) < n:
         return None
     divergences = _permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
-    return history.add("addition", seq.gates, divergences, list(itertools.permutations(unused, n)))
+    return history.add("addition", _pairs(seq.gates), divergences, list(itertools.permutations(unused, n)))
 
 
 def best_deletion(problem: Problem, seq: Topology, history: History) -> Batch | None:
-    """Score every single-gate removal from ``seq`` as one "deletion" batch added
-    to ``history``; None on an empty sequence."""
+    """Score every single-gate removal from ``seq``, a sequence of search gates, as one
+    "deletion" batch of whole shortened sequences added to ``history``; None on an empty sequence."""
     if len(seq) == 0:
         return None
-    return history.add("deletion", seq.gates, problem.kernel.divergences(problem.kernel.deletions(seq.gates)), None)
+    held = _pairs(seq.gates)
+    shorter = [held[:r] + held[r + 1 :] for r in range(len(held))]
+    return history.add("deletion", (), problem.kernel.divergences(problem.kernel.deletions(seq.gates)), shorter)
 
 
 def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -328,11 +326,11 @@ def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, to
 
     A path reads only its own gates and state, so the paths grow in lockstep:
     each depth extends and scores the unused candidates of every growing path
-    together.  Returns each path's "forward" batches and its final (gates, total).
+    together.  Returns each path's "forward" batches and its final (pairs, total).
     """
     table = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     batches: list[list[Batch]] = [[] for _ in firsts]
-    paths = [((gate_for_pair(pairs[c]),), float(t)) for c, t in zip(firsts.tolist(), totals.tolist())]
+    paths = [((pairs[c],), float(t)) for c, t in zip(firsts.tolist(), totals.tolist())]
     used = np.zeros((len(firsts), len(pairs)), dtype=bool)
     used[np.arange(len(firsts)), firsts] = True
     growing = np.arange(len(firsts))
@@ -348,13 +346,13 @@ def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, to
         kept, picked = [], []
         for row, (path, end, count) in enumerate(zip(growing.tolist(), np.cumsum(counts).tolist(), counts.tolist())):
             block = slice(end - count, end)
-            gates, path_total = paths[path]
+            held, path_total = paths[path]
             appended = [(pairs[c],) for c in cols[block].tolist()]
-            batches[path].append(Batch("forward", gates, appended, kl_ct1[block], kl_ct2[block], total[block]))
+            batches[path].append(Batch("forward", held, appended, kl_ct1[block], kl_ct2[block], total[block]))
             i = end - count + int(np.argmin(total[block]))
             if total[i] >= path_total:
                 continue
-            paths[path] = gates + (gate_for_pair(pairs[cols[i]]),), float(total[i])
+            paths[path] = held + (pairs[cols[i]],), float(total[i])
             kept.append(row)
             picked.append(cols[i])
         kept, picked = np.array(kept, dtype=np.intp), np.array(picked, dtype=np.intp)
@@ -364,14 +362,17 @@ def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, to
     return batches, paths
 
 
-def _greedy_removal(kernel, gates: tuple[GateSpec, ...], total: float, delta: float, history: History) -> float:
-    """Remove the best gate while that lowers the total by more than ``delta``; the final total."""
-    while len(gates) >= 1:
-        batch = history.add("refine", gates, kernel.divergences(kernel.deletions(gates)), None)
+def _greedy_removal(kernel, pairs: tuple[tuple[int, int], ...], total: float, delta: float, history: History) -> float:
+    """Remove the best search gate of ``pairs`` while that lowers the total by more than
+    ``delta``; the final total.  Each "refine" row is a whole shortened sequence."""
+    while pairs:
+        shorter = [pairs[:r] + pairs[r + 1 :] for r in range(len(pairs))]
+        gates = tuple(map(gate_for_pair, pairs))
+        batch = history.add("refine", (), kernel.divergences(kernel.deletions(gates)), shorter)
         i = int(np.argmin(batch.total))
         if batch.total[i] >= total - delta:
             break
-        gates, total = gates[:i] + gates[i + 1 :], float(batch.total[i])
+        pairs, total = shorter[i], float(batch.total[i])
     return total
 
 

@@ -246,47 +246,49 @@ def per_row_trace(result: SearchResult) -> str:
 def test_every_scored_topology_is_one_history_entry_and_trace_line(tmp_path, strategy, five_gene_ct2, threshold):
     """On the 4-gene and 5-gene panels at 5 candidates each, a search's
     evaluations are its history's length and the kernel rows it scored, and its
-    trace has that many lines."""
+    trace has that many lines.  Each row's pairs are its entry's gates."""
     cfg = RunConfig(synthetic=True, five_gene_ct2=five_gene_ct2, threshold=threshold, strategy=strategy)
     encoded = encode_inputs(synthetic_matrices(cfg)[0], *gene_panels(cfg))
     problem = build_problem(encoded, cfg)
     cands = extract_candidate_pairs(encoded, cfg)
     result = run_strategy(problem, cands, cfg)
     assert result.evaluations == len(result.history) == problem.kernel.rows_scored
+    rows = [b.parent + appended for b in result.history.batches for appended in b.appended]
+    assert rows == [tuple((g.control, g.target) for g in entry.topology) for entry in result.history]
+    lengths = np.concatenate([b.lengths() for b in result.history.batches])
+    assert lengths.tolist() == [len(entry.topology) for entry in result.history]
     write_trace(result, tmp_path / "trace.jsonl")
     assert len((tmp_path / "trace.jsonl").read_bytes().splitlines()) == result.evaluations
 
 
 def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
-    rx = GateSpec(kind="RX", target=2, control=None, angle=math.pi / 3)
-    cnot = GateSpec(kind="CNOT", target=0, control=1)
-    # Equal gates whose angles encode differently.
-    twins = [GateSpec(kind="CRX", target=1, control=0, angle=a) for a in (0.0, -0.0)]
-    ry = [GateSpec(kind="RY", target=0, angle=a) for a in (2, 2.0)]
-    rz = [GateSpec(kind="RZ", target=1, angle=a) for a in (-0.0, -3, 0.0)]
-    sequences = [(), (rx,), (twins[0], rx), (twins[1], cnot, rx), (ry[0],), (ry[1], ry[0]),
-                 (rz[0], rz[1], twins[0]), (rz[2], twins[1], rz[0]), (rz[1],), (rx, rz[2])]
+    # Rows of pairs: a parent with and without appended pairs, appended pairs alone, and
+    # pairs that recur within a row, across rows and between parent and appended pairs.
+    rows = [((), ()), ((), ((0, 1),)), (((0, 1),), ((1, 0),)), (((0, 1), (2, 3)), ()), (((3, 2),), ((3, 2), (0, 1))),
+            ((), ((2, 0), (0, 2), (2, 0))), (((1, 3),), ()), ((), ()), (((2, 3), (1, 0)), ((3, 0),)), ((), ((0, 1),))]
     costs = [(0.5, 0.25), (1e-17, 3.0), (math.inf, 0.0), (0.1, 0.2), (math.nan, 1.0), (-math.inf, 0.5),
              (np.float64(0.1), np.float64(0.7)), (1, 2), (np.float64(math.nan), 0.0), (-0.0, -0.0)]
     phases = ["baseline", "forward", 'quote"d', "caf\u00e9", "refine", "x", "forward", "x", 'quote"d', "baseline"]
     history = History()
-    for seq, (kl_ct1, kl_ct2), phase in zip(sequences, costs, phases):
-        history.add(phase, seq, ([kl_ct1], [kl_ct2]), [()])
+    for (parent, appended), (kl_ct1, kl_ct2), phase in zip(rows, costs, phases):
+        history.add(phase, parent, ([kl_ct1], [kl_ct2]), [appended])
+    history.add("forward", ((1, 2),), ([0.25, 0.5, 0.75], [0.0, 1.0, 2.0]), [(), ((2, 1),), ((0, 3), (3, 0))])
     rng = np.random.default_rng(7)
     amps = rng.uniform(0.1, 1.0, size=16)
     targets = [TargetDistribution(num_qubits=2, probabilities=t / t.sum()) for t in rng.uniform(0.1, 1.0, (2, 4))]
     problem = Problem(initial_state=StateVector(4, amps / np.linalg.norm(amps)),
                       layout=RegisterLayout(n_ct1=2, n_ct2=2), target_ct1=targets[0], target_ct2=targets[1])
     searched = multi_epoch(problem, CandidateSet(pairs=[(0, 2), (2, 1), (1, 3), (3, 0)], threshold_used=0.01))
-    # Real histories of every strategy: rows that append pairs to a parent, that remove one of its
-    # gates, or that are a whole sequence of pairs (insertions, pairwise rows, orderings).
+    # Real histories of every strategy: rows that append pairs to a parent, or that are a whole
+    # sequence of pairs (insertions, deletions, refinements, pairwise rows, orderings).
     strategies = ["local", "multi-epoch", "qubo-annealing", "qubo-exact", "qubo-vqe", "qubo-qaoa"]
     real = [synth4.search(strategy) for strategy in strategies]
     batches = [b for result in real for b in result.history.batches]
     assert {b.phase for b in batches} == {"baseline", "insertion", "addition", "deletion", "pairwise", "epoch-start",
                                           "forward", "refine", "ordering"}
-    # Rows that remove a gate, and rows of no pair up to a whole identity ordering of 29 pairs.
-    assert {None, *range(6), 29} <= {None if b.appended is None else len(b.appended[0]) for b in batches}
+    assert {bool(b.parent) for b in batches} == {False, True}
+    # Rows of no pair up to a whole identity ordering of 29 pairs.
+    assert {*range(6), 29} <= set(np.concatenate([b.lengths() for b in batches]).tolist())
     for result in (SearchResult(Topology(()), history[0].cost, history), searched, *real):
         path = tmp_path / "trace.jsonl"
         write_trace(result, path)

@@ -1,5 +1,6 @@
 """Divergence objective and circuit evaluation in exact and shots modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,11 +163,14 @@ class TestEvaluate:
         problem = make_problem(rng)
         topo = Topology((gate_for_pair((0, 2)),))
         exact = evaluate(problem, topo)
-        problem.eval_mode, problem.nshots = "shots", 64
-        sampled = evaluate(problem, topo)
+        # A problem is frozen, so its kernel cannot go stale; a replaced one scores with its own settings.
+        sampled = evaluate(dataclasses.replace(problem, eval_mode="shots", nshots=64), topo)
         rng = np.random.default_rng(21)
         assert sampled == evaluate(make_problem(rng, eval_mode="shots", nshots=64), topo)
         assert sampled != exact
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.eval_mode = "shots"
+        assert evaluate(problem, topo) == exact
 
     def test_problem_validation(self):
         rng = np.random.default_rng(0)

@@ -36,6 +36,7 @@ array loops the kernel uses; bit-for-bit comparisons with the reference
 therefore start at three qubits, and the 1e-12 one covers every size.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -340,19 +341,28 @@ def serial_multi_epoch(problem, cands, cfg):
         total = float(history.add("epoch-start", (), kernel.divergences(state), [(pair,)]).total[0])
         if total >= base:
             continue
-        gates = (gate_for_pair(pair),)
-        while len(gates) < cfg.max_depth:
-            unused = [p for p in cands.pairs if p not in {(g.control, g.target) for g in gates}]
+        held = (pair,)
+        while len(held) < cfg.max_depth:
+            unused = [p for p in cands.pairs if p not in held]
             if not unused:
                 break
             states = extend_one(kernel, state, unused)
-            batch = history.add("forward", gates, kernel.divergences(states), [(p,) for p in unused])
+            batch = history.add("forward", held, kernel.divergences(states), [(p,) for p in unused])
             i = int(np.argmin(batch.total))
             if batch.total[i] >= total:
                 break
-            gates, total, state = gates + (gate_for_pair(unused[i]),), float(batch.total[i]), states[i : i + 1]
+            held, total, state = held + (unused[i],), float(batch.total[i]), states[i : i + 1]
         if total < best:
-            best = search._greedy_removal(kernel, gates, total, search.REFINE_FRACTION * cfg.kl_tol, history)
+            # Refinement lists each row as its whole shortened sequence.
+            while held:
+                shorter = [held[:r] + held[r + 1 :] for r in range(len(held))]
+                deletions = kernel.deletions(tuple(gate_for_pair(p) for p in held))
+                batch = history.add("refine", (), kernel.divergences(deletions), shorter)
+                i = int(np.argmin(batch.total))
+                if batch.total[i] >= total - search.REFINE_FRACTION * cfg.kl_tol:
+                    break
+                held, total = shorter[i], float(batch.total[i])
+            best = total
     chosen = history[search.occam_select(history, cfg.kl_tol)]
     assert kernel.rows_scored - scored == len(history)
     return search.SearchResult(chosen.topology, chosen.cost, history)
@@ -517,8 +527,10 @@ def accepted_moves(result, cands, cfg):
             unused = [p for p in cands.pairs if p not in held]
             assert (batch.parent, batch.appended) == (
                 (), [held[:pos] + (p,) + held[pos:] for p in unused for pos in range(len(held) + 1)])
+        elif batch.phase == "addition":
+            assert batch.parent == held
         else:
-            assert batch.parent == best.topology.gates
+            assert (batch.parent, batch.appended) == ((), [held[:r] + held[r + 1 :] for r in range(len(held))])
         move = batch.best()
         tol = cfg.eps_prune if batch.phase == "deletion" else cfg.kl_tol
         if len(move.topology) <= cfg.max_depth and move.cost.total < best.cost.total - tol:
@@ -665,7 +677,7 @@ def test_tuning_objective_matches_oracle(data):
     retuned = tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta))
     assert kernel.reports(kernel.run(topology.gates, theta))[0] == oracle_cost(problem, retuned)
     # 24 vector runs scored as one stack in shots mode: each row is sampled as the row-by-row oracle samples it.
-    problem.eval_mode = "shots"
+    problem = dataclasses.replace(problem, eval_mode="shots")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     stack = rng.uniform(-2 * math.pi, 2 * math.pi, (24, len(theta)))
     reports = problem.kernel.reports(np.concatenate([problem.kernel.run(topology.gates, row) for row in stack]))
@@ -740,7 +752,7 @@ def test_gradients_match_parameter_shift_oracle(data):
     theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(2)])
     costs, grads = problem.kernel.gradients(topology.gates, theta)
     # The gradient follows the exact cost in either eval mode.
-    problem.eval_mode = "exact"
+    problem = dataclasses.replace(problem, eval_mode="exact")
     for row, cost, grad in zip(theta, costs, grads):
         assert abs(cost - oracle_cost(problem, at_angles(topology, row)).total) <= 1e-12
         assert np.max(np.abs(grad - shift_rule_gradient(problem, topology, row))) <= 1e-9
@@ -813,7 +825,7 @@ def test_two_pi_is_not_a_crx_period():
 @given(data=st.data(), mode=st.sampled_from(["exact", "shots"]))
 def test_optimize_angles_replays_and_never_exceeds_the_start(data, mode):
     problem = data.draw(problems(min_qubits=3, max_qubits=6))
-    problem.eval_mode = mode
+    problem = dataclasses.replace(problem, eval_mode=mode)
     topology = rotation_topology(data, problem.layout.num_qubits, max_size=4)
     angles, report = optimize_angles(problem, topology)
     assert report == oracle_cost(problem, at_angles(topology, angles.values))

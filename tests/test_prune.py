@@ -144,8 +144,9 @@ class TestExtractCandidates:
             extract_candidates(np.zeros((8, 8)), self.layout(), threshold=0.01)
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            extract_candidates(np.zeros((8, 3)), self.layout(), threshold=0.0)
+        for threshold in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                extract_candidates(np.zeros((8, 3)), self.layout(), threshold=threshold)
 
     def test_threshold_recorded(self):
         cands = extract_candidates(np.zeros((8, 3)), self.layout(), threshold=0.02)
