@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import gc
 import json
-import logging
 import math
 import os
 import sys
@@ -35,8 +34,6 @@ from .qsim import GateSpec, RegisterLayout, StateVector, Topology, from_amplitud
 from .search import SearchConfig, SearchResult
 from .tune import AngleVector, ContributionTable
 
-log = logging.getLogger("qxtalk")
-
 ENV_PREFIX = "QXTALK_"
 STRATEGIES = ("local", "multi-epoch", "qubo-exact", "qubo-annealing", "qubo-vqe", "qubo-qaoa")
 MATRIX_KEYS = ("mono_ct1", "mono_ct2", "co_ct1", "co_ct2")
@@ -53,7 +50,7 @@ class PipelineError(Exception):
         self.stage = stage
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunConfig:
     """Flat run settings; field names double as config-file keys."""
 
@@ -99,7 +96,7 @@ class RunConfig:
         search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose, n_epochs and max_depth
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunReport:
     """Everything a finished run reports; serialized to report.json/report.txt."""
 
@@ -215,13 +212,11 @@ def _stage(stage: str, seconds: dict[str, float] | None = None):
 
 
 def _drop_empty_cells(matrix: ingest.ExpressionMatrix, name: str) -> ingest.ExpressionMatrix:
-    totals = matrix.values.sum(axis=1)
-    keep = totals > 0
-    dropped = int((~keep).sum())
-    if dropped:
-        log.warning("%s: dropping %d cell(s) with zero total count", name, dropped)
-        return ingest.ExpressionMatrix(values=matrix.values[keep], gene_names=matrix.gene_names)
-    return matrix
+    keep = matrix.values.sum(axis=1) > 0
+    if keep.all():
+        return matrix
+    print(f"WARNING qxtalk: {name}: dropping {len(keep) - keep.sum()} cell(s) with zero total count", file=sys.stderr)
+    return ingest.ExpressionMatrix(values=matrix.values[keep], gene_names=matrix.gene_names)
 
 
 def _cells_of(output: synth.TissueOutput, groups: tuple[str, ...]) -> ingest.ExpressionMatrix:
@@ -310,7 +305,7 @@ def load_matrices(cfg: RunConfig) -> dict:
     return {key: ingest.load_matrix(str(path), delimiter=delim) for key, path in paths.items()}
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EncodedInputs:
     """State histograms of the four inputs and the two joint states encoded from them."""
 
@@ -791,7 +786,6 @@ def main(argv=None) -> int:
     is never collected, unless the caller calls ``gc.unfreeze``.
     """
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)

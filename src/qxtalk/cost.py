@@ -22,7 +22,7 @@ DEFAULT_NSHOTS = 8192
 EVAL_MODES = ("exact", "shots")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Problem:
     """Fixed initial state, register layout, targets and evaluation settings, frozen
     so that the cached kernel never goes stale (``dataclasses.replace`` makes another)."""
@@ -58,7 +58,7 @@ class Problem:
         return Kernel(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CostReport:
     """Total objective plus its per-register parts (total = kl_ct1 + kl_ct2)."""
 

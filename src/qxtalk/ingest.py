@@ -22,7 +22,7 @@ from ._bits import bitstring_to_index, index_to_bitstring
 MAX_GENES_PER_TYPE = 8
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExpressionMatrix:
     """Non-negative cells x genes matrix with unique gene names."""
 
@@ -46,7 +46,7 @@ class ExpressionMatrix:
             raise ValueError("expression values must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GeneSelection:
     """Ordered gene panel for one cell type; gene i maps to qubit i of its register."""
 
@@ -64,7 +64,7 @@ class GeneSelection:
             raise ValueError("selected genes must be unique")
 
 
-@dataclass
+@dataclass(repr=False)
 class StateHistogram:
     """Counts of observed activity bitstrings over ``num_genes`` genes."""
 
@@ -85,7 +85,7 @@ class StateHistogram:
         return sum(self.counts.values())
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AmplitudeVector:
     """Real, non-negative unit-norm amplitudes over the 2**num_qubits basis states."""
 
@@ -105,7 +105,7 @@ class AmplitudeVector:
             raise ValueError(f"amplitude vector norm {norm} deviates from 1 by more than 1e-12")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TargetDistribution:
     """Probability vector over the 2**num_qubits activity states."""
 
@@ -125,13 +125,9 @@ class TargetDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
 
-def _sniff_delimiter(header: str) -> str:
-    return "\t" if "\t" in header else ","
-
-
 def _parse_header(path: str, line: str, delimiter: str | None) -> tuple[str, list[str]]:
     """The delimiter and the gene names of the header line; raises for a bad header."""
-    delim = delimiter if delimiter is not None else _sniff_delimiter(line)
+    delim = delimiter if delimiter is not None else ("\t" if "\t" in line else ",")
     header = [name.strip() for name in line.split(delim)]
     # Tolerate a leading unnamed index column header.
     if header and header[0] == "":

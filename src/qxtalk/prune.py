@@ -19,7 +19,7 @@ import numpy as np
 from .qsim import RegisterLayout, StateVector
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CandidateSet:
     """Ordered, de-duplicated (control, target) qubit pairs."""
 

@@ -47,7 +47,7 @@ GATE_KINDS = ("CRX", "CNOT", "RX", "RY", "RZ", "H")
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GateSpec:
     """One gate: kind, optional control qubit, target qubit, optional rotation angle."""
 
@@ -73,7 +73,7 @@ class GateSpec:
             raise ValueError(f"{self.kind} takes no angle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Topology:
     """A gate sequence, applied first-to-last."""
 
@@ -89,7 +89,7 @@ class Topology:
         return iter(self.gates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RegisterLayout:
     """Two contiguous registers: CT1 on qubits [0, n_ct1), CT2 on [n_ct1, n_ct1 + n_ct2)."""
 
@@ -117,7 +117,7 @@ class RegisterLayout:
         return range(self.n_ct1, self.n_ct1 + self.n_ct2)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StateVector:
     """Complex amplitudes over 2**num_qubits basis states; unit norm enforced."""
 

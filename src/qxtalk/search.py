@@ -44,7 +44,7 @@ ANNEAL_SWEEPS = 200
 _STACK_BYTES = 1 << 20
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SearchConfig:
     """Shared knobs for all strategies; defaults follow the reference setup."""
 
@@ -69,14 +69,16 @@ class SearchConfig:
             raise ValueError("shuffle_seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HistoryEntry:
+    """One scored topology, its cost and the search phase that scored it."""
+
     topology: Topology
     cost: CostReport
     phase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Batch:
     """Scored rows that share a phase and a parent sequence of (control, target) pairs.
 
@@ -140,8 +142,10 @@ class History:
             index -= len(batch.total)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SearchResult:
+    """The best topology a search found, its cost and every topology it scored."""
+
     topology: Topology
     cost: CostReport
     history: History
@@ -424,7 +428,7 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
 _GRID = float(1 << 40)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QuboProblem:
     """Symmetric QUBO matrix with the baseline cost and non-finite penalty.
 
@@ -713,8 +717,9 @@ def solve_qubo_heuristic(qp: QuboProblem, mode: str, seed: int = 0, top_k: int =
     n = qp.size
     _check_solver(mode, n, top_k, ("annealing", "vqe", "qaoa"))
     if mode == "annealing":
-        ranked = sorted((e, i) for i, e in _anneal(qp, seed, ANNEAL_RESTARTS, ANNEAL_SWEEPS).items())
-        return [(_bits(i, n), float(e)) for e, i in ranked[:top_k]]
+        import heapq  # only this branch uses it, so other runs do not import it
+        ranked = heapq.nsmallest(top_k, ((e, i) for i, e in _anneal(qp, seed, ANNEAL_RESTARTS, ANNEAL_SWEEPS).items()))
+        return [(_bits(i, n), float(e)) for e, i in ranked]
     energies = _energies(qp, np.arange(1 << n, dtype=np.int64))
     rng = np.random.default_rng(seed)
     if mode == "vqe":

@@ -35,11 +35,7 @@ _CASCADE_EDGES = [("g60", "g70"), ("g70", "g71"), ("g70", "g72"), ("g70", "g80")
 _AUTONOMOUS_EDGES = [("g73", "g74"), ("g73", "g75")]
 
 
-def _default_gene_names() -> list[str]:
-    return [f"g{i}" for i in range(DEFAULT_GENE_COUNT)]
-
-
-@dataclass
+@dataclass(eq=False, repr=False)
 class TissueConfig:
     """All knobs of the generator; defaults reproduce the benchmark tissue."""
 
@@ -55,7 +51,7 @@ class TissueConfig:
     signal_strength: float = 1.0
     baseline_mean: float = -2.0
     baseline_noise: float = 0.3
-    gene_names: list[str] = field(default_factory=_default_gene_names)
+    gene_names: list[str] = field(default_factory=lambda: [f"g{i}" for i in range(DEFAULT_GENE_COUNT)])
     grn: np.ndarray | None = None
     activation_threshold: float = -1.0
     ligand_shift: float = 3.0
@@ -105,7 +101,7 @@ class TissueConfig:
         )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TissueOutput:
     """Latent and observed genes x cells matrices plus per-cell metadata."""
 
@@ -116,8 +112,10 @@ class TissueOutput:
     gene_names: list[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GroundTruthEdge:
+    """A planted gene-to-gene edge of the synthetic tissue and its kind."""
+
     source: str
     target: str
     kind: str

@@ -33,7 +33,7 @@ RANDOM_STARTS = 7
 START_SEED = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AngleVector:
     """Rotation angles, one per gate of a topology; tuning reports them in [0, 4*pi)."""
 
@@ -45,8 +45,10 @@ class AngleVector:
             raise ValueError("angles must form a 1-D vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ContributionRow:
+    """One gate of the tuned circuit, the cost once it is applied and the change it makes."""
+
     source: str
     target: str
     angle: float
@@ -55,14 +57,18 @@ class ContributionRow:
     percent_contribution: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ContributionTable:
+    """The cost of the bare encoded state and one row per gate of the tuned circuit."""
+
     baseline_kl: float
     rows: list[ContributionRow]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NetworkEdge:
+    """One tuned gate read as a directed gene-to-gene edge."""
+
     source: str
     target: str
     angle: float

@@ -35,13 +35,14 @@ from qxtalk.cli import (
     main,
     parse_config_file,
     resolve_config,
+    run_pipeline,
     run_strategy,
     synthetic_matrices,
     write_matrix_csv,
     write_trace,
 )
 import qxtalk
-from qxtalk import ingest, synth
+from qxtalk import ingest, search, synth
 from qxtalk._kernel import Kernel
 from qxtalk.cost import Problem
 from qxtalk.ingest import TargetDistribution
@@ -621,6 +622,34 @@ def test_readme_lists_every_config_key():
     assert re.findall(r"^\| `(\w+)` \|", table, flags=re.M) == [f.name for f in dataclasses.fields(RunConfig)]
 
 
+def test_every_public_record_keeps_fields_asdict_and_replace(tmp_path):
+    """Records generate only the methods something uses, yet each stays a dataclass."""
+    cfg = resolve_config(build_parser().parse_args(["run", "--config", write_config(tmp_path), "--out", str(tmp_path)]))
+    report = run_pipeline(cfg)
+    found = {}
+
+    def collect(obj):
+        if dataclasses.is_dataclass(obj):
+            found.setdefault(type(obj), obj)
+            obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                collect(item)
+
+    collect([cfg, report, build_problem(report.encoded, cfg), search.SearchConfig(), synth.TissueConfig(),
+             ingest.amplitudes(report.encoded.histograms["mono_ct1"]), search.build_qubo(np.eye(2), 1.0)])
+    records = [getattr(qxtalk, name) for name in qxtalk.__all__ if dataclasses.is_dataclass(getattr(qxtalk, name))]
+    for cls in [*records, RunConfig]:
+        obj = found[cls]
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert list(dataclasses.asdict(obj)) == names
+        copy = dataclasses.replace(obj)
+        assert type(copy) is cls and copy is not obj
+        assert all(getattr(copy, name) is getattr(obj, name) for name in names), cls
+
+
 class TestMissingArtifacts:
     @pytest.mark.parametrize(
         "command,missing,producer",
@@ -697,6 +726,42 @@ class TestExitPath:
             if name != "report.json":
                 assert (child / name).read_bytes() == (here / name).read_bytes(), name
         assert report_without_timing(child) == report_without_timing(here)
+
+    def test_child_drops_empty_cells_with_one_warning_line(self, tmp_path):
+        """Cells with a zero total count leave one stderr line and the run of the inputs without them."""
+        rng = np.random.default_rng(5)
+        # The third gene is off both panels; its count of at least 1 keeps every drawn cell's total above 0.
+        counts = {key: rng.poisson(1.0, size=(24, 3)) + np.array([0.0, 0.0, 1.0]) for key in MATRIX_KEYS}
+        config = "".join(f"{key} = {key}.csv\n" for key in MATRIX_KEYS) + "ct1_genes = a, b\nct2_genes = d, e\nstrategy = local\n"
+        runs = {}
+        for name, zeros in (("clean", []), ("zeros", [0, 9, 24])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            for key, values in counts.items():
+                if key == "mono_ct1":
+                    values = np.insert(values, zeros, 0.0, axis=0)
+                genes = ["a", "b", "c"] if key.endswith("ct1") else ["d", "e", "f"]
+                write_matrix_csv(cwd / f"{key}.csv", ingest.ExpressionMatrix(values, genes))
+            (cwd / "run.cfg").write_text(config, encoding="utf-8")
+            runs[name] = run_child("run", "--config", "run.cfg", "--out", "out", cwd=cwd)
+            assert runs[name].returncode == EXIT_OK, runs[name].stderr
+        assert runs["clean"].stderr == ""
+        assert runs["zeros"].stderr == "WARNING qxtalk: mono_ct1: dropping 3 cell(s) with zero total count\n"
+        stdout = {name: re.sub(r"wall time: .*\n", "", proc.stdout) for name, proc in runs.items()}
+        assert stdout["zeros"] == stdout["clean"]
+        clean, zeros = (tmp_path / name / "out" for name in runs)
+        names = sorted(path.name for path in clean.iterdir())
+        assert names == sorted(path.name for path in zeros.iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (clean / name).read_bytes() == (zeros / name).read_bytes(), name
+        assert report_without_timing(clean) == report_without_timing(zeros)
+
+    def test_child_import_leaves_logging_unloaded(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(qxtalk.__file__).parents[1])}
+        code = "import sys, qxtalk.cli; print('logging' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_child_error_exits_one_without_a_traceback(self, tmp_path):
         proc = run_child("run", "--synthetic", "--kl-tol", "nan", "--out", str(tmp_path / "nan"), cwd=tmp_path)

@@ -1,8 +1,11 @@
 """Statevector simulator: gates, registers, marginals, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qxtalk.cost import CostReport
 from qxtalk.ingest import AmplitudeVector
 from qxtalk.qsim import (
     GATE_KINDS,
@@ -160,9 +163,28 @@ class TestGateSpecValidation:
         with pytest.raises(ValueError):
             GateSpec(kind="H", target=0, angle=0.5)
 
+    def test_frozen(self):
+        gate = GateSpec(kind="RX", target=0, angle=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate.angle = 1.0
+
     def test_out_of_range_qubit_caught_at_application(self):
         with pytest.raises(ValueError):
             apply_gate(basis(2, 0), GateSpec(kind="RX", target=5, angle=0.3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: GateSpec(kind="CRX", target=1, control=0, angle=v),
+    lambda v: Topology((GateSpec(kind="RX", target=0, angle=v),)),
+    lambda v: RegisterLayout(n_ct1=1, n_ct2=int(v)),
+    lambda v: CostReport.from_parts(v, 0.5),
+], ids=["GateSpec", "Topology", "RegisterLayout", "CostReport"])
+def test_value_records_compare_and_hash_by_value(make):
+    """These records are cache keys and compared in tests, so they keep value equality and hashing."""
+    a, b, other = make(1.0), make(1.0), make(2.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
 
 
 class TestRegisters:

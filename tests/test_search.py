@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qxtalk import search
 from qxtalk._kernel import Kernel
@@ -686,6 +689,18 @@ class TestSolveQuboHeuristic:
         assert energies == sorted(energies)
         states = {tuple(x) for x, _ in results}
         assert len(states) == len(results)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), data=st.data(), top_k=st.integers(1, 8))
+    def test_annealing_ranks_visited_states_as_a_full_sort(self, n, data, top_k):
+        """The top_k (energy, index) pairs of the visited states, ties broken by the lower index."""
+        energies = st.sampled_from([-1.5, -0.25, 0.0, 2.0])  # few values, so most draws tie
+        visited = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), energies, min_size=1))
+        qp = QuboProblem(size=n, q=np.zeros((n, n)), baseline=0.0, penalty=1.0)
+        with mock.patch.object(search, "_anneal", return_value=visited):
+            got = solve_qubo_heuristic(qp, mode="annealing", top_k=top_k)
+        want = sorted((e, i) for i, e in visited.items())[:top_k]
+        assert [(x.tolist(), e) for x, e in got] == [(search._bits(i, n).tolist(), e) for e, i in want]
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(38)
