@@ -13,7 +13,27 @@ simulation), :mod:`qxtalk.cost` (divergence objective), :mod:`qxtalk.prune`
 including a QUBO formulation), :mod:`qxtalk.tune` (angle optimization and
 ablation), :mod:`qxtalk.synth` (mechanistic benchmark tissue), and
 :mod:`qxtalk.cli` (command line).
+
+Importing qxtalk first loads numpy with a one-thread OpenBLAS pool, unless
+numpy is already loaded or the caller sets ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.  No BLAS call of qxtalk gains
+from a second thread, and starting one slows a short process's first 100 ms.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    # OpenBLAS reads its thread count only while loading; later processes see the caller's environment.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
 
 from .cost import CostReport, Problem, evaluate, kl_divergence
 from .ingest import (

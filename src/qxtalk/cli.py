@@ -602,8 +602,11 @@ def write_contributions(table: ContributionTable, outdir: Path) -> None:
 
 
 def write_report_files(report: RunReport, outdir: Path) -> None:
-    """The report, the learned network and every stage artifact of a run, into an existing ``outdir``."""
-    _write_json(outdir / "report.json", report_to_dict(report))
+    """Every artifact of a run, the synthetic inputs included, into an existing ``outdir``;
+    ``report.json`` goes last, with the seconds of the earlier writes as ``timing.write_s``."""
+    started = time.perf_counter()
+    if report.synthetic is not None:
+        write_synthetic(outdir, *report.synthetic)
     (outdir / "report.txt").write_text(_format_report_text(report), encoding="utf-8")
     with (outdir / "edges.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -615,6 +618,9 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
     write_search(report.search_result, outdir)
     write_tuned(report.angles, report.tuned, outdir)
     write_contributions(report.contributions, outdir)
+    payload = report_to_dict(report)
+    payload["timing"]["write_s"] = time.perf_counter() - started
+    _write_json(outdir / "report.json", payload)
 
 
 def write_trace(result: SearchResult, path: Path) -> None:
@@ -652,8 +658,6 @@ def cmd_run(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)  # an unusable run directory fails before any stage
     report = run_pipeline(cfg)
-    if report.synthetic is not None:
-        write_synthetic(outdir, *report.synthetic)
     write_report_files(report, outdir)
     print(_format_report_text(report), end="")
     print(f"wall time: {report.wall_time_s:.2f}s")

@@ -391,6 +391,7 @@ class TestFullRun:
         assert set(stages) == {"ingest", "encode", "prune", "search", "tune", "ablate", "export"}
         assert all(seconds >= 0 for seconds in stages.values())
         assert sum(stages.values()) <= timing["wall_time_s"]
+        assert timing["write_s"] > 0
         captured = capsys.readouterr()
         assert "wall time" in captured.out
 
@@ -707,6 +708,36 @@ def run_child(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(**variables: str) -> dict:
+    """The caller's environment without OpenBLAS's thread-count variables, plus ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": str(Path(qxtalk.__file__).parents[1]), **variables}
+
+
+def child_threads(code: str, cwd: Path, **variables: str) -> tuple[int, dict]:
+    """A fresh child's thread count after ``code``, and which thread-count variables it then has."""
+    report = (f"; import json, os; print(json.dumps([len(os.listdir('/proc/self/task')),"
+              f" {{k: os.environ[k] for k in os.environ.keys() & {BLAS_THREAD_VARS!r}}}]))")
+    proc = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True,
+                          env=blas_env(**variables), cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.fixture(scope="module")
+def numpy_threads(tmp_path_factory) -> int:
+    """Threads of a bare ``import numpy`` child; the thread tests need OpenBLAS to start a worker."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("counts threads in /proc/self/task")
+    threads = child_threads("import numpy", cwd=tmp_path_factory.mktemp("numpy"))[0]
+    if threads == 1:
+        pytest.skip("a bare numpy import starts no BLAS worker here")
+    return threads
+
+
 class TestExitPath:
     """What a process keeps once ``main`` has frozen every live object."""
 
@@ -762,6 +793,24 @@ class TestExitPath:
         code = "import sys, qxtalk.cli; print('logging' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_child_import_starts_no_blas_worker(self, numpy_threads, tmp_path):
+        assert child_threads("import qxtalk.cli", cwd=tmp_path) == (1, {})
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_child_import_keeps_a_thread_count_the_caller_sets(self, numpy_threads, tmp_path, name):
+        threads, env = child_threads("import qxtalk.cli", cwd=tmp_path, **{name: "2"})
+        assert (threads, env) == (child_threads("import numpy", cwd=tmp_path, **{name: "2"})[0], {name: "2"})
+
+    def test_child_import_after_numpy_changes_nothing(self, numpy_threads, tmp_path):
+        assert child_threads("import numpy, qxtalk.cli", cwd=tmp_path) == (numpy_threads, {})
+
+    def test_child_subprocess_after_import_sees_the_callers_environment(self, numpy_threads, tmp_path):
+        code = "import subprocess, sys, qxtalk; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+        probe = f"import os; print(sorted(os.environ.keys() & {BLAS_THREAD_VARS!r}))"
+        proc = subprocess.run([sys.executable, "-c", code, probe], capture_output=True, text=True,
+                              env=blas_env(), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_child_error_exits_one_without_a_traceback(self, tmp_path):
         proc = run_child("run", "--synthetic", "--kl-tol", "nan", "--out", str(tmp_path / "nan"), cwd=tmp_path)
