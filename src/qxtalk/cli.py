@@ -1,12 +1,14 @@
 """Config-driven command line for the full pipeline and its stages.
 
 ``run`` executes ingest -> encode -> prune -> search -> tune -> ablate ->
-export in one process.  Each stage subcommand loads its predecessor's
-artifacts from the run directory, calls the same stage function as ``run``
-and writes its output through the same writer, so a staged run leaves the
-same stage artifacts as ``run``.  Configuration is a flat ``key = value``
-text file, overridable first by ``QXTALK_<KEY>`` environment variables and
-then by command-line flags.
+export in one process.  Each stage is one function that reads and sets
+attributes of a :class:`RunReport`.  ``run`` walks them in memory; a stage
+subcommand walks its entry of one table, ``STAGE_COMMANDS``, on a staged
+report, which reads each input no stage of the process has set from the
+artifact an earlier command wrote.  Both write through the same writers, so
+a staged run leaves the same stage artifacts as ``run``.  Configuration is a
+flat ``key = value`` text file, overridable first by ``QXTALK_<KEY>``
+environment variables and then by command-line flags.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .cost import CostReport, Problem, evaluate
 from .ingest import GeneSelection
 from .qsim import GateSpec, RegisterLayout, StateVector, Topology, from_amplitudes, tensor
 from .search import SearchConfig, SearchResult
-from .tune import AngleVector, ContributionTable
+from .tune import AngleVector
 
 ENV_PREFIX = "QXTALK_"
 STRATEGIES = ("local", "multi-epoch", "qubo-exact", "qubo-annealing", "qubo-vqe", "qubo-qaoa")
@@ -96,23 +97,40 @@ class RunConfig:
         search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose, n_epochs and max_depth
 
 
-@dataclass(eq=False, repr=False)
 class RunReport:
-    """Everything a finished run reports; serialized to report.json/report.txt."""
+    """A run's values, each set by the stage that makes it; serialized to report.json/report.txt.
 
-    config: dict
-    encoded: EncodedInputs
-    baseline: CostReport
-    candidates: prune.CandidateSet
-    search_result: SearchResult
-    angles: AngleVector
-    tuned: CostReport
-    contributions: ContributionTable
-    edges: list[tune.NetworkEdge]
-    wall_time_s: float
-    stage_s: dict[str, float]  # seconds of each stage, keyed by stage name
-    # (matrices, truth, co-culture run) of a synthetic run, which ``run`` writes out.
-    synthetic: tuple | None = None
+    ``problem`` is built from ``encoded`` on first use.  A staged report reads
+    ``encoded``, ``candidates``, ``topology`` or ``angles`` that no stage of
+    this process has set from the artifact an earlier stage command wrote.
+    """
+
+    def __init__(self, cfg: RunConfig, staged: bool = False):
+        self.cfg, self.staged = cfg, staged
+        # (matrices, truth, co-culture run) of a synthetic run, which ``run`` writes out.
+        self.synthetic: tuple | None = None
+        self.stage_s: dict[str, float] = {}  # seconds of each stage, keyed by stage name
+
+    def __getattr__(self, name: str):
+        if name == "problem":
+            value = build_problem(self.encoded, self.cfg)
+        elif name in ("encoded", "candidates", "topology", "angles") and self.staged:
+            value = globals()[f"load_{name}"](Path(self.cfg.out))
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def run(self, stages: tuple[str, ...]) -> None:
+        """The stages' bodies in order, each one's seconds kept in ``stage_s``;
+        a ValueError raised in a body is reported as a failure of its stage."""
+        for stage in stages:
+            started = time.perf_counter()
+            try:
+                globals()[f"_{stage}"](self)
+            except ValueError as exc:
+                raise PipelineError(stage, str(exc)) from exc
+            self.stage_s[stage] = time.perf_counter() - started
 
     @property
     def ct1_genes(self) -> list[str]:
@@ -198,19 +216,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # --- stages -----------------------------------------------------------------
 
 
-@contextmanager
-def _stage(stage: str, seconds: dict[str, float] | None = None):
-    """Report a ValueError raised inside the block as a failure of ``stage``,
-    and record the block's seconds as ``seconds[stage]`` when ``seconds`` is given."""
-    started = time.perf_counter()
-    try:
-        yield
-    except ValueError as exc:
-        raise PipelineError(stage, str(exc)) from exc
-    if seconds is not None:
-        seconds[stage] = time.perf_counter() - started
-
-
 def _drop_empty_cells(matrix: ingest.ExpressionMatrix, name: str) -> ingest.ExpressionMatrix:
     keep = matrix.values.sum(axis=1) > 0
     if keep.all():
@@ -246,8 +251,9 @@ def synthetic_matrices(cfg: RunConfig):
     return matrices, truth, co
 
 
-def write_synthetic(outdir: Path, matrices: dict, truth, co: synth.TissueOutput) -> None:
+def write_synthetic(report: RunReport, outdir: Path) -> None:
     """The four simulated matrices, the co-culture cell labels and the true edges, into an existing ``outdir``."""
+    matrices, truth, co = report.synthetic
     for key, matrix in matrices.items():
         write_matrix_csv(outdir / f"{key}.csv", matrix)
     with (outdir / "labels.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -385,48 +391,60 @@ def run_strategy(problem: Problem, cands: prune.CandidateSet, cfg: RunConfig) ->
     return search.qubo_search(problem, cands, scfg, solver=solver, seed=cfg.seed, top_k=cfg.top_k)
 
 
+def _simulate(r: RunReport) -> None:
+    if not r.cfg.synthetic:
+        raise ValueError("simulate requires synthetic = true")
+    r.synthetic = synthetic_matrices(r.cfg)
+
+
+def _ingest(r: RunReport) -> None:
+    """The gene panels, then the four matrices: a staged report reads the ones
+    ``simulate`` wrote, an in-memory synthetic run simulates its own."""
+    r.panels = gene_panels(r.cfg)
+    if r.cfg.synthetic and not r.staged:
+        r.synthetic = synthetic_matrices(r.cfg)
+    r.matrices = r.synthetic[0] if r.synthetic else load_matrices(r.cfg)
+
+
+def _encode(r: RunReport) -> None:
+    r.encoded = encode_inputs(r.matrices, *r.panels)
+    # Free the parsed file matrices before search; synthetic ones stay
+    # referenced by ``synthetic`` for write_synthetic.
+    del r.matrices
+
+
+def _prune(r: RunReport) -> None:
+    r.candidates = extract_candidate_pairs(r.encoded, r.cfg)
+
+
+def _search(r: RunReport) -> None:
+    r.search_result = run_strategy(r.problem, r.candidates, r.cfg)
+    r.topology = r.search_result.topology
+
+
+def _tune(r: RunReport) -> None:
+    r.angles, r.tuned = tune.optimize_angles(r.problem, r.topology)
+
+
+def _ablate(r: RunReport) -> None:
+    r.contributions = tune.contribution_analysis(r.problem, r.topology, r.angles, r.encoded.gene_map)
+
+
+def _export(r: RunReport) -> None:
+    r.edges = tune.export_network(r.topology, r.angles, r.encoded.gene_map, r.encoded.layout)
+
+
+PIPELINE = ("ingest", "encode", "prune", "search", "tune", "ablate", "export")
+
+
 def run_pipeline(cfg: RunConfig) -> RunReport:
     """Full pipeline on one configuration; deterministic for exact evaluation."""
     started = time.perf_counter()
-    stage_s: dict[str, float] = {}
-    with _stage("ingest", stage_s):
-        panels = gene_panels(cfg)
-        if cfg.synthetic:
-            synthetic = synthetic_matrices(cfg)
-            matrices = synthetic[0]
-        else:
-            synthetic, matrices = None, load_matrices(cfg)
-    with _stage("encode", stage_s):
-        enc = encode_inputs(matrices, *panels)
-        # Free the parsed file matrices before search; synthetic ones stay
-        # referenced by ``synthetic`` for write_synthetic.
-        del matrices
-        problem = build_problem(enc, cfg)
-    with _stage("prune", stage_s):
-        cands = extract_candidate_pairs(enc, cfg)
-    baseline = evaluate(problem, Topology(()))
-    with _stage("search", stage_s):
-        result = run_strategy(problem, cands, cfg)
-    with _stage("tune", stage_s):
-        angles, tuned = tune.optimize_angles(problem, result.topology)
-    with _stage("ablate", stage_s):
-        contributions = tune.contribution_analysis(problem, result.topology, angles, enc.gene_map)
-    with _stage("export", stage_s):
-        edges = tune.export_network(result.topology, angles, enc.gene_map, enc.layout)
-    return RunReport(
-        config=dataclasses.asdict(cfg),
-        encoded=enc,
-        baseline=baseline,
-        candidates=cands,
-        search_result=result,
-        angles=angles,
-        tuned=tuned,
-        contributions=contributions,
-        edges=edges,
-        wall_time_s=time.perf_counter() - started,
-        stage_s=stage_s,
-        synthetic=synthetic,
-    )
+    report = RunReport(cfg)
+    report.run(PIPELINE)
+    report.baseline = evaluate(report.problem, Topology(()))  # untimed: in no stage's seconds
+    report.wall_time_s = time.perf_counter() - started
+    return report
 
 
 # --- serialization --------------------------------------------------------
@@ -448,12 +466,12 @@ def _cost_dict(report: CostReport) -> dict:
 
 def report_to_dict(report: RunReport) -> dict:
     return {
-        "config": report.config,
+        "config": dataclasses.asdict(report.cfg),
         "registers": {"ct1_genes": report.ct1_genes, "ct2_genes": report.ct2_genes},
         "baseline": _cost_dict(report.baseline),
         "candidates": [list(p) for p in report.candidates.pairs],
         "search": {
-            "strategy": report.config["strategy"],
+            "strategy": report.cfg.strategy,
             "cost": _cost_dict(report.search_result.cost),
             "evaluations": report.search_result.evaluations,
             "topology": [gate_to_dict(g) for g in report.search_result.topology],
@@ -522,7 +540,8 @@ def _read_json(path: Path, producer: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def write_encoded(enc: EncodedInputs, outdir: Path) -> None:
+def write_encoded(report: RunReport, outdir: Path) -> None:
+    enc = report.encoded
     _write_json(outdir / "encoded.json", {
         "ct1": {"label": enc.ct1_sel.cell_type_label, "genes": enc.ct1_sel.genes},
         "ct2": {"label": enc.ct2_sel.cell_type_label, "genes": enc.ct2_sel.genes},
@@ -547,7 +566,8 @@ def load_encoded(outdir: Path) -> EncodedInputs:
     return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
 
 
-def write_candidates(cands: prune.CandidateSet, gene_map: dict[int, str], outdir: Path) -> None:
+def write_candidates(report: RunReport, outdir: Path) -> None:
+    cands, gene_map = report.candidates, report.encoded.gene_map
     _write_json(outdir / "candidates.json",
                 {"threshold": cands.threshold_used, "pairs": [list(p) for p in cands.pairs]})
     with (outdir / "candidates.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -563,7 +583,8 @@ def load_candidates(outdir: Path) -> prune.CandidateSet:
     return prune.CandidateSet(pairs=pairs, threshold_used=data["threshold"])
 
 
-def write_search(result: SearchResult, outdir: Path) -> None:
+def write_search(report: RunReport, outdir: Path) -> None:
+    result = report.search_result
     _write_json(outdir / "topology.json", {
         "topology": [gate_to_dict(g) for g in result.topology],
         "cost": _cost_dict(result.cost),
@@ -572,29 +593,29 @@ def write_search(result: SearchResult, outdir: Path) -> None:
     write_trace(result, outdir / "trace.jsonl")
 
 
-def load_search(outdir: Path) -> Topology:
+def load_topology(outdir: Path) -> Topology:
     """The searched topology, at its searched angles."""
     data = _read_json(outdir / "topology.json", "search")
     return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
 
 
-def write_tuned(angles: AngleVector, cost: CostReport, outdir: Path) -> None:
-    angle_list = [float(a) for a in angles.values]
-    _write_json(outdir / "tuned.json", {"angles": angle_list, "cost": _cost_dict(cost)})
+def write_tuned(report: RunReport, outdir: Path) -> None:
+    angle_list = [float(a) for a in report.angles.values]
+    _write_json(outdir / "tuned.json", {"angles": angle_list, "cost": _cost_dict(report.tuned)})
 
 
-def load_tuned(outdir: Path) -> AngleVector:
+def load_angles(outdir: Path) -> AngleVector:
     data = _read_json(outdir / "tuned.json", "tune")
     return AngleVector(values=np.array(data["angles"], dtype=np.float64))
 
 
-def write_contributions(table: ContributionTable, outdir: Path) -> None:
+def write_contributions(report: RunReport, outdir: Path) -> None:
     with (outdir / "contributions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["source", "target", "angle", "kl_after_prefix", "kl_delta", "percent_contribution"]
         )
-        for row in table.rows:
+        for row in report.contributions.rows:
             writer.writerow(
                 [row.source, row.target, repr(row.angle), repr(row.kl_after_prefix),
                  repr(row.kl_delta), repr(row.percent_contribution)]
@@ -606,18 +627,18 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
     ``report.json`` goes last, with the seconds of the earlier writes as ``timing.write_s``."""
     started = time.perf_counter()
     if report.synthetic is not None:
-        write_synthetic(outdir, *report.synthetic)
+        write_synthetic(report, outdir)
     (outdir / "report.txt").write_text(_format_report_text(report), encoding="utf-8")
     with (outdir / "edges.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "angle", "edge_class"])
         for edge in report.edges:
             writer.writerow([edge.source, edge.target, repr(edge.angle), edge.edge_class])
-    write_encoded(report.encoded, outdir)
-    write_candidates(report.candidates, report.encoded.gene_map, outdir)
-    write_search(report.search_result, outdir)
-    write_tuned(report.angles, report.tuned, outdir)
-    write_contributions(report.contributions, outdir)
+    write_encoded(report, outdir)
+    write_candidates(report, outdir)
+    write_search(report, outdir)
+    write_tuned(report, outdir)
+    write_contributions(report, outdir)
     payload = report_to_dict(report)
     payload["timing"]["write_s"] = time.perf_counter() - started
     _write_json(outdir / "report.json", payload)
@@ -665,88 +686,36 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if not cfg.synthetic:
-        raise PipelineError("simulate", "simulate requires synthetic = true")
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with _stage("simulate"):
-        matrices, truth, co = synthetic_matrices(cfg)
-    write_synthetic(outdir, matrices, truth, co)
-    sparsity = float((co.observed == 0).mean())
-    print(f"wrote {len(matrices)} matrices to {outdir} (co-run sparsity {sparsity:.1%})")
-    return EXIT_OK
-
-
-def cmd_encode(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with _stage("ingest"):
-        panels = gene_panels(cfg)
-        matrices = load_matrices(cfg)
-    with _stage("encode"):
-        enc = encode_inputs(matrices, *panels)
-    write_encoded(enc, outdir)
-    print(f"encoded histograms written to {outdir / 'encoded.json'}")
-    return EXIT_OK
-
-
-def cmd_prune(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out)
-    with _stage("prune"):
-        enc = load_encoded(outdir)
-        cands = extract_candidate_pairs(enc, cfg)
-    write_candidates(cands, enc.gene_map, outdir)
-    print(f"{len(cands.pairs)} candidate pair(s) written to {outdir / 'candidates.json'}")
-    return EXIT_OK
-
-
-def cmd_search(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out)
-    with _stage("search"):
-        enc = load_encoded(outdir)
-        cands = load_candidates(outdir)
-        result = run_strategy(build_problem(enc, cfg), cands, cfg)
-    write_search(result, outdir)
-    print(
-        f"{cfg.strategy} selected {len(result.topology)} gate(s) at cost "
-        f"{result.cost.total:.6f} ({result.evaluations} evaluations)"
-    )
-    return EXIT_OK
-
-
-def cmd_tune(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out)
-    with _stage("tune"):
-        enc = load_encoded(outdir)
-        topology = load_search(outdir)
-        angles, tuned = tune.optimize_angles(build_problem(enc, cfg), topology)
-    write_tuned(angles, tuned, outdir)
-    print(f"tuned cost {tuned.total:.6f} written to {outdir / 'tuned.json'}")
-    return EXIT_OK
-
-
-def cmd_ablate(cfg: RunConfig) -> int:
-    outdir = Path(cfg.out)
-    with _stage("ablate"):
-        enc = load_encoded(outdir)
-        topology = load_search(outdir)
-        angles = load_tuned(outdir)
-        table = tune.contribution_analysis(build_problem(enc, cfg), topology, angles, enc.gene_map)
-    write_contributions(table, outdir)
-    print(f"contribution table written to {outdir / 'contributions.csv'}")
-    return EXIT_OK
-
-
-COMMANDS = {
-    "run": cmd_run,
-    "simulate": cmd_simulate,
-    "encode": cmd_encode,
-    "prune": cmd_prune,
-    "search": cmd_search,
-    "tune": cmd_tune,
-    "ablate": cmd_ablate,
+# Each stage command: its help text, the stages it runs, the writer of its artifacts and its one-line message.
+STAGE_COMMANDS = {
+    "simulate": ("generate the synthetic benchmark tissue matrices", ("simulate",), "write_synthetic",
+                 lambda r, out: f"wrote {len(r.synthetic[0])} matrices to {out} "
+                                f"(co-run sparsity {float((r.synthetic[2].observed == 0).mean()):.1%})"),
+    "encode": ("binarize and encode the input matrices", ("ingest", "encode"), "write_encoded",
+               lambda r, out: f"encoded histograms written to {out / 'encoded.json'}"),
+    "prune": ("extract candidate gate pairs from the density-matrix difference", ("prune",), "write_candidates",
+              lambda r, out: f"{len(r.candidates.pairs)} candidate pair(s) written to {out / 'candidates.json'}"),
+    "search": ("run the configured topology search", ("search",), "write_search",
+               lambda r, out: f"{r.cfg.strategy} selected {len(r.topology)} gate(s) at cost "
+                              f"{r.search_result.cost.total:.6f} ({r.search_result.evaluations} evaluations)"),
+    "tune": ("optimize rotation angles of the searched topology", ("tune",), "write_tuned",
+             lambda r, out: f"tuned cost {r.tuned.total:.6f} written to {out / 'tuned.json'}"),
+    "ablate": ("per-gate contribution analysis of the tuned circuit", ("ablate",), "write_contributions",
+               lambda r, out: f"contribution table written to {out / 'contributions.csv'}"),
 }
+
+
+def cmd_stage(command: str, cfg: RunConfig) -> int:
+    """``command``'s stages on a staged report, then its writer and its message."""
+    _, stages, writer, message = STAGE_COMMANDS[command]
+    outdir = Path(cfg.out)
+    if command in ("simulate", "encode"):  # the commands that read no artifact make the run directory first
+        outdir.mkdir(parents=True, exist_ok=True)
+    report = RunReport(cfg, staged=True)
+    report.run(stages)
+    globals()[writer](report, outdir)  # looked up at call time, as a wrapped or patched writer is bound
+    print(message(report, outdir))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -765,15 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn cell-cell interaction circuits from binarized expression states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "full pipeline: ingest, encode, prune, search, tune, ablate, export"),
-        ("simulate", "generate the synthetic benchmark tissue matrices"),
-        ("encode", "binarize and encode the input matrices"),
-        ("prune", "extract candidate gate pairs from the density-matrix difference"),
-        ("search", "run the configured topology search"),
-        ("tune", "optimize rotation angles of the searched topology"),
-        ("ablate", "per-gate contribution analysis of the tuned circuit"),
-    ):
+    sub.add_parser("run", parents=[common], help="full pipeline: " + ", ".join(PIPELINE))
+    for name, (help_text, *_) in STAGE_COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -792,7 +754,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return cmd_run(cfg) if args.command == "run" else cmd_stage(args.command, cfg)
     except PipelineError as exc:
         print(f"error in {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -60,13 +60,6 @@ seed = 0
 """
 
 
-DEFAULT_LOCAL_CONFIG = """\
-synthetic = true
-strategy = local
-seed = 0
-"""
-
-
 # Six genes per type: the 12-qubit cap, which prune handles without a cap of its own.
 TWELVE_QUBIT_CONFIG = """\
 synthetic = true
@@ -78,13 +71,11 @@ seed = 0
 """
 
 
-# The VQE selector on the default panel: five candidates, 68 evaluations.
-QUBO_VQE_CONFIG = """\
-synthetic = true
-strategy = qubo-vqe
-threshold = 0.07
-seed = 0
-"""
+def strategy_config(strategy: str, extra: str = "") -> str:
+    """The default panel at seed 0 under ``strategy``; the exact and variational QUBO
+    solvers run at threshold 0.07, which keeps them under their caps."""
+    threshold = "threshold = 0.07\n" if strategy in ("qubo-exact", "qubo-vqe", "qubo-qaoa") else ""
+    return f"synthetic = true\nstrategy = {strategy}\n{threshold}seed = 0\n{extra}"
 
 
 def write_config(tmp_path, text=SMALL_CONFIG):
@@ -472,9 +463,10 @@ class TestStageChain:
         "text",
         [
             pytest.param(SMALL_CONFIG, id="small"),
-            pytest.param(DEFAULT_LOCAL_CONFIG, id="default-local"),
+            pytest.param(strategy_config("local"), id="default-local"),
             pytest.param(TWELVE_QUBIT_CONFIG, id="twelve-qubit"),
-            pytest.param(QUBO_VQE_CONFIG, id="qubo-vqe"),
+            *(pytest.param(strategy_config(strategy), id=strategy) for strategy in STRATEGIES[1:]),
+            pytest.param(strategy_config("local", "eval_mode = shots\n"), id="shots-local"),
         ],
     )
     def test_stage_results_match_full_run(self, tmp_path, text):
@@ -624,7 +616,8 @@ def test_readme_lists_every_config_key():
 
 
 def test_every_public_record_keeps_fields_asdict_and_replace(tmp_path):
-    """Records generate only the methods something uses, yet each stays a dataclass."""
+    """Records generate only the methods something uses, yet each stays a dataclass.
+    A run's report is a plain object, so its values are walked through ``vars``."""
     cfg = resolve_config(build_parser().parse_args(["run", "--config", write_config(tmp_path), "--out", str(tmp_path)]))
     report = run_pipeline(cfg)
     found = {}
@@ -639,7 +632,7 @@ def test_every_public_record_keeps_fields_asdict_and_replace(tmp_path):
             for item in obj:
                 collect(item)
 
-    collect([cfg, report, build_problem(report.encoded, cfg), search.SearchConfig(), synth.TissueConfig(),
+    collect([cfg, vars(report), build_problem(report.encoded, cfg), search.SearchConfig(), synth.TissueConfig(),
              ingest.amplitudes(report.encoded.histograms["mono_ct1"]), search.build_qubo(np.eye(2), 1.0)])
     records = [getattr(qxtalk, name) for name in qxtalk.__all__ if dataclasses.is_dataclass(getattr(qxtalk, name))]
     for cls in [*records, RunConfig]:
@@ -658,23 +651,25 @@ class TestMissingArtifacts:
             ("encode", "mono_ct1.csv", "simulate"),
             ("prune", "encoded.json", "encode"),
             ("search", "encoded.json", "encode"),
+            ("search", "candidates.json", "prune"),
             ("tune", "topology.json", "search"),
             ("ablate", "topology.json", "search"),
+            ("ablate", "tuned.json", "tune"),
         ],
     )
     def test_error_names_producer_stage(self, tmp_path, capsys, command, missing, producer):
+        """The chain up to the producer of ``missing`` leaves ``missing`` and every later
+        artifact unwritten; a command reads its artifacts in a fixed order, so it names ``missing``."""
         config = write_config(tmp_path)
         out = tmp_path / "empty"
         out.mkdir()
-        if command in ("tune", "ablate"):
-            # give them the encode artifact so the topology check is reached
-            assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
-            assert main(["encode", "--config", config, "--out", str(out)]) == EXIT_OK
+        chain = ("simulate", "encode", "prune", "search", "tune")
+        for earlier in chain[:chain.index(producer)]:
+            assert main([earlier, "--config", config, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
         code = main([command, "--config", config, "--out", str(out)])
         assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert missing in err
-        assert producer in err
+        assert f"missing artifact {missing} (run the {producer} stage first)\n" in capsys.readouterr().err
 
 
 class TestExitCodes:
