@@ -254,6 +254,23 @@ class _Plan:
 _plan = lru_cache(maxsize=8)(_Plan)
 
 
+class HashedGates(tuple):
+    """A gate tuple that is hashed once, when made.
+
+    The plan cache is looked up on every BFGS round; a plain tuple would hash
+    each of its ``GateSpec``s again at every lookup.  It equals, and hashes
+    as, the plain tuple of the same gates, so both find the same plan.
+    """
+
+    def __new__(cls, gates):
+        self = super().__new__(cls, gates)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def bfgs(value_and_grad, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """End points and their costs of BFGS runs from each row of an (S, k) start stack.
 
@@ -421,10 +438,11 @@ class Kernel:
 
         The cost is the exact KL total, in either eval mode.  Its gradient
         comes from :meth:`_Plan.gradients` (the adjoint method), with weights
-        from :meth:`_weigh`.
+        from :meth:`_weigh`.  ``gates`` is a tuple, one made once by
+        :class:`HashedGates` for a caller that looks its plan up every round.
         """
         angles = np.asarray(angles, dtype=np.float64)
-        return _plan(self.n, tuple(gates), len(angles)).gradients(self._initial, angles, self._weigh)
+        return _plan(self.n, gates, len(angles)).gradients(self._initial, angles, self._weigh)
 
     def _weigh(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exact KL totals of a (k, 2**n) stack of final states, and the weights

@@ -216,14 +216,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # --- stages -----------------------------------------------------------------
 
 
-def _drop_empty_cells(matrix: ingest.ExpressionMatrix, name: str) -> ingest.ExpressionMatrix:
-    keep = matrix.values.sum(axis=1) > 0
-    if keep.all():
-        return matrix
-    print(f"WARNING qxtalk: {name}: dropping {len(keep) - keep.sum()} cell(s) with zero total count", file=sys.stderr)
-    return ingest.ExpressionMatrix(values=matrix.values[keep], gene_names=matrix.gene_names)
-
-
 def _cells_of(output: synth.TissueOutput, groups: tuple[str, ...]) -> ingest.ExpressionMatrix:
     mask = np.array([lab in groups for lab in output.cell_labels])
     return ingest.ExpressionMatrix(
@@ -291,7 +283,8 @@ def gene_panels(cfg: RunConfig) -> tuple[GeneSelection, GeneSelection]:
 
 
 def load_matrices(cfg: RunConfig) -> dict:
-    """The four input matrices from the configured files.
+    """The panel read of each configured input file: ``ingest.load_matrix``'s
+    (matrix of the panel's columns, cells left out for a zero total) pair.
 
     For synthetic inputs these are the CSVs ``simulate`` wrote to the run directory.
     """
@@ -308,7 +301,15 @@ def load_matrices(cfg: RunConfig) -> dict:
                 "set them in the config or use synthetic = true"
             )
     delim = cfg.delimiter or None
-    return {key: ingest.load_matrix(str(path), delimiter=delim) for key, path in paths.items()}
+    panels = gene_panels(cfg)
+    return {key: ingest.load_matrix(str(path), delimiter=delim, genes=panels[key.endswith("ct2")].genes)
+            for key, path in paths.items()}
+
+
+def panel_reads(matrices: dict, panels: tuple[GeneSelection, GeneSelection]) -> dict:
+    """In-memory input matrices as :func:`load_matrices` reads files: each one's
+    ``ingest.select_panel`` pair for its panel."""
+    return {key: ingest.select_panel(matrix, panels[key.endswith("ct2")].genes) for key, matrix in matrices.items()}
 
 
 @dataclass(eq=False, repr=False)
@@ -340,16 +341,20 @@ class EncodedInputs:
         return dict(enumerate(names))
 
 
-def encode_inputs(matrices: dict, ct1_sel: GeneSelection, ct2_sel: GeneSelection) -> EncodedInputs:
-    """Binarize each input matrix over its panel, skipping cells with a zero total.
+def encode_inputs(reads: dict, ct1_sel: GeneSelection, ct2_sel: GeneSelection) -> EncodedInputs:
+    """Binarize each input's panel read, a (panel matrix, cells left out) pair.
 
-    A gene is active when its raw count is above 0.  Median scaling and
-    log1p keep that sign, so the counts are binarized without normalizing.
+    Cells with a zero total count have no activity state; each input that
+    left any out gets one warning line.  A gene is active when its raw
+    count is above 0.  Median scaling and log1p keep that sign, so the
+    counts are binarized without normalizing.
     """
     histograms = {}
     for key in MATRIX_KEYS:
-        sel = ct1_sel if key.endswith("ct1") else ct2_sel
-        histograms[key] = ingest.binarize(_drop_empty_cells(matrices[key], key), sel)
+        matrix, dropped = reads[key]
+        if dropped:
+            print(f"WARNING qxtalk: {key}: dropping {dropped} cell(s) with zero total count", file=sys.stderr)
+        histograms[key] = ingest.binarize(matrix, ct1_sel if key.endswith("ct1") else ct2_sel)
     return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
 
 
@@ -398,19 +403,18 @@ def _simulate(r: RunReport) -> None:
 
 
 def _ingest(r: RunReport) -> None:
-    """The gene panels, then the four matrices: a staged report reads the ones
-    ``simulate`` wrote, an in-memory synthetic run simulates its own."""
+    """The gene panels, then the panel reads of the four matrices: a staged
+    report reads the files ``simulate`` wrote, an in-memory synthetic run
+    simulates its own."""
     r.panels = gene_panels(r.cfg)
     if r.cfg.synthetic and not r.staged:
         r.synthetic = synthetic_matrices(r.cfg)
-    r.matrices = r.synthetic[0] if r.synthetic else load_matrices(r.cfg)
+    r.reads = panel_reads(r.synthetic[0], r.panels) if r.synthetic else load_matrices(r.cfg)
 
 
 def _encode(r: RunReport) -> None:
-    r.encoded = encode_inputs(r.matrices, *r.panels)
-    # Free the parsed file matrices before search; synthetic ones stay
-    # referenced by ``synthetic`` for write_synthetic.
-    del r.matrices
+    r.encoded = encode_inputs(r.reads, *r.panels)
+    del r.reads  # free them before search
 
 
 def _prune(r: RunReport) -> None:

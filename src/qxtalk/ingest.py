@@ -8,6 +8,10 @@ bitstrings are tallied into a state histogram, and the counts are
 L2-normalized into real amplitudes.  Squaring the amplitudes yields the
 target probability mass per activity state; note this weights states by
 squared counts rather than by relative frequency.
+
+A run reads each count file for its panel (``load_matrix(..., genes=...)``):
+it holds only the panel's columns of the cells with a nonzero total, so its
+memory grows with cells x panel genes, not with cells x genes.
 """
 
 from __future__ import annotations
@@ -158,10 +162,17 @@ _NEWLINE = ord("\n")
 _ZERO = ord("0")
 
 
-def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) -> int | None:
+def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray,
+                cols: list[int] | None = None, nonzero: np.ndarray | None = None) -> int | None:
     """Write the integers of a block of whole rows, ending in a newline, into
-    ``dest``; returns how many were written, or None unless every row is
-    ``n_fields`` fields of 1-4 ASCII digits joined by ``sep``."""
+    the first rows of ``dest``, a (rows, fields) array; returns how many rows
+    were written, or None unless every row is ``n_fields`` fields of 1-4
+    ASCII digits joined by ``sep``.
+
+    With ``cols``, only the fields of those columns are written, and
+    ``nonzero`` takes one flag per row: whether any of its digits is
+    nonzero, that is whether its total count is above 0.
+    """
     newline = chars == _NEWLINE
     is_end = chars == sep
     is_end |= newline
@@ -169,7 +180,8 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
     digits = chars - _ZERO  # bytes below '0' wrap past 9
     if np.count_nonzero(digits < 10) != len(chars) - len(ends):
         return None
-    if np.count_nonzero(newline) * n_fields != len(ends) or not newline[ends[n_fields - 1 :: n_fields]].all():
+    rows = np.count_nonzero(newline)
+    if rows * n_fields != len(ends) or not newline[ends[n_fields - 1 :: n_fields]].all():
         return None
     # A field and its end byte span the gap from the previous end: one byte for an
     # empty field (a separator that opens the block or follows another).
@@ -178,8 +190,14 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
     np.subtract(ends[1:], ends[:-1], out=span[1:])
     if span.min() < 2 or span.max() > _MAX_GRID_DIGITS + 1:
         return None
+    if cols is not None:
+        # Less '1', the digits 1-9 are 0-8; every other byte wraps past 8.
+        row_starts = np.concatenate(([0], ends[n_fields - 1 : -1 : n_fields] + 1))
+        nonzero[:rows] = np.logical_or.reduceat(chars - (_ZERO + 1) < 9, row_starts)
+        ends = ends.reshape(rows, n_fields)[:, cols].ravel()
+        span = span.reshape(rows, n_fields)[:, cols].ravel()
     ends -= 1  # the last digit of each field
-    out = dest[: len(ends)]
+    out = dest[:rows].reshape(-1)
     out[:] = digits[ends]
     place = 1  # the fields with a digit at this place span more than place + 1 bytes
     wider = np.flatnonzero(span > place + 1)
@@ -187,12 +205,17 @@ def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray) ->
         out[wider] += digits[ends[wider] - place] * 10.0**place
         place += 1
         wider = wider[span[wider] > place + 1]
-    return len(ends)
+    return rows
 
 
-def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray | None:
+def _scan_grid(data: bytes, start: int, delim: str, n_fields: int,
+               cols: list[int] | None = None) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``data[start:]`` as a (rows, n_fields) float64 array when it is a plain
     grid of unsigned integers (see :func:`load_matrix`), else None.
+
+    With ``cols`` the array holds only those columns, and comes with a
+    (rows,) flag of the rows whose total count is above 0 (None without).
+    Every byte is checked either way.
 
     The last row is read first, so a body that ends in a row that is not plain
     (a blank line, a decimal, a wide count) falls back before any block is
@@ -204,28 +227,32 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int) -> np.ndarray
     if start >= end or not delim.isascii() or delim in "0123456789\r\n":
         return None
     sep = ord(delim)
+    width = n_fields if cols is None else len(cols)
     tail = max(start, data.rfind(b"\n", start, end - 1) + 1)
     chars = np.frombuffer(data, dtype=np.uint8, count=end - tail, offset=tail)
     if chars[-1] != _NEWLINE:  # the last row has no final newline
         chars = np.append(chars, np.uint8(_NEWLINE))
-    last = np.empty(len(chars))
-    if _scan_block(chars, sep, n_fields, last) is None:
+    last, last_nonzero = np.empty((1, width)), np.empty(1, dtype=bool)
+    if _scan_block(chars, sep, n_fields, last, cols, last_nonzero) is None:
         return None
-    values = np.empty(((end - start + 1) // (2 * n_fields), n_fields), dtype=np.float64)
-    flat = values.reshape(-1)
-    filled = 0
+    values = np.empty(((end - start + 1) // (2 * n_fields), width), dtype=np.float64)
+    nonzero = None if cols is None else np.empty(len(values), dtype=bool)
+    rows = 0
     while start < tail:
         stop = tail if tail - start <= _GRID_BLOCK_BYTES else data.rfind(b"\n", start, start + _GRID_BLOCK_BYTES) + 1
         if stop <= start:  # a row longer than a block
             stop = data.find(b"\n", start) + 1
         chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        written = _scan_block(chars, sep, n_fields, flat[filled:])
-        if written is None:
+        scanned = _scan_block(chars, sep, n_fields, values[rows:], cols, None if cols is None else nonzero[rows:])
+        if scanned is None:
             return None
-        filled += written
+        rows += scanned
         start = stop
-    flat[filled : filled + n_fields] = last[:n_fields]
-    return values[: filled // n_fields + 1]
+    values[rows] = last[0]
+    if cols is None:
+        return values[: rows + 1], None
+    nonzero[rows] = last_nonzero[0]
+    return values[: rows + 1], nonzero[: rows + 1]
 
 
 def _header_line(head: bytes) -> str | None:
@@ -312,7 +339,8 @@ def _load_text(path: str, data: bytes, delimiter: str | None) -> ExpressionMatri
     return ExpressionMatrix(values=values, gene_names=header)
 
 
-def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
+def load_matrix(path: str, delimiter: str | None = None,
+                genes: list[str] | None = None) -> ExpressionMatrix | tuple[ExpressionMatrix, int]:
     """Read a delimited text matrix (header row = gene names, one row per cell).
 
     ``delimiter=None`` auto-detects tab vs comma from the header line; an
@@ -328,6 +356,12 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
     lines, a label column, a count of 5 or more digits) is parsed by
     numpy's C text reader, with no comment character.  Both give the same
     values and the same errors for the same file.
+
+    With ``genes``, the result is what :func:`select_panel` makes of the
+    whole matrix, a (matrix, cells left out) pair, and the whole file is
+    still checked as above.  The digit scan then converts only the panel's
+    columns and flags the rows with a nonzero digit, so no cells x genes
+    array is made.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
@@ -338,17 +372,38 @@ def load_matrix(path: str, delimiter: str | None = None) -> ExpressionMatrix:
         raise ValueError(f"expression matrix file not found: {path}") from None
     first = data.find(b"\n")
     line = _header_line(data[:first]) if first >= 0 else None
+    scanned = None
     if line is not None:
         # A bad header is reported by the text path, which decodes the whole
         # file first and so raises for invalid UTF-8 anywhere before it.
         try:
             delim, header = _parse_header(path, line, delimiter)
         except ValueError:
-            return _load_text(path, data, delimiter)
-        values = _scan_grid(data, first + 1, delim, len(header))
-        if values is not None:
-            return ExpressionMatrix(values=values, gene_names=header)
-    return _load_text(path, data, delimiter)
+            pass
+        else:
+            cols = None if genes is None else [header.index(gene) for gene in genes if gene in header]
+            scanned = _scan_grid(data, first + 1, delim, len(header), cols)
+    if scanned is None:
+        matrix = _load_text(path, data, delimiter)
+        return matrix if genes is None else select_panel(matrix, genes)
+    values, nonzero = scanned
+    if genes is None:
+        return ExpressionMatrix(values=values, gene_names=header)
+    panel = ExpressionMatrix(values=values[nonzero], gene_names=[header[col] for col in cols])
+    return panel, len(nonzero) - int(np.count_nonzero(nonzero))
+
+
+def select_panel(matrix: ExpressionMatrix, genes: list[str]) -> tuple[ExpressionMatrix, int]:
+    """The columns of those of ``genes`` that ``matrix`` names, in the order
+    of ``genes``, over the cells whose total count is above 0, and the
+    number of cells left out.
+
+    A gene the matrix lacks is left out too, so :func:`binarize` names it.
+    """
+    keep = matrix.values.sum(axis=1) > 0
+    cols = [matrix.gene_names.index(gene) for gene in genes if gene in matrix.gene_names]
+    panel = ExpressionMatrix(values=matrix.values[:, cols][keep], gene_names=[matrix.gene_names[col] for col in cols])
+    return panel, len(keep) - int(np.count_nonzero(keep))
 
 
 def log_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:

@@ -617,7 +617,7 @@ def _vqe_gates(n: int) -> tuple[GateSpec, ...]:
     """
     ry = tuple(GateSpec(kind="RY", target=i, angle=0.0) for i in range(n))
     chain = tuple(GateSpec(kind="CNOT", target=i + 1, control=i) for i in range(n - 1))
-    return ry + chain + ry + chain + ry
+    return _kernel.HashedGates(ry + chain + ry + chain + ry)
 
 
 def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import bfgs
+from ._kernel import HashedGates, bfgs
 from .cost import CostReport, Problem, evaluate
 from .qsim import RegisterLayout, Topology, ROTATION_KINDS
 
@@ -99,7 +99,8 @@ def optimize_angles(problem: Problem, topology: Topology) -> tuple[AngleVector, 
     x0 = np.array([g.angle for g in topology], dtype=np.float64)
     drawn = np.random.default_rng(START_SEED).uniform(0.0, 2.0 * math.pi, (RANDOM_STARTS, len(topology)))
     kernel = problem.kernel
-    ends, _ = bfgs(lambda a: kernel.gradients(topology.gates, a), np.vstack([x0, drawn]))
+    gates = HashedGates(topology.gates)
+    ends, _ = bfgs(lambda a: kernel.gradients(gates, a), np.vstack([x0, drawn]))
     ends = np.mod(ends, ANGLE_PERIOD)
     points = np.vstack([x0, ends])
     # Each point is run as a 1-D angle vector, with evaluate()'s math cos and sin,

@@ -8,6 +8,7 @@ from qxtalk.cli import (
     encode_inputs,
     extract_candidate_pairs,
     gene_panels,
+    panel_reads,
     run_strategy,
     synthetic_matrices,
 )
@@ -21,7 +22,8 @@ class Panel:
 
     def __init__(self):
         cfg = RunConfig(synthetic=True)
-        self.encoded = encode_inputs(synthetic_matrices(cfg)[0], *gene_panels(cfg))
+        panels = gene_panels(cfg)
+        self.encoded = encode_inputs(panel_reads(synthetic_matrices(cfg)[0], panels), *panels)
         self.problem = build_problem(self.encoded, cfg)
         self._results = {}
 

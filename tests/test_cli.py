@@ -33,6 +33,7 @@ from qxtalk.cli import (
     gate_to_dict,
     gene_panels,
     main,
+    panel_reads,
     parse_config_file,
     resolve_config,
     run_pipeline,
@@ -240,7 +241,8 @@ def test_every_scored_topology_is_one_history_entry_and_trace_line(tmp_path, str
     evaluations are its history's length and the kernel rows it scored, and its
     trace has that many lines.  Each row's pairs are its entry's gates."""
     cfg = RunConfig(synthetic=True, five_gene_ct2=five_gene_ct2, threshold=threshold, strategy=strategy)
-    encoded = encode_inputs(synthetic_matrices(cfg)[0], *gene_panels(cfg))
+    panels = gene_panels(cfg)
+    encoded = encode_inputs(panel_reads(synthetic_matrices(cfg)[0], panels), *panels)
     problem = build_problem(encoded, cfg)
     cands = extract_candidate_pairs(encoded, cfg)
     result = run_strategy(problem, cands, cfg)
@@ -334,7 +336,7 @@ def test_encoded_histograms_match_normalizing_first(case):
     matrices, ct1, ct2 = case
     kept = {key: m.values[m.values.sum(axis=1) > 0] for key, m in matrices.items()}
     assume(all(len(values) for values in kept.values()))
-    enc = encode_inputs(matrices, ct1, ct2)
+    enc = encode_inputs(panel_reads(matrices, (ct1, ct2)), ct1, ct2)
     for key, values in kept.items():
         normalized = ingest.log_normalize(ingest.ExpressionMatrix(values, matrices[key].gene_names))
         assert enc.histograms[key] == ingest.binarize(normalized, ct1 if key.endswith("ct1") else ct2)
@@ -694,6 +696,39 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
 
 
+def write_counts(path: Path, matrix: ingest.ExpressionMatrix, newline: str) -> None:
+    """``write_matrix_csv``'s CRLF file, or for LF a plain grid of integer counts."""
+    if newline == "\r\n":
+        write_matrix_csv(path, matrix)
+    else:
+        rows = [",".join(matrix.gene_names)] + [",".join(map(str, row)) for row in matrix.values.astype(int).tolist()]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["run", "encode"])
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_every_file_is_read_before_a_panel_gene_is_looked_up(tmp_path, capsys, command, newline):
+    """A parse error in co_ct2 is reported by ingest, with no warning line, before
+    mono_ct1's missing panel gene.  Once co_ct2 parses, mono_ct1's zero-total warning
+    comes first, then encode names the gene."""
+    config = "".join(f"{key} = {tmp_path / key}.csv\n" for key in MATRIX_KEYS)
+    config += "ct1_genes = a, b\nct2_genes = d, e\nstrategy = local\n"
+    cfg = write_config(tmp_path, config)
+    counts = np.array([[1, 0, 2], [0, 0, 0], [3, 1, 0]])
+    for key in MATRIX_KEYS:
+        genes = ["x", "b", "c"] if key == "mono_ct1" else ["a", "b", "c"] if key.endswith("ct1") else ["d", "e", "f"]
+        write_counts(tmp_path / f"{key}.csv", ingest.ExpressionMatrix(counts, genes), newline)
+    co_ct2 = tmp_path / "co_ct2.csv"
+    good = co_ct2.read_text(encoding="utf-8")
+    co_ct2.write_text(good.replace("3,1,0", "3,q,0"), encoding="utf-8")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error in ingest: {co_ct2}: non-numeric value 'q' at row 4, column 'e'\n"
+    co_ct2.write_text(good, encoding="utf-8")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == ("WARNING qxtalk: mono_ct1: dropping 1 cell(s) with zero total count\n"
+                                       "error in encode: gene 'a' from selection 'CT1' not present in matrix\n")
+
+
 def run_child(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     """``args`` through ``main`` in a fresh interpreter, as the benchmark starts a run."""
     env = {**os.environ, "PYTHONPATH": str(Path(qxtalk.__file__).parents[1])}
@@ -754,7 +789,16 @@ class TestExitPath:
         assert report_without_timing(child) == report_without_timing(here)
 
     def test_child_drops_empty_cells_with_one_warning_line(self, tmp_path):
-        """Cells with a zero total count leave one stderr line and the run of the inputs without them."""
+        """Cells with a zero total count leave one stderr line and the run of the inputs
+        without them; ``write_matrix_csv``'s CRLF files take the text path."""
+        self.check_empty_cells_are_dropped(tmp_path, "\r\n")
+
+    def test_child_drops_empty_cells_of_an_lf_count_grid(self, tmp_path):
+        """The same from LF count grids, which take the digit scanner."""
+        self.check_empty_cells_are_dropped(tmp_path, "\n")
+
+    @staticmethod
+    def check_empty_cells_are_dropped(tmp_path, newline):
         rng = np.random.default_rng(5)
         # The third gene is off both panels; its count of at least 1 keeps every drawn cell's total above 0.
         counts = {key: rng.poisson(1.0, size=(24, 3)) + np.array([0.0, 0.0, 1.0]) for key in MATRIX_KEYS}
@@ -767,7 +811,7 @@ class TestExitPath:
                 if key == "mono_ct1":
                     values = np.insert(values, zeros, 0.0, axis=0)
                 genes = ["a", "b", "c"] if key.endswith("ct1") else ["d", "e", "f"]
-                write_matrix_csv(cwd / f"{key}.csv", ingest.ExpressionMatrix(values, genes))
+                write_counts(cwd / f"{key}.csv", ingest.ExpressionMatrix(values, genes), newline)
             (cwd / "run.cfg").write_text(config, encoding="utf-8")
             runs[name] = run_child("run", "--config", "run.cfg", "--out", "out", cwd=cwd)
             assert runs[name].returncode == EXIT_OK, runs[name].stderr

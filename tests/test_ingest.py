@@ -529,7 +529,7 @@ def test_an_empty_field_after_the_first_block_is_named_like_the_per_cell_parser(
         outcome = _outcome_and_path(str(path), text)
     # The last row and the first block scan; the second block, which opens
     # with the bad row, is where the scan falls back.
-    assert scanned == [3, 3 * first, None]
+    assert scanned == [1, first, None]
     assert outcome == _outcome(per_cell_load_matrix, str(path))
     assert outcome[0] == "error" and "non-numeric value '' at row" in outcome[1]
 
@@ -551,3 +551,93 @@ def test_load_matrix_over_many_blocks_matches_loadtxt(tmp_path, shape, last_fiel
     outcome = _outcome_and_path(str(path), text)
     expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert outcome == (expected.tobytes(), names.split(","))
+
+
+def _panel_outcome(path, genes):
+    """``load_matrix``'s panel read: its values, gene names and cells left out, or its error."""
+    try:
+        panel, dropped = load_matrix(path, genes=genes)
+    except ValueError as exc:
+        return "error", str(exc)
+    return panel.values.shape, panel.values.tobytes(), panel.gene_names, dropped
+
+
+def _selected_outcome(path, genes):
+    """The same from the whole matrix: the columns of the panel genes it names,
+    then the cells whose total count is above 0."""
+    try:
+        m = load_matrix(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    cols = [m.gene_names.index(gene) for gene in genes if gene in m.gene_names]
+    keep = m.values.sum(axis=1) > 0
+    values = m.values[:, cols][keep]
+    return values.shape, values.tobytes(), [m.gene_names[col] for col in cols], int(len(keep) - keep.sum())
+
+
+_zero_fields = st.sampled_from(["0", "00", "000", "0000"])
+_count_fields = _zero_fields | st.sampled_from(["0010", "0001", "1", "9999"]) | st.text("0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def panel_cases(draw):
+    """A count grid whose rows often total 0, a panel of its genes and maybe one
+    it lacks, and a scanner block size.  Most grids get one change that sends
+    them to the text path (CRLF, a decimal, a 5-digit count, a label column) or
+    makes them fail (a bad field, a short row)."""
+    n_genes = draw(st.integers(1, 6))
+    header = [f"g{i}" for i in range(n_genes)]
+    delim = draw(st.sampled_from([",", "\t"]))
+    rows = [draw(st.lists(_zero_fields if draw(st.booleans()) else _count_fields, min_size=n_genes, max_size=n_genes))
+            for _ in range(draw(st.integers(1, 10)))]
+    change = draw(st.sampled_from([None, None, "crlf", "decimal", "wide", "label", "bad", "short"]))
+    row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n_genes - 1))
+    if change in ("decimal", "wide", "bad"):
+        rows[row][col] = draw(st.sampled_from({"decimal": ["0.0", "2.5", "0e0", "1e2"], "wide": ["00000", "12345"],
+                                               "bad": ["x", "", "-1", "nan"]}[change]))
+    elif change == "short":
+        rows[row] = rows[row][:-1] or ["1", "2"]
+    lines = [delim.join(header)] + [delim.join(fields) for fields in rows]
+    if change == "label":
+        lines = [delim + lines[0]] + [f"c{i}{delim}{line}" for i, line in enumerate(lines[1:])]
+    newline = "\r\n" if change == "crlf" else "\n"
+    genes = draw(st.lists(st.sampled_from(header + ["zz"]), min_size=1, max_size=n_genes + 1, unique=True))
+    block = draw(st.sampled_from([ingest._GRID_BLOCK_BYTES, 6, 16, 40]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), genes, block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=panel_cases())
+@example(case=("g0,g1,g2\n0,0,0\n1,0010,0\n0000,0,0\n", ["g2", "zz", "g0"], 1 << 16))
+@example(case=("g0,g1,g2\r\n0,0,0\r\n1,0010,0\r\n0000,0,0\r\n", ["g2", "g0"], 1 << 16))
+def test_panel_read_matches_selecting_from_the_whole_matrix(case):
+    """The panel read equals the whole read, then the panel's columns, then the cells
+    with a nonzero total: values, kept cells, the count left out and the exact error,
+    on the scanner at any block size and on the text path."""
+    text, genes, block = case
+    path = _write_temp(text)
+    try:
+        with mock.patch.object(ingest, "_GRID_BLOCK_BYTES", block), \
+                mock.patch.object(ingest, "_load_text", wraps=ingest._load_text) as text_path:
+            outcome = _panel_outcome(path, genes)
+        assert text_path.called != is_plain_grid(text)
+        assert outcome == _selected_outcome(path, genes)
+    finally:
+        Path(path).unlink()
+
+
+@pytest.mark.parametrize("zero_rows", [(0,), (3,), (4,), (3, 4), (7, 8), (9,), (0, 3, 4, 7, 8, 9), tuple(range(10))])
+def test_zero_total_cells_at_block_edges(tmp_path, monkeypatch, zero_rows):
+    """Rows of 8 bytes in blocks of 32: blocks hold rows 0-3, 4-7 and 8, and the
+    last row, 9, is scanned first on its own."""
+    monkeypatch.setattr(ingest, "_GRID_BLOCK_BYTES", 32)
+    rows = ["0,0,0,0" if r in zero_rows else f"{r % 10},0,{r % 3},{9 - r}" for r in range(10)]
+    path = tmp_path / "counts.csv"
+    path.write_text("g0,g1,g2,g3\n" + "".join(row + "\n" for row in rows))
+    blocks = []
+    scan = ingest._scan_block
+    monkeypatch.setattr(ingest, "_scan_block", lambda *args: blocks.append(scan(*args)) or blocks[-1])
+    outcome = _panel_outcome(str(path), ["g3", "g0"])
+    assert blocks == [1, 4, 4, 1]
+    assert outcome == _selected_outcome(str(path), ["g3", "g0"])
+    assert outcome[3] == len(zero_rows)
