@@ -14,6 +14,10 @@ per-register KL):
 
 All tie-breaks follow candidate order, then position, so results are
 deterministic given the problem, the candidate order and the seeds.
+
+Every scored row goes through one entry, ``_score``: it takes the rows' final
+states as stacks in row order, returns their (kl_ct1, kl_ct2), and
+``History.add`` records them.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ VARIATIONAL_MAX_VARS = 12
 ANNEAL_RESTARTS = 12
 ANNEAL_SWEEPS = 200
 # A batched search step extends and scores stacks of states of at most this
-# many bytes (a state is 16 * 2**n); a step with more rows is split.
+# many bytes (a state is 16 * 2**n); a step with more rows is split, down to
+# one walk node's children, one insertion candidate's rows or one deletion batch.
 _STACK_BYTES = 1 << 20
 
 
@@ -119,7 +124,7 @@ class History:
 
     def add(self, phase: str, parent, divergences, appended) -> Batch:
         """Record a batch of the rows ``parent + appended[r]``, sequences of (control, target)
-        pairs, from their (kl_ct1, kl_ct2) arrays, as ``Kernel.divergences`` returns them."""
+        pairs, from their (kl_ct1, kl_ct2) arrays, as ``_score`` returns them."""
         kl_ct1, kl_ct2 = (np.asarray(kl, dtype=np.float64) for kl in divergences)
         batch = Batch(phase, tuple(parent), appended, kl_ct1, kl_ct2, kl_ct1 + kl_ct2)
         self.batches.append(batch)
@@ -177,53 +182,73 @@ def _stack_rows(kernel) -> int:
     return max(1, _STACK_BYTES // (16 << kernel.n))
 
 
-def _extension_divergences(kernel, states: np.ndarray, parents: np.ndarray,
-                           pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kl_ct1, kl_ct2) of row ``parents[r]`` of ``states`` followed by the search
-    gate of ``pairs[r]``, for every r, in stacks of at most ``_STACK_BYTES``."""
+def _score(kernel, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """(kl_ct1, kl_ct2) of the final states of ``stacks``, (k, 2**n) arrays in row
+    order: the one scoring call behind every search row."""
+    parts = [kernel.divergences(stack) for stack in stacks]
+    return tuple(np.concatenate([part[r] for part in parts] or [np.empty(0)]) for r in range(2))
+
+
+def _extensions(kernel, states: np.ndarray, parents: np.ndarray, pairs: np.ndarray):
+    """Row ``parents[r]`` of ``states`` followed by the search gate of ``pairs[r]``,
+    for every r, as stacks of at most ``_STACK_BYTES``."""
     step = _stack_rows(kernel)
-    parts = [kernel.divergences(kernel.extend(states, parents[i : i + step], pairs[i : i + step], SEARCH_ANGLE))
-             for i in range(0, len(parents), step)]
-    if not parts:
-        return np.empty(0), np.empty(0)
-    return tuple(np.concatenate(register) for register in zip(*parts))
+    for i in range(0, len(parents), step):
+        yield kernel.extend(states, parents[i : i + step], pairs[i : i + step], SEARCH_ANGLE)
 
 
-def _permutations(kernel, state: np.ndarray, pairs: list[tuple[int, int]], depth: int) -> tuple[np.ndarray, ...]:
-    """(kl_ct1, kl_ct2) of the final state ``state`` followed by each ordered
-    ``depth``-tuple of ``pairs``' search gates, in ``itertools.permutations(pairs, depth)`` order.
-
-    The walk is breadth first: each level of the prefix tree is one extension
-    of the level above, so each prefix gate is applied once and shared by every
-    tuple below it.
-    """
+def _permutations(kernel, state: np.ndarray, pairs: list[tuple[int, int]], depth: int):
+    """The final state ``state`` followed by each ordered ``depth``-tuple of ``pairs``'
+    search gates, in ``itertools.permutations(pairs, depth)`` order, as stacks.  The prefix
+    tree is walked breadth first, so each prefix gate is applied once for every tuple below it."""
     if depth == 0:
-        return kernel.divergences(state)
+        return [state]
     return _walk(kernel, state, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.arange(len(pairs))[None], depth)
 
 
-def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
-    """The ``depth`` levels of the prefix tree below the nodes ``states``, node r
-    followed in turn by each pair of ``table`` that row r of ``unused`` indexes.
-
-    Children are listed node by node, each node's in the order of its unused
-    pairs, which keeps the order of ``itertools.permutations``.  A level that
-    would outgrow ``_STACK_BYTES`` is walked in groups of nodes, one group at a
-    time; a single node is always expanded.
-    """
+def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, depth: int):
+    """The leaf stacks of the ``depth`` levels of the prefix tree below the nodes ``states``,
+    node r followed in turn by each pair of ``table`` that row r of ``unused`` indexes.
+    Children are listed node by node, which keeps the order of ``itertools.permutations``.
+    An inner level that would outgrow ``_STACK_BYTES`` is walked in groups of nodes, one
+    group at a time, down to a single node."""
     nodes, width = unused.shape
-    rows = _stack_rows(kernel)
-    if nodes > 1 and nodes * width > rows:
-        group = max(1, rows // width)
-        parts = [_walk(kernel, states[i : i + group], table, unused[i : i + group], depth)
-                 for i in range(0, nodes, group)]
-        return tuple(np.concatenate(register) for register in zip(*parts))
-    children = kernel.extend(states, np.repeat(np.arange(nodes), width), table[unused.reshape(-1)], SEARCH_ANGLE)
+    parents, pairs = np.repeat(np.arange(nodes), width), table[unused.reshape(-1)]
     if depth == 1:
-        return kernel.divergences(children)
-    # Child (r, j) keeps row r of unused without its column j.
-    rest = np.broadcast_to(unused[:, None, :], (nodes, width, width))[:, ~np.eye(width, dtype=bool)]
-    return _walk(kernel, children, table, rest.reshape(nodes * width, width - 1), depth - 1)
+        yield from _extensions(kernel, states, parents, pairs)
+    elif nodes > 1 and nodes * width > _stack_rows(kernel):
+        group = max(1, _stack_rows(kernel) // width)
+        for i in range(0, nodes, group):
+            yield from _walk(kernel, states[i : i + group], table, unused[i : i + group], depth)
+    else:
+        # Child (r, j) keeps row r of unused without its column j.
+        rest = np.broadcast_to(unused[:, None, :], (nodes, width, width))[:, ~np.eye(width, dtype=bool)]
+        children = kernel.extend(states, parents, pairs, SEARCH_ANGLE)
+        yield from _walk(kernel, children, table, rest.reshape(nodes * width, width - 1), depth - 1)
+
+
+def _insertions(kernel, gates: tuple[GateSpec, ...], table: np.ndarray):
+    """Each pair of ``table`` inserted at each position of ``gates``, pair-major, as
+    stacks of whole pairs under ``_STACK_BYTES``.  A block is built position-major,
+    so gate j follows its leading rows (positions 0..j), and is then reordered."""
+    positions = len(gates) + 1
+    prefixes = kernel.start(positions)  # row pos: the initial state after gates[:pos]
+    for j, gate in enumerate(gates):
+        kernel.apply(prefixes[j + 1 :], gate)
+    step = max(1, _stack_rows(kernel) // positions)
+    for pairs in np.split(table, range(step, len(table), step)):
+        block = kernel.extend(prefixes, np.repeat(np.arange(positions), len(pairs)), np.tile(pairs, (positions, 1)),
+                              SEARCH_ANGLE)
+        for j, gate in enumerate(gates):
+            kernel.apply(block[: (j + 1) * len(pairs)], gate)
+        yield block.reshape(positions, len(pairs), -1).swapaxes(0, 1).reshape(len(block), -1)
+
+
+def _deletions(kernel, phase: str, pairs: tuple[tuple[int, int], ...], history: History) -> Batch:
+    """Score every single-gate removal from the pair sequence ``pairs`` as one
+    ``phase`` batch of whole shortened sequences added to ``history``."""
+    shorter = [pairs[:r] + pairs[r + 1 :] for r in range(len(pairs))]
+    return history.add(phase, (), _score(kernel, [kernel.deletions(tuple(map(gate_for_pair, pairs)))]), shorter)
 
 
 def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet, history: History) -> Batch | None:
@@ -238,20 +263,10 @@ def best_insertion(problem: Problem, seq: Topology, cands: CandidateSet, history
     unused = _unused(seq.gates, cands)
     if not unused:
         return None
-    kernel = problem.kernel
-    prefix = kernel.start()
-    by_pos = []
-    for pos in range(len(seq) + 1):
-        states = kernel.extend(prefix, [0] * len(unused), unused, SEARCH_ANGLE)
-        for gate in seq.gates[pos:]:
-            kernel.apply(states, gate)
-        by_pos.append(kernel.divergences(states))
-        if pos < len(seq):
-            kernel.apply(prefix, seq.gates[pos])
-    kl = np.array(by_pos)  # (position, register, candidate)
+    divergences = _score(problem.kernel, _insertions(problem.kernel, seq.gates, np.array(unused, dtype=np.intp)))
     held = _pairs(seq.gates)
     appended = [held[:pos] + (pair,) + held[pos:] for pair in unused for pos in range(len(seq) + 1)]
-    return history.add("insertion", (), (kl[:, 0].T.ravel(), kl[:, 1].T.ravel()), appended)
+    return history.add("insertion", (), divergences, appended)
 
 
 def best_permutation_addition(
@@ -264,7 +279,7 @@ def best_permutation_addition(
     unused = _unused(seq.gates, cands)
     if len(unused) < n:
         return None
-    divergences = _permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
+    divergences = _score(problem.kernel, _permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n))
     return history.add("addition", _pairs(seq.gates), divergences, list(itertools.permutations(unused, n)))
 
 
@@ -273,9 +288,7 @@ def best_deletion(problem: Problem, seq: Topology, history: History) -> Batch | 
     "deletion" batch of whole shortened sequences added to ``history``; None on an empty sequence."""
     if len(seq) == 0:
         return None
-    held = _pairs(seq.gates)
-    shorter = [held[:r] + held[r + 1 :] for r in range(len(held))]
-    return history.add("deletion", (), problem.kernel.divergences(problem.kernel.deletions(seq.gates)), shorter)
+    return _deletions(problem.kernel, "deletion", _pairs(seq.gates), history)
 
 
 def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None = None) -> SearchResult:
@@ -289,7 +302,7 @@ def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None
     """
     cfg = cfg or SearchConfig()
     history = History()
-    best = history.add("baseline", (), problem.kernel.divergences(problem.kernel.start()), [()]).best()
+    best = history.add("baseline", (), _score(problem.kernel, [problem.kernel.start()]), [()]).best()
     steps = (
         (lambda seq: best_insertion(problem, seq, cands, history), cfg.kl_tol),
         (lambda seq: best_permutation_addition(problem, seq, cands, cfg.n_choose, history), cfg.kl_tol),
@@ -322,61 +335,60 @@ def occam_select(history: History, kl_tol: float) -> int:
     return incumbent
 
 
-def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, totals: np.ndarray,
-                    max_depth: int) -> tuple[list[list[Batch]], list[tuple]]:
-    """Grow one greedy path from each index of ``firsts`` into the candidate
-    ``pairs``, whose single gate scores ``totals``, by appending the best unused
-    candidate while that lowers the path's total, up to ``max_depth`` gates.
+def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, base: float,
+                    max_depth: int) -> tuple[list[History], list[tuple]]:
+    """Grow one greedy path from the empty sequence, of total ``base``, for each index of
+    ``firsts`` into the candidate ``pairs``: its first step ("epoch-start") may append only
+    that candidate, each later one ("forward") any unused one.  A step appends its best row
+    while that lowers the path's total, up to ``max_depth`` gates.
 
-    A path reads only its own gates and state, so the paths grow in lockstep:
-    each depth extends and scores the unused candidates of every growing path
-    together.  Returns each path's "forward" batches and its final (pairs, total).
+    A path reads only its own gates and state, so the paths grow in lockstep: each depth
+    scores the rows of every growing path together.  Returns each path's history and its
+    final (pairs, total).
     """
     table = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    batches: list[list[Batch]] = [[] for _ in firsts]
-    paths = [((pairs[c],), float(t)) for c, t in zip(firsts.tolist(), totals.tolist())]
-    used = np.zeros((len(firsts), len(pairs)), dtype=bool)
-    used[np.arange(len(firsts)), firsts] = True
+    histories = [History() for _ in firsts]
+    paths = [((), base)] * len(firsts)
+    used = np.arange(len(pairs)) != firsts[:, None]
     growing = np.arange(len(firsts))
-    states = kernel.extend(kernel.start(), np.zeros(len(firsts), dtype=np.intp), table[firsts], SEARCH_ANGLE)
-    for _ in range(max_depth - 1):
+    states = kernel.start(len(firsts))
+    for depth in range(max_depth):
         counts = (~used[growing]).sum(axis=1)
         growing, states, counts = growing[counts > 0], states[counts > 0], counts[counts > 0]
         if not len(growing):
             break
         rows, cols = np.nonzero(~used[growing])
-        kl_ct1, kl_ct2 = _extension_divergences(kernel, states, rows, table[cols])
-        total = kl_ct1 + kl_ct2
+        kl_ct1, kl_ct2 = _score(kernel, _extensions(kernel, states, rows, table[cols]))
         kept, picked = [], []
+        phase = "forward" if depth else "epoch-start"
         for row, (path, end, count) in enumerate(zip(growing.tolist(), np.cumsum(counts).tolist(), counts.tolist())):
             block = slice(end - count, end)
             held, path_total = paths[path]
             appended = [(pairs[c],) for c in cols[block].tolist()]
-            batches[path].append(Batch("forward", held, appended, kl_ct1[block], kl_ct2[block], total[block]))
-            i = end - count + int(np.argmin(total[block]))
-            if total[i] >= path_total:
+            batch = histories[path].add(phase, held, (kl_ct1[block], kl_ct2[block]), appended)
+            i = int(np.argmin(batch.total))
+            if batch.total[i] >= path_total:
                 continue
-            paths[path] = held + (pairs[cols[i]],), float(total[i])
+            paths[path] = held + appended[i], float(batch.total[i])
             kept.append(row)
-            picked.append(cols[i])
-        kept, picked = np.array(kept, dtype=np.intp), np.array(picked, dtype=np.intp)
+            picked.append(cols[end - count + i])
+        if not depth:  # a started path has used its first candidate only
+            used = ~used
         growing = growing[kept]
         used[growing, picked] = True
         states = kernel.extend(states, kept, table[picked], SEARCH_ANGLE)
-    return batches, paths
+    return histories, paths
 
 
 def _greedy_removal(kernel, pairs: tuple[tuple[int, int], ...], total: float, delta: float, history: History) -> float:
     """Remove the best search gate of ``pairs`` while that lowers the total by more than
     ``delta``; the final total.  Each "refine" row is a whole shortened sequence."""
     while pairs:
-        shorter = [pairs[:r] + pairs[r + 1 :] for r in range(len(pairs))]
-        gates = tuple(map(gate_for_pair, pairs))
-        batch = history.add("refine", (), kernel.divergences(kernel.deletions(gates)), shorter)
+        batch = _deletions(kernel, "refine", pairs, history)
         i = int(np.argmin(batch.total))
         if batch.total[i] >= total - delta:
             break
-        pairs, total = shorter[i], float(batch.total[i])
+        pairs, total = batch.appended[i], float(batch.total[i])
     return total
 
 
@@ -393,24 +405,14 @@ def multi_epoch(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None 
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
     history = History()
-    empty = kernel.start()
-    base = float(history.add("baseline", (), kernel.divergences(empty), [()]).total[0])
+    base = float(history.add("baseline", (), _score(kernel, [kernel.start()]), [()]).total[0])
     rng = np.random.default_rng(cfg.shuffle_seed)
     order = rng.permutation(len(cands.pairs))
     epochs = min(cfg.n_epochs or len(cands.pairs), len(cands.pairs))
-    table = np.array(cands.pairs, dtype=np.intp).reshape(-1, 2)
-    firsts = order[:epochs]
-    kl_ct1, kl_ct2 = _extension_divergences(kernel, empty, np.zeros(epochs, dtype=np.intp), table[firsts])
-    starts = kl_ct1 + kl_ct2
-    grows = ~(starts >= base)  # a NaN start grows too
-    grown = zip(*_greedy_forward(kernel, cands.pairs, firsts[grows], starts[grows], cfg.max_depth))
     best = base
-    for e, first in enumerate(firsts.tolist()):
-        history.add("epoch-start", (), (kl_ct1[e : e + 1], kl_ct2[e : e + 1]), [(cands.pairs[first],)])
-        if not grows[e]:
-            continue
-        batches, (path, path_total) = next(grown)
-        history.batches += batches
+    # A start that does not beat the baseline (a NaN start does) leaves its epoch empty, which refines nothing.
+    for epoch, (path, path_total) in zip(*_greedy_forward(kernel, cands.pairs, order[:epochs], base, cfg.max_depth)):
+        history.batches += epoch.batches
         if path_total < best:
             best = _greedy_removal(kernel, path, path_total, REFINE_FRACTION * cfg.kl_tol, history)
     chosen = history[occam_select(history, cfg.kl_tol)]
@@ -468,14 +470,12 @@ def build_kl_matrix(problem: Problem, cands: CandidateSet, history: History) -> 
     gates, then the ordered pairs in row-major order.
     """
     kernel = problem.kernel
-    n = len(cands.pairs)
-    table = np.array(cands.pairs, dtype=np.intp).reshape(-1, 2)
-    singles = kernel.extend(kernel.start(), np.zeros(n, dtype=np.intp), table, SEARCH_ANGLE)
-    m = np.empty((n, n), dtype=np.float64)
-    m[np.diag_indices(n)] = history.add("pairwise", (), kernel.divergences(singles), [(p,) for p in cands.pairs]).total
-    first, second = np.nonzero(~np.eye(n, dtype=bool))  # the order of itertools.permutations(pairs, 2)
-    divergences = _extension_divergences(kernel, singles, first, table[second])
-    m[first, second] = history.add("pairwise", (), divergences, list(itertools.permutations(cands.pairs, 2))).total
+    diagonal = np.eye(len(cands.pairs), dtype=bool)
+    m = np.empty(diagonal.shape, dtype=np.float64)
+    # The depth-1 and depth-2 prefix walks: row-major order over each mask's cells.
+    for depth, cells in ((1, diagonal), (2, ~diagonal)):
+        divergences = _score(kernel, _permutations(kernel, kernel.start(), cands.pairs, depth))
+        m[cells] = history.add("pairwise", (), divergences, list(itertools.permutations(cands.pairs, depth))).total
     return m
 
 
@@ -748,10 +748,10 @@ def order_selected(problem: Problem, gates: list[tuple[int, int]], cfg: SearchCo
     kernel = problem.kernel
     history = History()
     if len(gates) <= 8:
-        divergences = _permutations(kernel, kernel.start(), list(gates), len(gates))
+        divergences = _score(kernel, _permutations(kernel, kernel.start(), list(gates), len(gates)))
         best = history.add("ordering", (), divergences, list(itertools.permutations(gates))).best()
         return SearchResult(best.topology, best.cost, history)
-    identity = kernel.divergences(kernel.run(tuple(gate_for_pair(p) for p in gates)))
+    identity = _score(kernel, [kernel.run(tuple(gate_for_pair(p) for p in gates))])
     best = history.add("ordering", (), identity, [tuple(gates)]).best()
     inner = multi_epoch(problem, CandidateSet(pairs=list(gates), threshold_used=0.0), cfg)
     history.batches += inner.history.batches
@@ -778,7 +778,7 @@ def qubo_search(
     cfg = cfg or SearchConfig()
     kernel = problem.kernel
     history = History()
-    best = history.add("baseline", (), kernel.divergences(kernel.start()), [()]).best()
+    best = history.add("baseline", (), _score(kernel, [kernel.start()]), [()]).best()
     if cands.pairs:
         qp = build_qubo(build_kl_matrix(problem, cands, history), best.cost.total)
         if solver == "exact":

@@ -188,6 +188,12 @@ def test_kernel_gates_match_apply_gate(data):
 # --- batched search phases, bit for bit against evaluate ---------------------
 
 
+def stack_budget(data, n):
+    """A drawn stack budget: the module's, or a few states, down to one."""
+    states = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
+    return mock.patch.object(search, "_STACK_BYTES", states * (16 << n) if states else search._STACK_BYTES)
+
+
 @EXAMPLES
 @given(data=st.data())
 def test_extensions_and_deletions_score_like_evaluate(data):
@@ -245,18 +251,19 @@ def test_phases_match_topology_at_a_time_scoring(data):
         assert len(history.batches) == 1 and history.batches[0] is batch
         assert (batch.best().topology, batch.best().cost) == first_lowest((e.topology, e.cost) for e in history)
 
-    check(lambda history: best_insertion(problem, seq, cands, history),
-          [Topology(seq.gates[:pos] + (gate_for_pair(p),) + seq.gates[pos:])
-           for p in unused for pos in range(len(seq) + 1)])
-    for k in (1, 2, 3):
-        check(lambda history: best_permutation_addition(problem, seq, cands, k, history),
-              [Topology(seq.gates + topology(combo).gates) for combo in itertools.permutations(unused, k)])
-    check(lambda history: best_deletion(problem, seq, history),
-          [Topology(seq.gates[:r] + seq.gates[r + 1 :]) for r in range(len(seq))])
+    with stack_budget(data, n):
+        check(lambda history: best_insertion(problem, seq, cands, history),
+              [Topology(seq.gates[:pos] + (gate_for_pair(p),) + seq.gates[pos:])
+               for p in unused for pos in range(len(seq) + 1)])
+        for k in (1, 2, 3):
+            check(lambda history: best_permutation_addition(problem, seq, cands, k, history),
+                  [Topology(seq.gates + topology(combo).gates) for combo in itertools.permutations(unused, k)])
+        check(lambda history: best_deletion(problem, seq, history),
+              [Topology(seq.gates[:r] + seq.gates[r + 1 :]) for r in range(len(seq))])
 
-    history, m = scored(lambda history: build_kl_matrix(problem, cands, history),
-                        [topology([p]) for p in cands.pairs]
-                        + [topology([a, b]) for a in cands.pairs for b in cands.pairs if a != b])
+        history, m = scored(lambda history: build_kl_matrix(problem, cands, history),
+                            [topology([p]) for p in cands.pairs]
+                            + [topology([a, b]) for a in cands.pairs for b in cands.pairs if a != b])
     assert [b.phase for b in history.batches] == ["pairwise", "pairwise"]
     assert m.tolist() == [[evaluate(problem, topology([a] if a == b else [a, b])).total for b in cands.pairs]
                           for a in cands.pairs]
@@ -380,12 +387,6 @@ def batch_bits(history):
     return [(b.phase, b.parent, b.appended, bits(b.kl_ct1), bits(b.kl_ct2), bits(b.total)) for b in history.batches]
 
 
-def stack_budget(data, n):
-    """A drawn stack budget: the module's, or a few states, down to one."""
-    states = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
-    return mock.patch.object(search, "_STACK_BYTES", states * (16 << n) if states else search._STACK_BYTES)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_multi_epoch_matches_its_serial_form(data):
@@ -418,7 +419,7 @@ def test_breadth_first_orderings_match_the_depth_first_walk(data):
     depth = data.draw(st.integers(0, len(pairs)))
     want = serial_permutations(kernel, state, pairs, depth)
     with stack_budget(data, n):
-        got = search._permutations(kernel, state, pairs, depth)
+        got = search._score(kernel, search._permutations(kernel, state, pairs, depth))
     assert [bits(kl) for kl in got] == [bits(kl) for kl in want]
     assert len(got[0]) == math.perm(len(pairs), depth)
 
@@ -470,7 +471,7 @@ def object_path_addition(problem, seq, cands, n):
     unused = search._unused(seq.gates, cands)
     if len(unused) < n:
         return seq, evaluate(problem, seq)
-    kl_ct1, kl_ct2 = search._permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
+    kl_ct1, kl_ct2 = serial_permutations(problem.kernel, problem.kernel.run(seq.gates), unused, n)
     i = int(np.argmin(kl_ct1 + kl_ct2))
     combo = list(itertools.permutations(unused, n))[i]
     return (Topology(seq.gates + tuple(gate_for_pair(p) for p in combo)),
@@ -555,7 +556,8 @@ def test_local_search_matches_its_object_path_form(data):
     )
     topology, cost, scored, noops, moves = object_path_local_search(problem, cands, cfg)
     before = problem.kernel.rows_scored
-    got = local_search(problem, cands, cfg)
+    with stack_budget(data, n):
+        got = local_search(problem, cands, cfg)
     assert (got.topology, cost_bits(got.cost)) == (topology, cost_bits(cost))
     assert [(phase, t, cost_bits(c)) for phase, t, c in accepted_moves(got, cands, cfg)] == [
         (phase, t, cost_bits(c)) for phase, t, c in moves]

@@ -472,6 +472,42 @@ class TestDefaultPanel:
         assert max(sizes) <= search._stack_rows(kernel) < math.factorial(8)
         assert result.cost.total == result.history.totals().min()
 
+    def test_scored_stacks_keep_to_a_small_budget(self, synth4, monkeypatch):
+        """Under a 4-state budget every scored stack holds at most 4 states, except
+        where one unit of work is larger: one insertion candidate's L + 1 positions,
+        or a whole deletion batch.  The search result does not change."""
+        problem, cands = synth4.problem, synth4.candidates()
+        kernel = problem.kernel
+        want = local_search(problem, cands)
+        monkeypatch.setattr(search, "_STACK_BYTES", 4 * (16 << kernel.n))
+        rows = search._stack_rows(kernel)
+        sizes = []
+        divergences = Kernel.divergences
+
+        def counting(self, states):
+            sizes.append(len(states))
+            return divergences(self, states)
+
+        monkeypatch.setattr(Kernel, "divergences", counting)
+        history = History()
+        best_insertion(problem, Topology(tuple(map(gate_for_pair, cands.pairs[:2]))), cands, history)
+        build_kl_matrix(problem, cands, history)
+        got = local_search(problem, cands)
+        history.batches += got.history.batches
+        assert (got.topology, got.cost, got.evaluations) == (want.topology, want.cost, want.evaluations)
+        # Each batch here is scored in stacks of its own, one after another.
+        stacks = iter(sizes)
+        for batch in history.batches:
+            floor = {"insertion": len(batch.appended[0]), "deletion": len(batch.appended)}.get(batch.phase, 0)
+            left = len(batch.total)
+            while left > 0:
+                size = next(stacks)
+                assert size <= max(rows, floor), (batch.phase, size, rows, floor)
+                left -= size
+            assert left == 0
+        assert next(stacks, None) is None
+        assert rows == 4 < len(cands.pairs)
+
 
 class TestBuildKlMatrix:
     def test_single_candidate(self):
