@@ -21,11 +21,11 @@ targets smoothed once, and the scoring of a (k, 2**n) stack of final states.
 Scoring keeps the arithmetic of ``marginal_probabilities`` and
 ``kl_divergence``, including the summation order of each KL sum, so a score
 does not depend on the batch it was computed in and no tie-break can flip.
-``Kernel.gradients`` adds the exact gradient of the cost in every angle of a
+``Kernel.sweep`` gives the exact gradient of the cost in every angle of a
 stack of angle vectors.  It and the VQE solver (with the energy as the cost)
 make one call each to :meth:`_Plan.gradients`, a forward and a reverse sweep
-on a plan built once per gate sequence and row count (:class:`_Plan`): the
-state and psi/lambda buffers, every numpy call of each gate bound to its
+on a plan that a :class:`Sweep` builds once per row count (:class:`_Plan`):
+the state and psi/lambda buffers, every numpy call of each gate bound to its
 block and flipped-block views and to scratch views, and the rotation entries,
 set for a round from one cos and sin of the stacked [theta; -theta; -theta].
 :func:`bfgs` minimizes such a cost from a stack of starts in lockstep, on
@@ -248,27 +248,27 @@ class _Plan:
         return costs, self.grads.copy()
 
 
-# bfgs only drops starts, so one tuning of eight starts uses at most eight plans, and a
-# VQE solve of two starts two more, in the same cache.  Each use writes every buffer of a
-# plan before reading it, so no call sees another's values.
-_plan = lru_cache(maxsize=8)(_Plan)
+class Sweep:
+    """``value_and_grad`` for one :func:`bfgs` optimization: the costs ``weigh`` gives the
+    gates run from ``initial``, and their gradients, at an (S, R) angle stack.  It keeps
+    its plans, one per row count, to itself, so optimizations in other threads share
+    no buffer; bfgs only drops starts, so S starts make at most S plans."""
 
+    def __init__(self, n: int, gates: tuple, initial: np.ndarray, weigh):
+        self._n, self._gates, self._initial, self._weigh = n, gates, initial, weigh
+        self._plans: dict[int, _Plan] = {}
 
-class HashedGates(tuple):
-    """A gate tuple that is hashed once, when made.
+    def _plan_for(self, rows: int) -> _Plan:
+        if rows not in self._plans:
+            self._plans[rows] = _Plan(self._n, self._gates, rows)
+        return self._plans[rows]
 
-    The plan cache is looked up on every BFGS round; a plain tuple would hash
-    each of its ``GateSpec``s again at every lookup.  It equals, and hashes
-    as, the plain tuple of the same gates, so both find the same plan.
-    """
+    def run(self, angles: np.ndarray) -> np.ndarray:
+        """The final states at an (S, R) angle stack, in a buffer that this sweep's next call overwrites."""
+        return self._plan_for(len(angles)).run(self._initial, angles)
 
-    def __new__(cls, gates):
-        self = super().__new__(cls, gates)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
+    def __call__(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._plan_for(len(angles)).gradients(self._initial, angles, self._weigh)
 
 
 def bfgs(value_and_grad, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,17 +432,10 @@ class Kernel:
         kl1, kl2 = self.divergences(states)
         return [CostReport.from_parts(float(a), float(b)) for a, b in zip(kl1, kl2)]
 
-    def gradients(self, gates, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact costs (S,) and their gradients (S, L) at an (S, L) stack of angles
-        for L gates that are all rotations.
-
-        The cost is the exact KL total, in either eval mode.  Its gradient
-        comes from :meth:`_Plan.gradients` (the adjoint method), with weights
-        from :meth:`_weigh`.  ``gates`` is a tuple, one made once by
-        :class:`HashedGates` for a caller that looks its plan up every round.
-        """
-        angles = np.asarray(angles, dtype=np.float64)
-        return _plan(self.n, gates, len(angles)).gradients(self._initial, angles, self._weigh)
+    def sweep(self, gates) -> Sweep:
+        """One optimization's exact KL totals (S,), in either eval mode, and their adjoint gradients
+        (S, L), weighted by :meth:`_weigh`, at an (S, L) stack of angles for L rotation gates."""
+        return Sweep(self.n, gates, self._initial, self._weigh)
 
     def _weigh(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exact KL totals of a (k, 2**n) stack of final states, and the weights

@@ -162,38 +162,46 @@ _NEWLINE = ord("\n")
 _ZERO = ord("0")
 
 
-def _scan_block(chars: np.ndarray, sep: int, n_fields: int, dest: np.ndarray,
+def _workspace(size: int) -> tuple[np.ndarray, ...]:
+    """The temporaries of :func:`_scan_block` for blocks of up to ``size`` bytes.  One set
+    serves every block of a grid: made anew per block, they are freed at the top of the
+    heap, which glibc can return to the kernel, and each block faults them in again."""
+    return tuple(np.empty(size, dtype) for dtype in (np.uint8, bool, bool, bool, np.intp))
+
+
+def _scan_block(chars: np.ndarray, sep: int, n_fields: int, work: tuple[np.ndarray, ...], dest: np.ndarray,
                 cols: list[int] | None = None, nonzero: np.ndarray | None = None) -> int | None:
     """Write the integers of a block of whole rows, ending in a newline, into
-    the first rows of ``dest``, a (rows, fields) array; returns how many rows
-    were written, or None unless every row is ``n_fields`` fields of 1-4
-    ASCII digits joined by ``sep``.
+    the first rows of ``dest``, a (rows, fields) array, with the temporaries
+    ``work`` (a :func:`_workspace`); returns how many rows were written, or
+    None unless every row is ``n_fields`` fields of 1-4 ASCII digits joined by ``sep``.
 
     With ``cols``, only the fields of those columns are written, and
     ``nonzero`` takes one flag per row: whether any of its digits is
     nonzero, that is whether its total count is above 0.
     """
-    newline = chars == _NEWLINE
-    is_end = chars == sep
+    digits, newline, is_end, flags, span = (array[: len(chars)] for array in work)
+    np.equal(chars, _NEWLINE, out=newline)
+    np.equal(chars, sep, out=is_end)
     is_end |= newline
     ends = np.flatnonzero(is_end)
-    digits = chars - _ZERO  # bytes below '0' wrap past 9
-    if np.count_nonzero(digits < 10) != len(chars) - len(ends):
+    np.subtract(chars, _ZERO, out=digits)  # bytes below '0' wrap past 9
+    if np.count_nonzero(np.less(digits, 10, out=flags)) != len(chars) - len(ends):
         return None
     rows = np.count_nonzero(newline)
     if rows * n_fields != len(ends) or not newline[ends[n_fields - 1 :: n_fields]].all():
         return None
     # A field and its end byte span the gap from the previous end: one byte for an
     # empty field (a separator that opens the block or follows another).
-    span = np.empty_like(ends)
+    span = span[: len(ends)]
     span[0] = ends[0] + 1
     np.subtract(ends[1:], ends[:-1], out=span[1:])
     if span.min() < 2 or span.max() > _MAX_GRID_DIGITS + 1:
         return None
     if cols is not None:
-        # Less '1', the digits 1-9 are 0-8; every other byte wraps past 8.
+        # The digits 1-9: the bytes flagged as digits whose value is not 0.
         row_starts = np.concatenate(([0], ends[n_fields - 1 : -1 : n_fields] + 1))
-        nonzero[:rows] = np.logical_or.reduceat(chars - (_ZERO + 1) < 9, row_starts)
+        nonzero[:rows] = np.logical_or.reduceat(np.logical_and(flags, digits, out=flags), row_starts)
         ends = ends.reshape(rows, n_fields)[:, cols].ravel()
         span = span.reshape(rows, n_fields)[:, cols].ravel()
     ends -= 1  # the last digit of each field
@@ -233,7 +241,8 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int,
     if chars[-1] != _NEWLINE:  # the last row has no final newline
         chars = np.append(chars, np.uint8(_NEWLINE))
     last, last_nonzero = np.empty((1, width)), np.empty(1, dtype=bool)
-    if _scan_block(chars, sep, n_fields, last, cols, last_nonzero) is None:
+    work = _workspace(max(len(chars), min(tail - start, _GRID_BLOCK_BYTES)))
+    if _scan_block(chars, sep, n_fields, work, last, cols, last_nonzero) is None:
         return None
     values = np.empty(((end - start + 1) // (2 * n_fields), width), dtype=np.float64)
     nonzero = None if cols is None else np.empty(len(values), dtype=bool)
@@ -243,7 +252,9 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int,
         if stop <= start:  # a row longer than a block
             stop = data.find(b"\n", start) + 1
         chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        scanned = _scan_block(chars, sep, n_fields, values[rows:], cols, None if cols is None else nonzero[rows:])
+        if len(chars) > len(work[0]):  # a row longer than the workspace
+            work = _workspace(len(chars))
+        scanned = _scan_block(chars, sep, n_fields, work, values[rows:], cols, None if cols is None else nonzero[rows:])
         if scanned is None:
             return None
         rows += scanned

@@ -609,7 +609,6 @@ def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[int,
     return seen
 
 
-@lru_cache(maxsize=None)
 def _vqe_gates(n: int) -> tuple[GateSpec, ...]:
     """Two entangling layers of RY rotations + CNOT chains, plus a final RY layer.
 
@@ -617,12 +616,13 @@ def _vqe_gates(n: int) -> tuple[GateSpec, ...]:
     """
     ry = tuple(GateSpec(kind="RY", target=i, angle=0.0) for i in range(n))
     chain = tuple(GateSpec(kind="CNOT", target=i + 1, control=i) for i in range(n - 1))
-    return _kernel.HashedGates(ry + chain + ry + chain + ry)
+    return ry + chain + ry + chain + ry
 
 
-def _vqe_state(params: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes (S, 2**n) of the VQE circuit from |0...0> at an (S, 3n) parameter stack."""
-    return _kernel._plan(n, _vqe_gates(n), len(params)).run(np.eye(1, 1 << n), params).copy()
+def _vqe_sweep(n: int, energies: np.ndarray) -> _kernel.Sweep:
+    """One VQE solve's sweep: energies (S,), gradients (S, 3n) and states (S, 2**n) at (S, 3n) parameters."""
+    weigh = lambda states: ((np.abs(states) ** 2 * energies).sum(axis=1), energies)
+    return _kernel.Sweep(n, _vqe_gates(n), np.eye(1, 1 << n), weigh)
 
 
 @lru_cache(maxsize=None)
@@ -648,8 +648,9 @@ def _walsh_hadamard(states: np.ndarray, n: int, beta: np.ndarray | None = None) 
     return (wa @ states.reshape(states.shape[:-1] + (len(wa), len(wb))) @ wb).reshape(states.shape)
 
 
-def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
-    """Amplitudes of the depth-2 alternating cost/mixer circuit, at (4,) or (S, 4) parameters.
+def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray, phases: list | None = None) -> np.ndarray:
+    """Amplitudes of the depth-2 alternating cost/mixer circuit, at (4,) or (S, 4) parameters;
+    ``phases``, when given, gets the phases exp(-i gamma_l E) of each cost layer.
 
     Layer l applies exp(-i gamma_l H), then RX(2 beta_l) on every qubit, with
     (gamma_l, beta_l) = params[2l : 2l + 2].  The cost layer is diagonal in
@@ -659,16 +660,11 @@ def _qaoa_state(params: np.ndarray, n: int, energies: np.ndarray) -> np.ndarray:
     Gutmann, 2014).  The mixer is one phase in the Walsh-Hadamard basis.
     """
     psi = np.full(params.shape[:-1] + (1 << n,), 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+    phases = [] if phases is None else phases
     for layer in range(2):
-        psi *= np.exp(-1j * params[..., 2 * layer, None] * energies)
-        psi = _walsh_hadamard(_walsh_hadamard(psi, n), n, params[..., 2 * layer + 1])
+        phases.append(np.exp(-1j * params[..., 2 * layer, None] * energies))
+        psi = _walsh_hadamard(_walsh_hadamard(psi * phases[-1], n), n, params[..., 2 * layer + 1])
     return psi
-
-
-def _vqe_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Energies (S,) and their exact gradients (S, 3n) at an (S, 3n) parameter stack."""
-    weigh = lambda states: ((np.abs(states) ** 2 * energies).sum(axis=1), energies)
-    return _kernel._plan(n, _vqe_gates(n), len(params)).gradients(np.eye(1, 1 << n), params, weigh)
 
 
 def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,9 +673,10 @@ def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[n
     The sweep runs back through each layer, reading d/d angle = 2 Im <lambda|G psi>
     for each generator G.  beta's, sum_i X_i = W diag(n - 2|k|) W / 2^n, is
     read and undone between transforms by W; gamma's is the diagonal E, undone
-    by the phase exp(+i gamma E).
+    by the conjugate of the forward pass's phase exp(-i gamma E).
     """
-    states = _qaoa_state(params, n, energies)
+    phases = []
+    states = _qaoa_state(params, n, energies, phases)
     costs = (np.abs(states) ** 2 * energies).sum(axis=1)
     pair = np.stack([states, energies * states])  # psi over its cotangent lambda = E * psi
     spectrum = n - 2.0 * _walsh(n)[0]
@@ -690,7 +687,7 @@ def _qaoa_gradients(params: np.ndarray, n: int, energies: np.ndarray) -> tuple[n
         pair = _walsh_hadamard(pair, n, -params[:, 2 * layer + 1])
         grads[:, 2 * layer] = 2.0 * (np.conj(pair[1]) * energies * pair[0]).imag.sum(axis=1)
         if layer:  # nothing reads the states before the first cost layer
-            pair *= np.exp(1j * params[:, 2 * layer, None] * energies)
+            pair *= np.conj(phases[layer])
     return costs, grads
 
 
@@ -724,8 +721,8 @@ def solve_qubo_heuristic(qp: QuboProblem, mode: str, seed: int = 0, top_k: int =
     rng = np.random.default_rng(seed)
     if mode == "vqe":
         n_params = 3 * n
-        make_state = lambda p: _vqe_state(p, n)
-        gradients = lambda p: _vqe_gradients(p, n, energies)
+        gradients = _vqe_sweep(n, energies)
+        make_state = gradients.run
     else:
         n_params = 4
         make_state = lambda p: _qaoa_state(p, n, energies)

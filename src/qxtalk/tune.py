@@ -5,7 +5,7 @@ re-optimizes the angle vector with a multi-start BFGS on exact gradients,
 then attributes the final KL reduction to individual gates by evaluating
 circuit prefixes.
 
-The gradients come from the kernel's adjoint sweep (``Kernel.gradients``),
+The gradients come from the kernel's adjoint sweep (``Kernel.sweep``),
 and the kernel's lockstep BFGS scores every start in one stacked pass per
 round.  The first start is the topology's own angles; the others are drawn
 once from a fixed seed.  theta = 0 is no start, because the encoded states
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import HashedGates, bfgs
+from ._kernel import bfgs
 from .cost import CostReport, Problem, evaluate
 from .qsim import RegisterLayout, Topology, ROTATION_KINDS
 
@@ -99,8 +99,7 @@ def optimize_angles(problem: Problem, topology: Topology) -> tuple[AngleVector, 
     x0 = np.array([g.angle for g in topology], dtype=np.float64)
     drawn = np.random.default_rng(START_SEED).uniform(0.0, 2.0 * math.pi, (RANDOM_STARTS, len(topology)))
     kernel = problem.kernel
-    gates = HashedGates(topology.gates)
-    ends, _ = bfgs(lambda a: kernel.gradients(gates, a), np.vstack([x0, drawn]))
+    ends, _ = bfgs(kernel.sweep(topology.gates), np.vstack([x0, drawn]))
     ends = np.mod(ends, ANGLE_PERIOD)
     points = np.vstack([x0, ends])
     # Each point is run as a 1-D angle vector, with evaluate()'s math cos and sin,

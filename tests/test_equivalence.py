@@ -40,6 +40,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -752,7 +754,7 @@ def test_gradients_match_parameter_shift_oracle(data):
     problem = data.draw(problems(max_qubits=8))
     topology = rotation_topology(data, problem.layout.num_qubits)
     theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(2)])
-    costs, grads = problem.kernel.gradients(topology.gates, theta)
+    costs, grads = problem.kernel.sweep(topology.gates)(theta)
     # The gradient follows the exact cost in either eval mode.
     problem = dataclasses.replace(problem, eval_mode="exact")
     for row, cost, grad in zip(theta, costs, grads):
@@ -783,11 +785,11 @@ def test_gradient_rows_match_one_row_calls(data):
     topology = rotation_topology(data, problem.layout.num_qubits)
     theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(data.draw(st.integers(1, 5)))])
     kernel = problem.kernel
-    costs, grads = kernel.gradients(topology.gates, theta)
-    plan = _kernel._plan(kernel.n, topology.gates, len(theta))
-    assert np.array_equal(plan.run(kernel.start(), theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
+    sweep = kernel.sweep(topology.gates)
+    assert np.array_equal(sweep.run(theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
+    costs, grads = sweep(theta)
     for row, cost, grad in zip(theta, costs, grads):
-        one_cost, one_grad = kernel.gradients(topology.gates, row[None])
+        one_cost, one_grad = sweep(row[None])
         assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
 
 
@@ -921,7 +923,8 @@ def test_variational_states_match_gate_level(n, seed):
     qp, energies = random_qubo(rng, n)
     vqe_params = rng.uniform(-math.pi, math.pi, size=3 * n)
     qaoa_params = rng.uniform(-math.pi, math.pi, size=4)
-    assert np.array_equal(np.abs(search._vqe_state(vqe_params[None], n)[0]) ** 2, gate_level_vqe(vqe_params, n))
+    vqe_state = search._vqe_sweep(n, energies).run(vqe_params[None])[0]
+    assert np.array_equal(np.abs(vqe_state) ** 2, gate_level_vqe(vqe_params, n))
     fast = np.abs(search._qaoa_state(qaoa_params, n, energies)) ** 2
     oracle = gate_level_qaoa(qaoa_params, n, *ising_coefficients(qp))
     assert np.max(np.abs(fast - oracle)) <= 1e-12
@@ -937,7 +940,7 @@ def test_energy_gradients_match_shift_rule_on_gate_level(n, seed):
     qp, energies = random_qubo(rng, n)
     vqe_params = rng.uniform(-math.pi, math.pi, size=(1, 3 * n))
     qaoa_params = rng.uniform(-math.pi, math.pi, size=(1, 4))
-    cost, grad = search._vqe_gradients(vqe_params, n, energies)
+    cost, grad = search._vqe_sweep(n, energies)(vqe_params)
     initial, tagged = vqe_circuit(vqe_params[0], n)
     assert abs(cost[0] - gate_level_probabilities(initial, tagged) @ energies) <= 1e-9
     assert np.max(np.abs(grad[0] - shift_rule_energy_gradient(initial, tagged, 3 * n, energies))) <= 1e-9
@@ -952,11 +955,12 @@ def test_energy_gradients_match_shift_rule_on_gate_level(n, seed):
 def test_energy_gradient_rows_match_one_row_calls(n, rows, seed):
     rng = np.random.default_rng(seed)
     _, energies = random_qubo(rng, n)
-    for gradients, size in ((search._vqe_gradients, 3 * n), (search._qaoa_gradients, 4)):
+    qaoa = lambda p: search._qaoa_gradients(p, n, energies)
+    for gradients, size in ((search._vqe_sweep(n, energies), 3 * n), (qaoa, 4)):
         params = rng.uniform(-math.pi, math.pi, size=(rows, size))
-        costs, grads = gradients(params, n, energies)
+        costs, grads = gradients(params)
         for row, cost, grad in zip(params, costs, grads):
-            one_cost, one_grad = gradients(row[None], n, energies)
+            one_cost, one_grad = gradients(row[None])
             assert (cost, grad.tolist()) == (one_cost[0], one_grad[0].tolist())
 
 
@@ -1109,9 +1113,9 @@ def test_block_update_matches_lohi_update(data):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_run_and_sweep_match_lohi_sweep(data):
-    """``_Plan.gradients`` on any gate list, at a drawn real weight per row and basis state:
-    ``weigh`` sees the lo/hi update's final states, its costs come back as they are, and the
-    gradients are the lo/hi sweep's on (psi, w * psi)."""
+    """A ``Sweep`` on any gate list, at a drawn real weight per row and basis state: it runs
+    the lo/hi update's final states, ``weigh`` sees them, its costs come back as they are,
+    and the gradients are the lo/hi sweep's on (psi, w * psi)."""
     n = data.draw(st.integers(2, 12))
     rows = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1126,11 +1130,13 @@ def test_run_and_sweep_match_lohi_sweep(data):
         seen.append(states.copy())
         return costs, weights
 
-    got_costs, grads = _kernel._plan(n, tuple(sequence), rows).gradients(initial, theta, weigh)
+    sweep = _kernel.Sweep(n, tuple(sequence), initial, weigh)
     expected, column = initial.copy(), 0
     for gate in sequence:
         lohi_apply(expected, n, gate.kind, gate.target, gate.control, None if gate.angle is None else theta[:, column])
         column += gate.angle is not None
+    assert same_bits(sweep.run(theta), expected)
+    got_costs, grads = sweep(theta)
     assert len(seen) == 1 and same_bits(seen[0], expected) and got_costs is costs
     assert same_bits(grads, lohi_sweep(np.concatenate([expected, weights * expected]), n, sequence, theta))
 
@@ -1141,9 +1147,10 @@ def test_variational_gradients_match_lohi_sweep(n, rows, seed):
     rng = np.random.default_rng(seed)
     _, energies = random_qubo(rng, n)
     vqe = rng.uniform(-math.pi, math.pi, size=(rows, 3 * n))
+    sweep = search._vqe_sweep(n, energies)
     for params in (vqe, vqe[0][None]):
-        assert same_bits(search._vqe_state(params, n), lohi_vqe_state(params, n))
-    for got, want in zip(search._vqe_gradients(vqe, n, energies), lohi_vqe_gradients(vqe, n, energies)):
+        assert same_bits(sweep.run(params), lohi_vqe_state(params, n))
+    for got, want in zip(sweep(vqe), lohi_vqe_gradients(vqe, n, energies)):
         assert same_bits(got, want)
 
 
@@ -1238,40 +1245,46 @@ def test_prune_matches_dense_delta_rho(n, data, real, sparsity, seed, fraction):
         assert np.max(np.abs(dr - gathered)) <= 1e-15
 
 
-# --- cached sweep plans ------------------------------------------------------
+# --- sweep plans owned by one optimization ---------------------------------
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_cached_plans_are_reused_safely(data):
-    """Stacks of 8, 3, 1 and 8 rows on two topologies, interleaved on one kernel, and
-    then again on the plans those calls cached: every row equals a one-row call made
-    on a fresh plan, writing into a returned array changes no later result, and no
-    later call, on the same VQE plan or another, changes states that ``_vqe_state`` returned."""
-    problem = data.draw(problems(min_qubits=3))
-    kernel = problem.kernel
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    topologies = [rotation_topology(data, problem.layout.num_qubits) for _ in range(2)]
-    calls = [(t, rng.uniform(-2 * math.pi, 2 * math.pi, (rows, len(t)))) for rows in (8, 3, 1, 8) for t in topologies]
-    fresh = []
-    for topology, theta in calls:
-        for row in theta:
-            _kernel._plan.cache_clear()
-            fresh.append(kernel.gradients(topology.gates, row[None]))
-    _kernel._plan.cache_clear()
-    n = problem.layout.num_qubits
-    states = search._vqe_state(rng.uniform(-math.pi, math.pi, (8, 3 * n)), n)
-    expected = states.copy()
-    for _ in range(2):
-        search._vqe_gradients(rng.uniform(-math.pi, math.pi, (8, 3 * n)), n, rng.normal(size=1 << n))
-        results = [kernel.gradients(topology.gates, theta) for topology, theta in calls]
-        rows = iter(fresh)
-        for costs, grads in results:
-            for cost, grad, (one_cost, one_grad) in zip(costs, grads, rows):
-                assert same_bits(cost, one_cost[0]) and same_bits(grad, one_grad[0])
-            costs[:], grads[:] = np.nan, np.nan
-    assert _kernel._plan.cache_info().hits >= len(calls)
-    assert same_bits(states, expected)
+def test_optimizations_in_threads_match_one_thread(synth4):
+    """Four tunings of one shared problem and two VQE solves, in six threads that may
+    switch every microsecond, each equal the single-thread result bit for bit.  On one
+    sweep, writing into the costs and gradients it returned changes no later result,
+    and a plan used again after one of another row count gives the results it gave first."""
+    problem, topology = synth4.problem, synth4.search("multi-epoch").topology
+    qp = search.build_qubo(np.random.default_rng(3).normal(1.0, 1.0, size=(6, 6)), 1.0)
+    jobs = [lambda: optimize_angles(problem, topology)] * 4 + [lambda: search.solve_qubo_heuristic(qp, "vqe")] * 2
+    expected = [job() for job in jobs]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = jobs[i]()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (angles, report), (want_angles, want_report) in zip(results[:4], expected[:4]):
+        assert same_bits(angles.values, want_angles.values) and report == want_report
+    for top, want in zip(results[4:], expected[4:]):
+        assert [(bits.tolist(), energy) for bits, energy in top] == [(bits.tolist(), e) for bits, e in want]
+
+    sweep = problem.kernel.sweep(topology.gates)
+    theta = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, (3, len(topology)))
+    first = [array.copy() for array in sweep(theta)]
+    for rows in (theta, theta[:1], theta):
+        costs, grads = sweep(rows)
+        assert same_bits(costs, first[0][: len(rows)]) and same_bits(grads, first[1][: len(rows)])
+        costs[:], grads[:] = np.nan, np.nan
 
 
 # --- BFGS on the active starts only, against the loop that gathers them ------
@@ -1376,7 +1389,7 @@ def test_bfgs_matches_gathering_loop_on_tuning(data):
     topology = rotation_topology(data, problem.layout.num_qubits, max_size=6)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     starts = rng.uniform(0.0, 2 * math.pi, (data.draw(st.integers(1, 8)), len(topology)))
-    check_bfgs(lambda a: problem.kernel.gradients(topology.gates, a), starts, set())
+    check_bfgs(problem.kernel.sweep(topology.gates), starts, set())
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -1385,5 +1398,5 @@ def test_bfgs_matches_gathering_loop_on_tuning(data):
 def test_bfgs_matches_gathering_loop_on_energies(n, rows, width, seed):
     rng = np.random.default_rng(seed)
     _, energies = random_qubo(rng, n)
-    check_bfgs(lambda p: search._vqe_gradients(p, n, energies), rng.uniform(-width, width, (rows, 3 * n)), set())
+    check_bfgs(search._vqe_sweep(n, energies), rng.uniform(-width, width, (rows, 3 * n)), set())
     check_bfgs(lambda p: search._qaoa_gradients(p, n, energies), rng.uniform(-width, width, (rows, 4)), set())

@@ -610,6 +610,8 @@ def panel_cases(draw):
 @given(case=panel_cases())
 @example(case=("g0,g1,g2\n0,0,0\n1,0010,0\n0000,0,0\n", ["g2", "zz", "g0"], 1 << 16))
 @example(case=("g0,g1,g2\r\n0,0,0\r\n1,0010,0\r\n0000,0,0\r\n", ["g2", "g0"], 1 << 16))
+# A row that outgrows the block, and the workspace, after a first block of short rows.
+@example(case=("g0,g1,g2,g3\n1,2,3,4\n1,2,3,4\n1111,2222,0,4444\n0,0,0,0\n", ["g3", "g0"], 16))
 def test_panel_read_matches_selecting_from_the_whole_matrix(case):
     """The panel read equals the whole read, then the panel's columns, then the cells
     with a nonzero total: values, kept cells, the count left out and the exact error,

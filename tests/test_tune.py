@@ -211,20 +211,16 @@ class TestExportNetwork:
             export_network(topo, AngleVector(values=np.zeros(2)), {0: "a", 1: "b"}, layout)
 
 
-def test_tuning_and_vqe_solves_hash_their_gates_once(synth4, monkeypatch):
-    """Every BFGS round looks its sweep plan up by the gate tuple; that tuple is hashed
-    once per tuning, and the VQE circuit's once per process."""
+def test_tuning_and_vqe_solves_hash_no_gates(synth4, monkeypatch):
+    """Each tuning and VQE solve builds its own sweep plans and looks none up by its gates."""
     from qxtalk import search
 
     topology = synth4.search("multi-epoch").topology
     qp = search.build_qubo(np.random.default_rng(3).normal(1.0, 1.0, size=(4, 4)), 1.0)
-    search._vqe_gates.cache_clear()
     hashed = []
     gate_hash = GateSpec.__hash__
     monkeypatch.setattr(GateSpec, "__hash__", lambda gate: hashed.append(gate) or gate_hash(gate))
     optimize_angles(synth4.problem, topology)
-    assert len(hashed) == len(topology)
-    del hashed[:]
     for seed in (0, 1):
         search.solve_qubo_heuristic(qp, mode="vqe", seed=seed)
-    assert len(hashed) == len(search._vqe_gates(qp.size)) == 5 * qp.size - 2
+    assert hashed == []
