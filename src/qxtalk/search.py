@@ -43,9 +43,9 @@ VARIATIONAL_MAX_VARS = 12
 # Restarts and sweeps per restart of the annealing solver.
 ANNEAL_RESTARTS = 12
 ANNEAL_SWEEPS = 200
-# A batched search step extends and scores stacks of states of at most this
-# many bytes (a state is 16 * 2**n); a step with more rows is split, down to
-# one walk node's children, one insertion candidate's rows or one deletion batch.
+# The stacks of states (16 * 2**n bytes each) that a batched search step extends and scores,
+# and the row blocks of the QUBO energy table, hold at most this many bytes.  A step is split
+# down to one walk node's children, one insertion candidate's rows or one deletion batch.
 _STACK_BYTES = 1 << 20
 
 
@@ -530,11 +530,22 @@ def _bits(indices, n: int) -> np.ndarray:
     return (indices[..., None] >> np.arange(n) & 1).astype(np.int64)
 
 
-def _energies(qp: QuboProblem, indices: np.ndarray) -> np.ndarray:
-    """E(x) for each assignment in ``indices``."""
+def _energy_blocks(qp: QuboProblem):
+    """The row-major table of E(x) over every assignment, as (first index, block) pairs
+    of row blocks of at most ``_STACK_BYTES``.
+
+    Entry [h, l] is assignment h * 2**a + l, whose a = ceil(n/2) low bits are l:
+    E = E_high(h) + E_low(l) + h.C.l, with C the high-by-low block of Q off its
+    diagonal.  On ``QuboProblem``'s grid every partial sum is exact, in any order.
+    """
+    a = (qp.size + 1) // 2
     diag, off = _split(qp)
-    bits = _bits(indices, qp.size).astype(np.float64)
-    return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
+    low, high = (_bits(np.arange(1 << k), k).astype(np.float64) for k in (a, qp.size - a))
+    e_low, e_high = (bits @ diag[part] + 0.5 * (bits @ off[part, part] * bits).sum(axis=1)
+                     for bits, part in ((low, slice(a)), (high, slice(a, None))))
+    cross, rows = off[a:, :a] @ low.T, max(1, _STACK_BYTES // (8 << a))
+    for start in range(0, len(high), rows):
+        yield start << a, e_high[start : start + rows, None] + e_low + high[start : start + rows] @ cross
 
 
 def _check_solver(mode: str, size: int, top_k: int = 1, modes=("exact", "annealing", "vqe", "qaoa")) -> None:
@@ -557,20 +568,12 @@ def solve_qubo_exact(qp: QuboProblem) -> tuple[np.ndarray, float]:
     Energy ties resolve to the assignment with the smallest integer value
     (bit i of the integer is x_i).
     """
-    n = qp.size
-    _check_solver("exact", n)
-    best_energy = math.inf
-    best_index = 0
-    chunk = 1 << 16
-    total = 1 << n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        energies = _energies(qp, idx)
-        local = int(np.argmin(energies))
-        if energies[local] < best_energy:
-            best_energy = float(energies[local])
-            best_index = int(idx[local])
-    return _bits(best_index, n), best_energy
+    _check_solver("exact", qp.size)
+    best = (math.inf, 0)
+    for first, block in _energy_blocks(qp):  # a later block wins only with a lower energy
+        local = int(np.argmin(block))
+        best = min(best, (float(block.flat[local]), first + local))
+    return _bits(best[1], qp.size), best[0]
 
 
 def _anneal(qp: QuboProblem, seed: int, restarts: int, sweeps: int) -> dict[int, float]:
@@ -717,7 +720,7 @@ def solve_qubo_heuristic(qp: QuboProblem, mode: str, seed: int = 0, top_k: int =
         import heapq  # only this branch uses it, so other runs do not import it
         ranked = heapq.nsmallest(top_k, ((e, i) for i, e in _anneal(qp, seed, ANNEAL_RESTARTS, ANNEAL_SWEEPS).items()))
         return [(_bits(i, n), float(e)) for e, i in ranked]
-    energies = _energies(qp, np.arange(1 << n, dtype=np.int64))
+    energies = np.concatenate([block for _, block in _energy_blocks(qp)], axis=None)
     rng = np.random.default_rng(seed)
     if mode == "vqe":
         n_params = 3 * n
@@ -778,10 +781,7 @@ def qubo_search(
     best = history.add("baseline", (), _score(kernel, [kernel.start()]), [()]).best()
     if cands.pairs:
         qp = build_qubo(build_kl_matrix(problem, cands, history), best.cost.total)
-        if solver == "exact":
-            solutions = [solve_qubo_exact(qp)]
-        else:
-            solutions = solve_qubo_heuristic(qp, solver, seed=seed, top_k=top_k)
+        solutions = [solve_qubo_exact(qp)] if solver == "exact" else solve_qubo_heuristic(qp, solver, seed, top_k)
         for bits, _ in solutions:
             selected = [cands.pairs[i] for i in range(len(cands.pairs)) if bits[i]]
             if not selected:

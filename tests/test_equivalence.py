@@ -26,6 +26,9 @@ the reference.  Every fast path is checked against them, or against
 * QAOA's mixer, one phase in the Walsh-Hadamard basis, against the same
   circuit with n RX gates per layer: states and gradients to 1e-12, and
   the same selected assignments from the solver;
+* the QUBO energy table, built in row blocks from its two halves, against
+  the einsum over every assignment: every entry and the exact solver's
+  assignment and energy, bit for bit;
 * the single-bit-flip delta-rho prune against a scan of the dense density
   matrix difference: the same pairs in the same order, and on real
   amplitudes the same entries bit for bit.
@@ -663,6 +666,69 @@ def test_qubo_entries_must_lie_on_the_grid():
             QuboProblem(size=len(q), q=np.array(q), baseline=0.0, penalty=1.0)
 
 
+# --- the QUBO energy table against the chunked einsum walk -------------------
+
+
+def chunked_energies(qp, indices):
+    """E(x) for each assignment in ``indices``, one three-index einsum over their bits."""
+    diag = np.diag(qp.q)
+    off = qp.q - np.diag(diag)
+    bits = search._bits(indices, qp.size).astype(np.float64)
+    return bits @ diag + 0.5 * np.einsum("ki,ij,kj->k", bits, off, bits)
+
+
+def chunked_exact(qp):
+    """The exhaustive minimum walked in index chunks of 2^16; ties go to the smallest index."""
+    best_energy, best_index, total = math.inf, 0, 1 << qp.size
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        energies = chunked_energies(qp, idx)
+        local = int(np.argmin(energies))
+        if energies[local] < best_energy:
+            best_energy, best_index = float(energies[local]), int(idx[local])
+    return search._bits(best_index, qp.size), best_energy
+
+
+@st.composite
+def grid_qubos(draw, max_size=16):
+    """A symmetric Q on the 2^-40 grid: random units, a few values (signed zeros among them),
+    all zeros, a constant diagonal, or a few values with one variable's row repeated as another's."""
+    n = draw(st.sampled_from(range(max_size + 1)))
+    kind = draw(st.sampled_from(["units", "few", "zeros", "diagonal", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "units":
+        q = rng.integers(-(2**30), 2**30, size=(n, n)) * (rng.random((n, n)) < 0.7) / 2.0**40
+    elif kind == "zeros":
+        q = np.full((n, n), rng.choice([0.0, -0.0]))
+    elif kind == "diagonal":
+        q = np.diag(np.full(n, rng.choice([-1.5, -0.0, 0.0, 2.0])))
+    else:
+        q = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(n, n))
+    q = np.where(np.tri(n, dtype=bool), q.T, q)  # mirrored, not summed, so -0.0 stays
+    if kind == "repeated" and n >= 2:
+        i, j = rng.choice(n, size=2, replace=False)
+        q[j], q[:, j] = q[i], q[:, i]
+        q[j, j], q[i, j], q[j, i] = q[i, i], q[i, i], q[i, i]
+    return QuboProblem(size=n, q=q, baseline=0.0, penalty=1.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(qp=grid_qubos(), budget=st.sampled_from([1, 100, 4096, search._STACK_BYTES]))
+def test_energy_table_matches_chunked_walk(qp, budget):
+    """Every entry, the exact solver's assignment and its energy, byte for byte, with the
+    table in row blocks of at most ``budget`` bytes (or one row)."""
+    want = chunked_energies(qp, np.arange(1 << qp.size))
+    with mock.patch.object(search, "_STACK_BYTES", budget):
+        blocks = list(search._energy_blocks(qp))
+        x, energy = search.solve_qubo_exact(qp)
+    width = 1 << (qp.size + 1) // 2
+    assert [first for first, _ in blocks] == list(itertools.accumulate([0] + [b.size for _, b in blocks[:-1]]))
+    assert all(b.shape[1] == width and (len(b) == 1 or b.nbytes <= budget) for _, b in blocks)
+    assert np.concatenate([b for _, b in blocks], axis=None).tobytes() == want.tobytes()
+    want_x, want_energy = chunked_exact(qp)
+    assert (x.dtype, x.tobytes(), energy.hex()) == (want_x.dtype, want_x.tobytes(), want_energy.hex())
+
+
 # --- tuning and ablation against the reference oracle ------------------------
 
 
@@ -913,7 +979,7 @@ def random_qubo(rng, n):
     q = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
     q = np.round(q * 2.0**40) / 2.0**40  # QuboProblem takes entries on its 2^-40 grid
     qp = QuboProblem(size=n, q=q + q.T, baseline=0.0, penalty=1.0)
-    return qp, search._energies(qp, np.arange(1 << n))
+    return qp, np.concatenate([block for _, block in search._energy_blocks(qp)], axis=None)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -683,15 +683,22 @@ class TestSolveQuboExact:
             assert e == pytest.approx(energies.min(), abs=1e-9)
             assert e <= qubo_energy(qp, states[int(np.argmin(energies))]) + 1e-12
 
-    def test_chunked_path_consistent(self):
-        # n=17 exceeds one enumeration chunk; spot-check dominance
+    def test_twenty_two_variables_beat_every_probe(self):
+        # At the cap the table spans many row blocks; the returned energy is its x's own.
         rng = np.random.default_rng(35)
-        qp = build_qubo(rng.normal(1.0, 0.6, size=(17, 17)), 1.0)
+        qp = build_qubo(rng.normal(1.0, 0.6, size=(22, 22)), 1.0)
         x, e = solve_qubo_exact(qp)
-        assert e == pytest.approx(qubo_energy(qp, x), abs=1e-9)
-        for _ in range(200):
-            probe = rng.integers(0, 2, size=17)
-            assert e <= qubo_energy(qp, probe) + 1e-9
+        assert x.dtype == np.int64 and e == qubo_energy(qp, x)
+        for probe in rng.integers(0, 2, size=(2000, 22)):
+            assert e <= qubo_energy(qp, probe)
+
+    def test_zero_variables(self):
+        x, e = solve_qubo_exact(QuboProblem(size=0, q=np.zeros((0, 0)), baseline=0.0, penalty=1.0))
+        assert (x.dtype, x.shape, type(e), e.hex()) == (np.int64, (0,), float, "0x0.0p+0")
+
+    def test_one_zero_variable(self):
+        x, e = solve_qubo_exact(QuboProblem(size=1, q=np.zeros((1, 1)), baseline=0.0, penalty=1.0))
+        assert (x.dtype, x.tolist(), type(e), e.hex()) == (np.int64, [0], float, "0x0.0p+0")
 
     def test_size_cap(self):
         qp = QuboProblem(size=23, q=np.zeros((23, 23)), baseline=0.0, penalty=1.0)
