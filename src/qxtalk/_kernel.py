@@ -342,6 +342,14 @@ class Kernel:
         entries = rotation(gate.kind, gate.angle if angle is None else angle) if gate.kind in ROTATION_KINDS else None
         apply(states, self.n, gate.kind, gate.target, gate.control, entries)
 
+    def prefixes(self, gates, angles=None) -> np.ndarray:
+        """Row i of an (L + 1, 2**n) stack: the initial state after the first i gates,
+        at ``angles`` as in :meth:`run`; each gate applied once, to the rows that hold it."""
+        states = self.start(len(gates) + 1)
+        for i, gate in enumerate(gates):
+            self.apply(states[i + 1 :], gate, None if angles is None else angles[i])
+        return states
+
     def run(self, gates, angles=None) -> np.ndarray:
         """The final state (1, 2**n) of a gate sequence, optionally at an (L,) vector
         of other angles, which replaces the gates' own one for one, so a tuning
@@ -396,12 +404,11 @@ class Kernel:
         return out
 
     def deletions(self, gates) -> np.ndarray:
-        """Row r: the initial state after every gate of ``gates`` except gate r."""
-        states = self.start(len(gates))
-        for j, gate in enumerate(gates):
-            for block in (states[:j], states[j + 1:]):
-                if len(block):
-                    self.apply(block, gate)
+        """Row r: the initial state after every gate of ``gates`` except gate r; row r of
+        the prefixes of ``gates[:-1]`` followed by gates r + 1 onwards."""
+        states = self.prefixes(gates[:-1])[: len(gates)]
+        for j in range(1, len(gates)):
+            self.apply(states[:j], gates[j])
         return states
 
     def _register_marginals(self, states: np.ndarray) -> list[np.ndarray]:

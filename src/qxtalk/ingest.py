@@ -268,11 +268,12 @@ def _scan_grid(data: bytes, start: int, delim: str, n_fields: int,
 
 def _header_line(head: bytes) -> str | None:
     """``head``, the bytes before the first newline, decoded when the text
-    path would take them unchanged as the header: UTF-8, no CR, not blank."""
+    path would take them unchanged as the header: UTF-8 (a leading byte-order
+    mark dropped), no CR, not blank."""
     if b"\r" in head:
         return None
     try:
-        line = head.decode("utf-8")
+        line = head.decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
     return line if line.strip() else None
@@ -312,8 +313,8 @@ def _check_rows(path: str, body: list[str], delim: str, header: list[str], label
 
 def _load_text(path: str, data: bytes, delimiter: str | None) -> ExpressionMatrix:
     """Parse ``data`` as text, line by line, with numpy's C reader."""
-    # Decoded and split into lines exactly as a text-mode open() of the file.
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    # Decoded and split into lines exactly as a text-mode open(encoding="utf-8-sig") of the file.
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     lines = [line for line in lines if line.strip()]
     if not lines:
@@ -355,9 +356,9 @@ def load_matrix(path: str, delimiter: str | None = None,
     """Read a delimited text matrix (header row = gene names, one row per cell).
 
     ``delimiter=None`` auto-detects tab vs comma from the header line; an
-    explicit delimiter must be one character.  Blank lines are skipped
-    and row numbers count non-blank lines.  Parse failures report the
-    offending row/column.
+    explicit delimiter must be one character.  A leading UTF-8 byte-order
+    mark is dropped.  Blank lines are skipped and row numbers count
+    non-blank lines.  Parse failures report the offending row/column.
 
     A raw count matrix whose first line is the header and whose body is a
     plain grid (only ASCII digits, the delimiter and LF; every row exactly

@@ -232,9 +232,7 @@ def _insertions(kernel, gates: tuple[GateSpec, ...], table: np.ndarray):
     stacks of whole pairs under ``_STACK_BYTES``.  A block is built position-major,
     so gate j follows its leading rows (positions 0..j), and is then reordered."""
     positions = len(gates) + 1
-    prefixes = kernel.start(positions)  # row pos: the initial state after gates[:pos]
-    for j, gate in enumerate(gates):
-        kernel.apply(prefixes[j + 1 :], gate)
+    prefixes = kernel.prefixes(gates)
     step = max(1, _stack_rows(kernel) // positions)
     for pairs in np.split(table, range(step, len(table), step)):
         block = kernel.extend(prefixes, np.repeat(np.arange(positions), len(pairs)), np.tile(pairs, (positions, 1)),

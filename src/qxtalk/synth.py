@@ -260,7 +260,8 @@ def simulate(cfg: TissueConfig, interaction_enabled: bool = True) -> TissueOutpu
 def benchmark_preset(
     five_gene_ct2: bool = False, seed: int = 0
 ) -> tuple[TissueConfig, tuple[GeneSelection, GeneSelection], list[GroundTruthEdge]]:
-    """Benchmark configuration: panels for both cell types and the true edge list.
+    """Benchmark configuration: panels for both cell types and the true edge list,
+    read from the generator's role genes and GRN edges.
 
     The CT2 panel defaults to the four-gene readout {g60, g70, g71, g80};
     ``five_gene_ct2`` adds the g72 branch for the five-gene variant.
@@ -270,13 +271,9 @@ def benchmark_preset(
     ct2_genes = ["g60", "g70", "g71", "g72", "g80"] if five_gene_ct2 else ["g60", "g70", "g71", "g80"]
     ct2 = GeneSelection(cell_type_label="CT2", genes=ct2_genes)
     truth = [
-        GroundTruthEdge("g50", "g60", EDGE_INTERCELLULAR),
-        GroundTruthEdge("g60", "g70", EDGE_INTRACELLULAR),
-        GroundTruthEdge("g70", "g71", EDGE_INTRACELLULAR),
-        GroundTruthEdge("g70", "g72", EDGE_INTRACELLULAR),
-        GroundTruthEdge("g70", "g80", EDGE_INTRACELLULAR),
-        GroundTruthEdge("g80", "g90", EDGE_INTERCELLULAR),
-        GroundTruthEdge("g73", "g74", EDGE_AUTONOMOUS),
-        GroundTruthEdge("g73", "g75", EDGE_AUTONOMOUS),
+        GroundTruthEdge(cfg.ligand_gene, cfg.receptor_gene, EDGE_INTERCELLULAR),
+        *(GroundTruthEdge(source, target, EDGE_INTRACELLULAR) for source, target in _CASCADE_EDGES),
+        GroundTruthEdge(cfg.feedback_ligand_gene, cfg.feedback_receptor_gene, EDGE_INTERCELLULAR),
+        *(GroundTruthEdge(source, target, EDGE_AUTONOMOUS) for source, target in _AUTONOMOUS_EDGES),
     ]
     return cfg, (ct1, ct2), truth

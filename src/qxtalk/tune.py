@@ -136,39 +136,22 @@ def contribution_analysis(
 ) -> ContributionTable:
     """Per-gate KL deltas from prefix evaluation at the tuned angles.
 
-    Row i scores the circuit truncated after gate i, read off one running
-    state, so the table costs one gate application per row; its delta is the KL
-    change versus the previous prefix (row 1 compares to the bare encoded
-    state), and the percent column is |delta| / baseline * 100.  The
+    Row i scores the circuit truncated after gate i; every prefix, the bare
+    encoded state included, is scored in one stacked call.  A row's delta is
+    the KL change versus the previous prefix (row 1 compares to the bare
+    encoded state), and the percent column is |delta| / baseline * 100.  The
     deltas telescope to final-minus-baseline by construction.
     """
     if len(angles.values) != len(topology):
-        raise ValueError(
-            f"got {len(angles.values)} angles for {len(topology)} gates"
-        )
+        raise ValueError(f"got {len(angles.values)} angles for {len(topology)} gates")
     _check_rotations(topology)
     labels = _labels(topology, gene_map)
     kernel = problem.kernel
-    state = kernel.start()
-    baseline = kernel.reports(state)[0].total
-    rows = []
-    previous = baseline
-    for gate, angle, (src, dst) in zip(topology.gates, angles.values, labels):
-        kernel.apply(state, gate, angle)
-        kl = kernel.reports(state)[0].total
-        delta = kl - previous
-        percent = percent_of_baseline(delta, baseline)
-        rows.append(
-            ContributionRow(
-                source=src,
-                target=dst,
-                angle=float(angle),
-                kl_after_prefix=kl,
-                kl_delta=delta,
-                percent_contribution=percent,
-            )
-        )
-        previous = kl
+    totals = [r.total for r in kernel.reports(kernel.prefixes(topology.gates, angles.values))]
+    baseline = totals[0]
+    rows = [ContributionRow(source=src, target=dst, angle=float(angle), kl_after_prefix=kl, kl_delta=kl - previous,
+                            percent_contribution=percent_of_baseline(kl - previous, baseline))
+            for angle, (src, dst), previous, kl in zip(angles.values, labels, totals, totals[1:])]
     return ContributionTable(baseline_kl=baseline, rows=rows)
 
 

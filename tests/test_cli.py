@@ -617,6 +617,15 @@ def test_readme_lists_every_config_key():
     assert re.findall(r"^\| `(\w+)` \|", table, flags=re.M) == [f.name for f in dataclasses.fields(RunConfig)]
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's ``python`` block runs as written, on the public API alone."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert re.fullmatch(r"searched KL \d+\.\d{4}, tuned KL \d+\.\d{4}\n", capsys.readouterr().out)
+
+
 def test_every_public_record_keeps_fields_asdict_and_replace(tmp_path):
     """Records generate only the methods something uses, yet each stays a dataclass.
     A run's report is a plain object, so its values are walked through ``vars``."""
@@ -832,6 +841,18 @@ class TestExitPath:
         code = "import sys, qxtalk.cli; print('logging' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    @pytest.mark.parametrize("options", [("multi-epoch",), ("local",), ("qubo-annealing",),
+                                         ("qubo-qaoa", "--threshold", "0.07")], ids=lambda o: o[0])
+    def test_child_run_leaves_logging_and_numpy_ma_unloaded(self, tmp_path, options):
+        # np.median and np.unique import numpy.ma on first call, start-up time a run need not pay.
+        env = {**os.environ, "PYTHONPATH": str(Path(qxtalk.__file__).parents[1])}
+        code = ("import sys; from qxtalk.cli import main; code = main(sys.argv[1:]); "
+                "print(sorted({'logging', 'numpy.ma'} & sys.modules.keys())); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, "run", "--synthetic", "--strategy", *options, "--out", "out"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_child_import_starts_no_blas_worker(self, numpy_threads, tmp_path):
         assert child_threads("import qxtalk.cli", cwd=tmp_path) == (1, {})

@@ -5,6 +5,7 @@ the reference.  Every fast path is checked against them, or against
 ``evaluate`` scoring one full topology at a time:
 
 * kernel gate application against ``apply_gate``, to 1e-12;
+* each row of a prefix stack against ``Kernel.run`` of that prefix, bit for bit;
 * every batched extension, insertion, addition, deletion and pair-matrix
   score, bit for bit against ``evaluate`` on the full topology, including
   the evaluation counts and tie-breaks of the phases and of the ordering of
@@ -188,6 +189,22 @@ def test_kernel_gates_match_apply_gate(data):
         refs = [apply_gate(r, gate) for r in refs]
     for row, ref in zip(states, refs):
         assert np.max(np.abs(row - ref.amplitudes), initial=0.0) <= 1e-12
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_prefix_rows_match_runs(data):
+    problem = data.draw(problems())
+    n = problem.layout.num_qubits
+    sequence = tuple(data.draw(st.lists(gates(n), max_size=6)))
+    angles = data.draw(st.one_of(st.none(), st.lists(ANGLES, min_size=len(sequence), max_size=len(sequence))))
+    angles = None if angles is None else np.array(angles)
+    kernel = problem.kernel
+    stack = kernel.prefixes(sequence, angles)
+    assert stack.shape == (len(sequence) + 1, 1 << n)
+    for i, row in enumerate(stack):
+        want = kernel.run(sequence[:i], None if angles is None else angles[:i])[0]
+        assert row.tobytes() == want.tobytes()
 
 
 # --- batched search phases, bit for bit against evaluate ---------------------

@@ -109,6 +109,27 @@ class TestLoadMatrix:
         m = load_matrix(str(path))
         assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("newline, body, scanned", [
+        ("\n", "1,2,3\n0,5,0\n", True),
+        ("\r\n", "1,2,3\r\n0,5,0\r\n", False),
+        ("\n", "1.5,2,3\n0,5,0\n", False),
+    ], ids=["grid", "crlf", "decimal"])
+    def test_leading_byte_order_mark_dropped(self, tmp_path, newline, body, scanned):
+        # Excel's "CSV UTF-8" export starts the file with the UTF-8 BOM, EF BB BF.
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(f"gA,gB,gC{newline}{body}".encode())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        with mock.patch.object(ingest, "_load_text", wraps=ingest._load_text) as text_path:
+            whole = load_matrix(str(marked))
+            panel, dropped = load_matrix(str(marked), genes=["gA", "gC"])
+        assert text_path.called != scanned
+        assert whole.gene_names == ["gA", "gB", "gC"]
+        assert whole.values.tobytes() == load_matrix(str(plain)).values.tobytes()
+        want, want_dropped = load_matrix(str(plain), genes=["gA", "gC"])
+        assert panel.gene_names == want.gene_names == ["gA", "gC"]
+        assert (panel.values.tobytes(), dropped) == (want.values.tobytes(), want_dropped)
+
     def test_hash_in_a_field_is_data(self, tmp_path):
         path = write(tmp_path, "gA,gB\n1,2\n3,4#note\n")
         with pytest.raises(ValueError, match=r"non-numeric value '4#note' at row 3, column 'gB'"):

@@ -11,7 +11,6 @@ from qxtalk.synth import (
     GROUP_INTERACTING_SENDER,
     GROUP_LONE_RECEIVER,
     GROUP_LONE_SENDER,
-    GroundTruthEdge,
     TissueConfig,
     benchmark_preset,
     default_grn,
@@ -286,14 +285,22 @@ class TestBenchmarkPreset:
         assert ct2.genes == ["g60", "g70", "g71", "g72", "g80"]
 
     def test_ground_truth_edges(self):
-        _, _, truth = benchmark_preset()
-        assert GroundTruthEdge("g50", "g60", EDGE_INTERCELLULAR) in truth
-        assert GroundTruthEdge("g80", "g90", EDGE_INTERCELLULAR) in truth
-        assert GroundTruthEdge("g60", "g70", EDGE_INTRACELLULAR) in truth
-        assert GroundTruthEdge("g73", "g74", EDGE_AUTONOMOUS) in truth
-        assert len(truth) == 8
-        kinds = {e.kind for e in truth}
-        assert kinds == {EDGE_INTERCELLULAR, EDGE_INTRACELLULAR, EDGE_AUTONOMOUS}
+        """The truth in ground_truth.csv's order, read from the generator's own edges."""
+        cfg, _, truth = benchmark_preset()
+        assert [(e.source, e.target, e.kind) for e in truth] == [
+            ("g50", "g60", EDGE_INTERCELLULAR),
+            ("g60", "g70", EDGE_INTRACELLULAR),
+            ("g70", "g71", EDGE_INTRACELLULAR),
+            ("g70", "g72", EDGE_INTRACELLULAR),
+            ("g70", "g80", EDGE_INTRACELLULAR),
+            ("g80", "g90", EDGE_INTERCELLULAR),
+            ("g73", "g74", EDGE_AUTONOMOUS),
+            ("g73", "g75", EDGE_AUTONOMOUS),
+        ]
+        # Every GRN arc of the simulated tissue is a within-cell edge of the truth, and nothing else is.
+        adj = default_grn(cfg.gene_names)
+        arcs = {(cfg.gene_names[r], cfg.gene_names[t]) for t, r in zip(*np.nonzero(adj))}
+        assert arcs == {(e.source, e.target) for e in truth if e.kind != EDGE_INTERCELLULAR}
 
     def test_seed_passthrough(self):
         cfg, _, _ = benchmark_preset(seed=17)

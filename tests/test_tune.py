@@ -156,6 +156,17 @@ class TestContributionAnalysis:
                 100.0 * abs(row.kl_delta) / table.baseline_kl
             )
 
+    def test_one_scoring_call_of_every_prefix(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        problem = random_problem(rng)
+        kernel = problem.kernel
+        calls = []
+        divergences = kernel.divergences
+        monkeypatch.setattr(kernel, "divergences", lambda states: calls.append(len(states)) or divergences(states))
+        topo = Topology((gate_for_pair((0, 2)), gate_for_pair((2, 3)), gate_for_pair((1, 3))))
+        contribution_analysis(problem, topo, AngleVector(values=np.array([1.1, 0.7, 2.0])), GENE_MAP)
+        assert calls == [len(topo) + 1]
+
     def test_gene_map_labels(self):
         rng = np.random.default_rng(3)
         problem = random_problem(rng)
