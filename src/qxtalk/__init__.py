@@ -73,7 +73,6 @@ from .search import (
 )
 from .synth import TissueConfig, TissueOutput, benchmark_preset, simulate
 from .tune import (
-    AngleVector,
     ContributionTable,
     NetworkEdge,
     contribution_analysis,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeVector",
-    "AngleVector",
     "CandidateSet",
     "ContributionTable",
     "CostReport",

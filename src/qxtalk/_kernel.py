@@ -27,7 +27,8 @@ make one call each to :meth:`_Plan.gradients`, a forward and a reverse sweep
 on a plan that a :class:`Sweep` builds once per row count (:class:`_Plan`):
 the state and psi/lambda buffers, every numpy call of each gate bound to its
 block and flipped-block views and to scratch views, and the rotation entries,
-set for a round from one cos and sin of the stacked [theta; -theta; -theta].
+set for a round from one cos and sin of the stacked [theta; -theta], the undo
+entries broadcast over the psi/lambda pair.
 :func:`bfgs` minimizes such a cost from a stack of starts in lockstep, on
 arrays of the active starts only, so a round that accepts every trial
 updates them whole.
@@ -191,14 +192,14 @@ class _Plan:
         self.grads = np.empty((rows, len(kinds)))
         # Per kind, its columns and the entries (d, o) of its rotations at each sweep and row.
         self.kinds = {kind: ([j for j, k in enumerate(kinds) if k == kind], [np.array(e, dtype=np.complex128) for e in
-                             rotation(kind, np.zeros((kinds.count(kind), 3, rows)))]) for kind in set(kinds)}
+                             rotation(kind, np.zeros((kinds.count(kind), 2, rows)))]) for kind in set(kinds)}
         self._forward, self._reverse, done = [], [], []  # done: the kinds of the rotations so far
         for gate in gates:
             _check_qubits(gate, n)
             entries, overlap = [None, None], []
             if gate.kind in ROTATION_KINDS:
                 i = done.count(gate.kind)
-                entries = [tuple(e[i, c] if e.ndim else e for e in self.kinds[gate.kind][1]) for c in (0, slice(1, 3))]
+                entries = [tuple(e[i, c] if e.ndim else e for e in self.kinds[gate.kind][1]) for c in (0, 1)]
                 shape, block, flip, (lo, hi), _ = _fold(n, gate.target, gate.control)
                 psi, lam = pair.reshape((2, rows) + shape)
                 terms = scratch[: lam[block].size].reshape(lam[block].shape)
@@ -218,7 +219,7 @@ class _Plan:
 
     def fill(self, angles: np.ndarray) -> None:
         """Set every rotation's entries at a (rows, R) stack, one angle column per rotation."""
-        stacked = np.stack([angles, -angles, -angles]).transpose(2, 0, 1)
+        stacked = np.stack([angles, -angles]).transpose(2, 0, 1)
         for kind, (columns, entries) in self.kinds.items():
             for entry, value in zip(entries, rotation(kind, stacked[columns])):
                 entry[...] = value
@@ -335,28 +336,25 @@ class Kernel:
         """``rows`` copies of the initial state, shape (rows, 2**n)."""
         return np.repeat(self._initial, rows, axis=0)
 
-    def apply(self, states: np.ndarray, gate: GateSpec, angle=None) -> None:
-        """Apply a range-checked gate in place, at ``angle`` (a float, or one per row)
-        instead of its own when given."""
+    def apply(self, states: np.ndarray, gate: GateSpec) -> None:
+        """Apply a range-checked gate in place, at its own angle."""
         _check_qubits(gate, self.n)
-        entries = rotation(gate.kind, gate.angle if angle is None else angle) if gate.kind in ROTATION_KINDS else None
+        entries = rotation(gate.kind, gate.angle) if gate.kind in ROTATION_KINDS else None
         apply(states, self.n, gate.kind, gate.target, gate.control, entries)
 
-    def prefixes(self, gates, angles=None) -> np.ndarray:
-        """Row i of an (L + 1, 2**n) stack: the initial state after the first i gates,
-        at ``angles`` as in :meth:`run`; each gate applied once, to the rows that hold it."""
+    def prefixes(self, gates) -> np.ndarray:
+        """Row i of an (L + 1, 2**n) stack: the initial state after the first i gates;
+        each gate applied once, to the rows that hold it."""
         states = self.start(len(gates) + 1)
         for i, gate in enumerate(gates):
-            self.apply(states[i + 1 :], gate, None if angles is None else angles[i])
+            self.apply(states[i + 1 :], gate)
         return states
 
-    def run(self, gates, angles=None) -> np.ndarray:
-        """The final state (1, 2**n) of a gate sequence, optionally at an (L,) vector
-        of other angles, which replaces the gates' own one for one, so a tuning
-        objective builds no ``GateSpec``."""
+    def run(self, gates) -> np.ndarray:
+        """The final state (1, 2**n) of a gate sequence."""
         states = self.start()
-        for i, gate in enumerate(gates):
-            self.apply(states, gate, None if angles is None else angles[i])
+        for gate in gates:
+            self.apply(states, gate)
         return states
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

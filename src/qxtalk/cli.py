@@ -33,7 +33,6 @@ from .cost import CostReport, Problem, evaluate
 from .ingest import GeneSelection
 from .qsim import GateSpec, RegisterLayout, StateVector, Topology, from_amplitudes, tensor
 from .search import SearchConfig, SearchResult
-from .tune import AngleVector
 
 ENV_PREFIX = "QXTALK_"
 STRATEGIES = ("local", "multi-epoch", "qubo-exact", "qubo-annealing", "qubo-vqe", "qubo-qaoa")
@@ -94,6 +93,8 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if len(self.delimiter) > 1:  # "" auto-detects tab or comma
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if not self.out:
+            raise ValueError("out must name a run directory; use '.' for the working directory")
         search_config(self)  # SearchConfig's own checks on kl_tol, eps_prune, n_choose, n_epochs and max_depth
 
 
@@ -101,8 +102,8 @@ class RunReport:
     """A run's values, each set by the stage that makes it; serialized to report.json/report.txt.
 
     ``problem`` is built from ``encoded`` on first use.  A staged report reads
-    ``encoded``, ``candidates``, ``topology`` or ``angles`` that no stage of
-    this process has set from the artifact an earlier stage command wrote.
+    ``encoded``, ``candidates``, ``topology`` or the tuned ``circuit`` that no
+    stage of this process has set from the artifacts an earlier stage command wrote.
     """
 
     def __init__(self, cfg: RunConfig, staged: bool = False):
@@ -114,7 +115,7 @@ class RunReport:
     def __getattr__(self, name: str):
         if name == "problem":
             value = build_problem(self.encoded, self.cfg)
-        elif name in ("encoded", "candidates", "topology", "angles") and self.staged:
+        elif name in ("encoded", "candidates", "topology", "circuit") and self.staged:
             value = globals()[f"load_{name}"](Path(self.cfg.out))
         else:
             raise AttributeError(name)
@@ -168,7 +169,7 @@ def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` document; '#' starts a comment, blank lines ignored."""
     known = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     values: dict = {}
@@ -427,15 +428,15 @@ def _search(r: RunReport) -> None:
 
 
 def _tune(r: RunReport) -> None:
-    r.angles, r.tuned = tune.optimize_angles(r.problem, r.topology)
+    r.circuit, r.tuned = tune.optimize_angles(r.problem, r.topology)
 
 
 def _ablate(r: RunReport) -> None:
-    r.contributions = tune.contribution_analysis(r.problem, r.topology, r.angles, r.encoded.gene_map)
+    r.contributions = tune.contribution_analysis(r.problem, r.circuit, r.encoded.gene_map)
 
 
 def _export(r: RunReport) -> None:
-    r.edges = tune.export_network(r.topology, r.angles, r.encoded.gene_map, r.encoded.layout)
+    r.edges = tune.export_network(r.circuit, r.encoded.gene_map, r.encoded.layout)
 
 
 PIPELINE = ("ingest", "encode", "prune", "search", "tune", "ablate", "export")
@@ -482,7 +483,7 @@ def report_to_dict(report: RunReport) -> dict:
         },
         "tuned": {
             "cost": _cost_dict(report.tuned),
-            "angles": [float(a) for a in report.angles.values],
+            "angles": [float(g.angle) for g in report.circuit],
         },
         "contributions": {
             "baseline_kl": report.contributions.baseline_kl,
@@ -604,13 +605,17 @@ def load_topology(outdir: Path) -> Topology:
 
 
 def write_tuned(report: RunReport, outdir: Path) -> None:
-    angle_list = [float(a) for a in report.angles.values]
+    angle_list = [float(g.angle) for g in report.circuit]
     _write_json(outdir / "tuned.json", {"angles": angle_list, "cost": _cost_dict(report.tuned)})
 
 
-def load_angles(outdir: Path) -> AngleVector:
-    data = _read_json(outdir / "tuned.json", "tune")
-    return AngleVector(values=np.array(data["angles"], dtype=np.float64))
+def load_circuit(outdir: Path) -> Topology:
+    """The tuned circuit: the searched topology at the angles of ``tuned.json``, one per gate."""
+    topology = load_topology(outdir)
+    angles = _read_json(outdir / "tuned.json", "tune")["angles"]
+    if len(angles) != len(topology):
+        raise ValueError(f"tuned.json has {len(angles)} angles for the {len(topology)} gates of topology.json")
+    return tune.with_angles(topology, angles)
 
 
 def write_contributions(report: RunReport, outdir: Path) -> None:

@@ -1,9 +1,9 @@
 """Continuous angle optimization and per-gate contribution analysis.
 
 Discrete search fixes every controlled rotation at pi/2; this module
-re-optimizes the angle vector with a multi-start BFGS on exact gradients,
-then attributes the final KL reduction to individual gates by evaluating
-circuit prefixes.
+re-optimizes those angles with a multi-start BFGS on exact gradients into
+a tuned circuit, a ``Topology`` whose gates hold their tuned angles, then
+attributes the final KL reduction to its gates by evaluating its prefixes.
 
 The gradients come from the kernel's adjoint sweep (``Kernel.sweep``),
 and the kernel's lockstep BFGS scores every start in one stacked pass per
@@ -25,24 +25,12 @@ import numpy as np
 
 from ._kernel import bfgs
 from .cost import CostReport, Problem, evaluate
-from .qsim import RegisterLayout, Topology, ROTATION_KINDS
+from .qsim import GateSpec, RegisterLayout, Topology, ROTATION_KINDS
 
 ANGLE_PERIOD = 4.0 * math.pi
 # Starts besides the first, drawn uniformly from [0, 2*pi) with this seed.
 RANDOM_STARTS = 7
 START_SEED = 0
-
-
-@dataclass(eq=False, repr=False)
-class AngleVector:
-    """Rotation angles, one per gate of a topology; tuning reports them in [0, 4*pi)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("angles must form a 1-D vector")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -81,32 +69,36 @@ def _check_rotations(topology: Topology) -> None:
             raise ValueError(f"cannot tune non-rotation gate {gate.kind}")
 
 
-def optimize_angles(problem: Problem, topology: Topology) -> tuple[AngleVector, CostReport]:
+def with_angles(topology: Topology, angles) -> Topology:
+    """``topology`` with gate i at ``angles[i]``, as a Python float; the lengths are not checked."""
+    return Topology(tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology, angles)))
+
+
+def optimize_angles(problem: Problem, topology: Topology) -> tuple[Topology, CostReport]:
     """Tune all rotation angles by multi-start BFGS on exact gradients.
 
     The first start is the topology's own angles; ``RANDOM_STARTS`` more
     are drawn uniformly from [0, 2*pi).  Each start's end point is wrapped
-    into [0, 4*pi).  The wrapped end points and the first start itself are
-    scored by the problem's own cost (shots included); the lowest wins, the
-    earliest on a tie, with the first start listed first.  So the returned
-    angles are wrapped unless the first start stands, and the tuned cost
-    never exceeds the first start's.  The reported cost is the one
-    ``evaluate`` gives the topology at exactly the returned angles.
+    into [0, 4*pi).  The circuit of each wrapped end point and the topology
+    itself are scored by the problem's own cost (shots included); the lowest
+    wins, the earliest on a tie, with the topology listed first.  So the
+    returned circuit is ``topology`` itself when the first start stands, and
+    otherwise its gates at the winner's wrapped angles; the tuned cost never
+    exceeds the first start's.  The reported cost is the one ``evaluate``
+    gives the returned circuit.
     """
     _check_rotations(topology)
     if len(topology) == 0:
-        return AngleVector(values=np.zeros(0)), evaluate(problem, topology)
+        return topology, evaluate(problem, topology)
     x0 = np.array([g.angle for g in topology], dtype=np.float64)
     drawn = np.random.default_rng(START_SEED).uniform(0.0, 2.0 * math.pi, (RANDOM_STARTS, len(topology)))
     kernel = problem.kernel
     ends, _ = bfgs(kernel.sweep(topology.gates), np.vstack([x0, drawn]))
-    ends = np.mod(ends, ANGLE_PERIOD)
-    points = np.vstack([x0, ends])
-    # Each point is run as a 1-D angle vector, with evaluate()'s math cos and sin,
-    # and a score does not depend on its batch, so each gets exactly its evaluate() cost.
-    reports = kernel.reports(np.concatenate([kernel.run(topology.gates, p) for p in points]))
+    circuits = [topology] + [with_angles(topology, end) for end in np.mod(ends, ANGLE_PERIOD)]
+    # A score does not depend on its batch, so each circuit gets exactly its evaluate() cost.
+    reports = kernel.reports(np.concatenate([kernel.run(c.gates) for c in circuits]))
     best = int(np.argmin([r.total for r in reports]))
-    return AngleVector(values=points[best]), reports[best]
+    return circuits[best], reports[best]
 
 
 def _labels(topology: Topology, gene_map: dict[int, str]) -> list[tuple[str, str]]:
@@ -128,13 +120,8 @@ def percent_of_baseline(delta: float, baseline: float) -> float:
     return 100.0 * abs(delta) / baseline if baseline > 0 else 0.0
 
 
-def contribution_analysis(
-    problem: Problem,
-    topology: Topology,
-    angles: AngleVector,
-    gene_map: dict[int, str],
-) -> ContributionTable:
-    """Per-gate KL deltas from prefix evaluation at the tuned angles.
+def contribution_analysis(problem: Problem, circuit: Topology, gene_map: dict[int, str]) -> ContributionTable:
+    """Per-gate KL deltas from prefix evaluation of a tuned circuit, at its gates' angles.
 
     Row i scores the circuit truncated after gate i; every prefix, the bare
     encoded state included, is scored in one stacked call.  A row's delta is
@@ -142,31 +129,22 @@ def contribution_analysis(
     encoded state), and the percent column is |delta| / baseline * 100.  The
     deltas telescope to final-minus-baseline by construction.
     """
-    if len(angles.values) != len(topology):
-        raise ValueError(f"got {len(angles.values)} angles for {len(topology)} gates")
-    _check_rotations(topology)
-    labels = _labels(topology, gene_map)
+    _check_rotations(circuit)
+    labels = _labels(circuit, gene_map)
     kernel = problem.kernel
-    totals = [r.total for r in kernel.reports(kernel.prefixes(topology.gates, angles.values))]
+    totals = [r.total for r in kernel.reports(kernel.prefixes(circuit.gates))]
     baseline = totals[0]
-    rows = [ContributionRow(source=src, target=dst, angle=float(angle), kl_after_prefix=kl, kl_delta=kl - previous,
+    rows = [ContributionRow(source=src, target=dst, angle=float(gate.angle), kl_after_prefix=kl, kl_delta=kl - previous,
                             percent_contribution=percent_of_baseline(kl - previous, baseline))
-            for angle, (src, dst), previous, kl in zip(angles.values, labels, totals, totals[1:])]
+            for gate, (src, dst), previous, kl in zip(circuit, labels, totals, totals[1:])]
     return ContributionTable(baseline_kl=baseline, rows=rows)
 
 
-def export_network(
-    topology: Topology,
-    angles: AngleVector,
-    gene_map: dict[int, str],
-    layout: RegisterLayout,
-) -> list[NetworkEdge]:
-    """Gate list as a gene-level edge list, classed by register membership."""
-    if len(angles.values) != len(topology):
-        raise ValueError(f"got {len(angles.values)} angles for {len(topology)} gates")
+def export_network(circuit: Topology, gene_map: dict[int, str], layout: RegisterLayout) -> list[NetworkEdge]:
+    """A circuit's gates as a gene-level edge list at their angles, classed by register membership."""
+    _check_rotations(circuit)
     edges = []
-    labels = _labels(topology, gene_map)
-    for gate, angle, (src, dst) in zip(topology, angles.values, labels):
+    for gate, (src, dst) in zip(circuit, _labels(circuit, gene_map)):
         source_q = gate.control if gate.control is not None else gate.target
         in_ct1 = (source_q in layout.ct1_qubits, gate.target in layout.ct1_qubits)
         if all(in_ct1):
@@ -175,5 +153,5 @@ def export_network(
             edge_class = "intracellular-ct2"
         else:
             edge_class = "intercellular"
-        edges.append(NetworkEdge(source=src, target=dst, angle=float(angle), edge_class=edge_class))
+        edges.append(NetworkEdge(source=src, target=dst, angle=float(gate.angle), edge_class=edge_class))
     return edges

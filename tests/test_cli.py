@@ -113,6 +113,12 @@ class TestParseConfigFile:
         with pytest.raises(ValueError, match=r"b\.cfg:2.*bogus"):
             parse_config_file(str(path))
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        """A config saved with a UTF-8 byte-order mark names its first key as the plain file does."""
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffsynthetic = true\nseed = 1\n", encoding="utf-8")
+        assert parse_config_file(str(path)) == {"synthetic": True, "seed": 1}
+
     def test_malformed_line_reports_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just words\n", encoding="utf-8")
@@ -459,6 +465,24 @@ class TestStageChain:
         assert lines[0] == "source,target,angle,kl_after_prefix,kl_delta,percent_contribution"
         assert len(lines) == 1 + len(topo["topology"])
 
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+    def test_tuned_angle_count_checked_in_ablate(self, tmp_path, capsys, extra):
+        """tuned.json comes from outside the program, so ablate checks its angles against the
+        gates of topology.json, names both counts and writes no table."""
+        config = write_config(tmp_path)
+        out = tmp_path / "staged"
+        for cmd in ("simulate", "encode", "prune", "search", "tune"):
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        tuned = json.loads((out / "tuned.json").read_text(encoding="utf-8"))
+        gates = len(tuned["angles"])
+        tuned["angles"] = tuned["angles"] + [1.0] if extra > 0 else tuned["angles"][:-1]
+        (out / "tuned.json").write_text(json.dumps(tuned), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error in ablate: tuned.json has {gates + extra} angles for the {gates} gates of topology.json\n")
+        assert not (out / "contributions.csv").exists()
+
     # The default six-qubit tissue with local search at seed 0: twelve gates,
     # tuned from eight starts to a cost below the searched one.
     @pytest.mark.parametrize(
@@ -599,6 +623,23 @@ def test_multi_character_delimiter_fails_up_front(tmp_path, capsys, monkeypatch,
     assert main([command, "--synthetic", "--out", str(tmp_path / "out")]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: delimiter must be a single character, got 'ab'\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "encode"])
+def test_empty_out_fails_up_front(tmp_path, capsys, monkeypatch, command):
+    """An empty out would write the run into the working directory; it fails before any stage."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QXTALK_OUT", "")
+    assert main([command, "--synthetic"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: out must name a run directory; use '.' for the working directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dot_out_is_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--synthetic", "--out", "."]) == EXIT_OK
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [f"{key}.csv" for key in MATRIX_KEYS] + ["labels.csv", "ground_truth.csv"])
 
 
 @pytest.mark.parametrize("delimiter", ["", ",", "\t"])

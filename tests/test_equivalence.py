@@ -82,7 +82,7 @@ from qxtalk.search import (
     qubo_search,
     solve_qubo_heuristic,
 )
-from qxtalk.tune import ANGLE_PERIOD, AngleVector, contribution_analysis, optimize_angles
+from qxtalk.tune import ANGLE_PERIOD, contribution_analysis, optimize_angles, with_angles
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
@@ -197,14 +197,11 @@ def test_prefix_rows_match_runs(data):
     problem = data.draw(problems())
     n = problem.layout.num_qubits
     sequence = tuple(data.draw(st.lists(gates(n), max_size=6)))
-    angles = data.draw(st.one_of(st.none(), st.lists(ANGLES, min_size=len(sequence), max_size=len(sequence))))
-    angles = None if angles is None else np.array(angles)
     kernel = problem.kernel
-    stack = kernel.prefixes(sequence, angles)
+    stack = kernel.prefixes(sequence)
     assert stack.shape == (len(sequence) + 1, 1 << n)
     for i, row in enumerate(stack):
-        want = kernel.run(sequence[:i], None if angles is None else angles[:i])[0]
-        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == kernel.run(sequence[:i])[0].tobytes()
 
 
 # --- batched search phases, bit for bit against evaluate ---------------------
@@ -761,13 +758,14 @@ def test_tuning_objective_matches_oracle(data):
     topology = crx_topology(data, problem.layout.num_qubits)
     theta = np.array([data.draw(ANGLES) for _ in topology.gates])
     kernel = problem.kernel
-    retuned = tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, theta))
-    assert kernel.reports(kernel.run(topology.gates, theta))[0] == oracle_cost(problem, retuned)
-    # 24 vector runs scored as one stack in shots mode: each row is sampled as the row-by-row oracle samples it.
+    circuit = with_angles(topology, theta)
+    assert kernel.reports(kernel.run(circuit.gates))[0] == oracle_cost(problem, at_angles(topology, theta))
+    # 24 circuit runs scored as one stack in shots mode: each row is sampled as the row-by-row oracle samples it.
     problem = dataclasses.replace(problem, eval_mode="shots")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     stack = rng.uniform(-2 * math.pi, 2 * math.pi, (24, len(theta)))
-    reports = problem.kernel.reports(np.concatenate([problem.kernel.run(topology.gates, row) for row in stack]))
+    reports = problem.kernel.reports(np.concatenate([problem.kernel.run(with_angles(topology, row).gates)
+                                                     for row in stack]))
     assert reports == [oracle_cost(problem, at_angles(topology, row)) for row in stack]
 
 
@@ -775,15 +773,14 @@ def test_tuning_objective_matches_oracle(data):
 @given(data=st.data())
 def test_ablation_matches_oracle(data):
     problem = data.draw(problems(min_qubits=3))
-    topology = crx_topology(data, problem.layout.num_qubits)
-    angles = AngleVector(values=np.array([data.draw(ANGLES) for _ in topology.gates]))
+    circuit = crx_topology(data, problem.layout.num_qubits)  # its angles drawn into its gates
     gene_map = {q: f"q{q}" for q in range(problem.layout.num_qubits)}
-    table = contribution_analysis(problem, topology, angles, gene_map)
-    tuned = [GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology.gates, angles.values)]
+    table = contribution_analysis(problem, circuit, gene_map)
     assert table.baseline_kl == oracle_cost(problem, []).total
     assert [row.kl_after_prefix for row in table.rows] == [
-        oracle_cost(problem, tuned[:i]).total for i in range(1, len(tuned) + 1)
+        oracle_cost(problem, circuit.gates[:i]).total for i in range(1, len(circuit) + 1)
     ]
+    assert [row.angle for row in table.rows] == [g.angle for g in circuit]
 
 
 def rotation_topology(data, n, max_size=5):
@@ -869,7 +866,7 @@ def test_gradient_rows_match_one_row_calls(data):
     theta = np.array([[data.draw(ANGLES) for _ in topology.gates] for _ in range(data.draw(st.integers(1, 5)))])
     kernel = problem.kernel
     sweep = kernel.sweep(topology.gates)
-    assert np.array_equal(sweep.run(theta), np.vstack([kernel.run(topology.gates, r) for r in theta]))
+    assert np.array_equal(sweep.run(theta), np.vstack([kernel.run(with_angles(topology, r).gates) for r in theta]))
     costs, grads = sweep(theta)
     for row, cost, grad in zip(theta, costs, grads):
         one_cost, one_grad = sweep(row[None])
@@ -879,12 +876,14 @@ def test_gradient_rows_match_one_row_calls(data):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cost_has_period_four_pi(data):
-    problem = data.draw(problems())
+    # The exact cost: wrapping can move a state by an ulp (RX at -1.5e-269 wraps to 4*pi), and so a shots draw.
+    problem = dataclasses.replace(data.draw(problems()), eval_mode="exact")
     topology = rotation_topology(data, problem.layout.num_qubits)
     theta = np.array([data.draw(st.floats(-8 * math.pi, 8 * math.pi)) for _ in topology.gates])
     kernel = problem.kernel
-    wrapped = kernel.reports(kernel.run(topology.gates, np.mod(theta, ANGLE_PERIOD)))[0]
-    assert abs(wrapped.total - kernel.reports(kernel.run(topology.gates, theta))[0].total) <= 1e-12
+    wrapped, raw = kernel.reports(np.concatenate([kernel.run(with_angles(topology, angles).gates)
+                                                  for angles in (np.mod(theta, ANGLE_PERIOD), theta)]))
+    assert abs(wrapped.total - raw.total) <= 1e-12
 
 
 def test_two_pi_is_not_a_crx_period():
@@ -902,7 +901,7 @@ def test_two_pi_is_not_a_crx_period():
     kernel = problem.kernel
 
     def cost(angles):
-        return kernel.reports(kernel.run(topology.gates, angles))[0].total
+        return kernel.reports(kernel.run(with_angles(topology, angles).gates))[0].total
 
     assert abs(cost(np.mod(theta, ANGLE_PERIOD)) - cost(theta)) <= 1e-12
     assert abs(cost(np.mod(theta, 2 * math.pi)) - cost(theta)) > 1e-3
@@ -914,8 +913,9 @@ def test_optimize_angles_replays_and_never_exceeds_the_start(data, mode):
     problem = data.draw(problems(min_qubits=3, max_qubits=6))
     problem = dataclasses.replace(problem, eval_mode=mode)
     topology = rotation_topology(data, problem.layout.num_qubits, max_size=4)
-    angles, report = optimize_angles(problem, topology)
-    assert report == oracle_cost(problem, at_angles(topology, angles.values))
+    circuit, report = optimize_angles(problem, topology)
+    assert [(g.kind, g.control, g.target) for g in circuit] == [(g.kind, g.control, g.target) for g in topology]
+    assert report == oracle_cost(problem, circuit.gates)
     assert report.total <= oracle_cost(problem, topology.gates).total
 
 
@@ -1356,8 +1356,8 @@ def test_optimizations_in_threads_match_one_thread(synth4):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for (angles, report), (want_angles, want_report) in zip(results[:4], expected[:4]):
-        assert same_bits(angles.values, want_angles.values) and report == want_report
+    for (circuit, report), (want_circuit, want_report) in zip(results[:4], expected[:4]):
+        assert same_bits([g.angle for g in circuit], [g.angle for g in want_circuit]) and report == want_report
     for top, want in zip(results[4:], expected[4:]):
         assert [(bits.tolist(), energy) for bits, energy in top] == [(bits.tolist(), e) for bits, e in want]
 

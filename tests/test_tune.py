@@ -9,12 +9,7 @@ from qxtalk.cost import Problem, evaluate
 from qxtalk.ingest import AmplitudeVector, TargetDistribution
 from qxtalk.qsim import GateSpec, RegisterLayout, Topology, from_amplitudes, tensor
 from qxtalk.search import gate_for_pair
-from qxtalk.tune import (
-    AngleVector,
-    contribution_analysis,
-    export_network,
-    optimize_angles,
-)
+from qxtalk.tune import contribution_analysis, export_network, optimize_angles, with_angles
 
 
 def single_pair_problem(p_flip):
@@ -59,53 +54,50 @@ class TestOptimizeAngles:
         p = 0.3
         problem = single_pair_problem(p)
         topo = Topology((GateSpec(kind="CRX", target=1, control=0, angle=np.pi / 2),))
-        angles, report = optimize_angles(problem, topo)
+        circuit, report = optimize_angles(problem, topo)
         assert report.total < 1e-6
         # sin^2(theta / 2) = p has four solutions in [0, 4*pi); any of them fits.
-        assert abs(np.sin(float(angles.values[0]) / 2) ** 2 - p) < 1e-4
+        assert abs(np.sin(circuit.gates[0].angle / 2) ** 2 - p) < 1e-4
 
     def test_angles_wrapped_to_unit_circle(self):
         rng = np.random.default_rng(0)
         problem = random_problem(rng)
         topo = Topology((gate_for_pair((0, 2)), gate_for_pair((3, 1))))
-        angles, report = optimize_angles(problem, topo)
-        # 4*pi is the period of a CRX angle.
-        assert np.all(angles.values >= 0) and np.all(angles.values < 4 * np.pi)
+        circuit, report = optimize_angles(problem, topo)
+        assert circuit is not topo
+        # The searched gates, each at its wrapped angle as a Python float; 4*pi is the period of a CRX angle.
+        assert [(g.kind, g.control, g.target) for g in circuit] == [(g.kind, g.control, g.target) for g in topo]
+        assert all(type(g.angle) is float and 0 <= g.angle < 4 * np.pi for g in circuit)
         # reported cost is evaluated at the returned (wrapped) angles
-        replayed = Topology(
-            tuple(
-                GateSpec(kind=g.kind, target=g.target, control=g.control, angle=a)
-                for g, a in zip(topo.gates, angles.values)
-            )
-        )
-        assert evaluate(problem, replayed).total == report.total
+        assert evaluate(problem, circuit).total == report.total
 
     def test_empty_topology_shortcut(self):
         rng = np.random.default_rng(1)
         problem = random_problem(rng)
-        angles, report = optimize_angles(problem, Topology(()))
-        assert len(angles.values) == 0
+        circuit, report = optimize_angles(problem, Topology(()))
+        assert len(circuit) == 0
         assert report.total == evaluate(problem, Topology(())).total
 
     def test_custom_start_vector(self):
-        """The topology's own angle is the first start; here it is already optimal."""
+        """The topology's own angle is the first start; here it is already optimal and stands."""
         p = 0.42
         problem = single_pair_problem(p)
         topo = Topology((GateSpec(kind="CRX", target=1, control=0, angle=2 * np.arcsin(np.sqrt(p))),))
-        angles, report = optimize_angles(problem, topo)
+        circuit, report = optimize_angles(problem, topo)
         assert report.total < 1e-6
+        # No end point beats the first start, so the circuit is the topology itself.
+        assert circuit is topo and report == evaluate(problem, topo)
 
     @pytest.mark.parametrize("mode", ["exact", "shots"])
     @pytest.mark.parametrize("strategy", ["local", "multi-epoch"])
     def test_reported_cost_is_evaluate_at_the_returned_angles(self, synth4, strategy, mode):
-        """Every point is scored in one stack of runs at 1-D angle vectors; the winner's
-        cost keeps, bit for bit, what evaluate() gives the topology at its angles."""
+        """Every point's circuit is scored in one stack of runs; the winner's cost keeps,
+        bit for bit, what evaluate() gives the returned circuit."""
         problem = dataclasses.replace(synth4.problem, eval_mode=mode)
         topology = synth4.search(strategy).topology
         assert len(topology) > 0
-        angles, report = optimize_angles(problem, topology)
-        retuned = Topology(tuple(dataclasses.replace(g, angle=float(a)) for g, a in zip(topology, angles.values)))
-        assert report == evaluate(problem, retuned)
+        circuit, report = optimize_angles(problem, topology)
+        assert report == evaluate(problem, circuit)
 
     def test_non_rotation_gate_rejected(self):
         problem = single_pair_problem(0.3)
@@ -121,23 +113,17 @@ class TestContributionAnalysis:
         rng = np.random.default_rng(seed)
         problem = random_problem(rng)
         topo = Topology((gate_for_pair((0, 2)), gate_for_pair((2, 3)), gate_for_pair((1, 3))))
-        angles = AngleVector(values=np.array([1.1, 0.7, 2.0]))
-        return problem, topo, angles, contribution_analysis(problem, topo, angles, GENE_MAP)
+        circuit = with_angles(topo, [1.1, 0.7, 2.0])
+        return problem, circuit, contribution_analysis(problem, circuit, GENE_MAP)
 
     def test_rows_match_prefix_evaluations(self):
-        problem, topo, angles, table = self.analysis()
+        problem, circuit, table = self.analysis()
         for i, row in enumerate(table.rows, start=1):
-            prefix = Topology(
-                tuple(
-                    GateSpec(kind=g.kind, target=g.target, control=g.control, angle=a)
-                    for g, a in zip(topo.gates[:i], angles.values[:i])
-                )
-            )
-            assert row.kl_after_prefix == evaluate(problem, prefix).total
-            assert row.angle == angles.values[i - 1]
+            assert row.kl_after_prefix == evaluate(problem, Topology(circuit.gates[:i])).total
+            assert row.angle == [1.1, 0.7, 2.0][i - 1]
 
     def test_deltas_telescope(self):
-        problem, topo, angles, table = self.analysis()
+        problem, circuit, table = self.analysis()
         assert table.rows[0].kl_delta == pytest.approx(
             table.rows[0].kl_after_prefix - table.baseline_kl, abs=1e-15
         )
@@ -150,7 +136,7 @@ class TestContributionAnalysis:
         assert abs(total - (final - table.baseline_kl)) < 1e-12
 
     def test_percent_formula(self):
-        _, _, _, table = self.analysis()
+        _, _, table = self.analysis()
         for row in table.rows:
             assert row.percent_contribution == pytest.approx(
                 100.0 * abs(row.kl_delta) / table.baseline_kl
@@ -164,16 +150,15 @@ class TestContributionAnalysis:
         divergences = kernel.divergences
         monkeypatch.setattr(kernel, "divergences", lambda states: calls.append(len(states)) or divergences(states))
         topo = Topology((gate_for_pair((0, 2)), gate_for_pair((2, 3)), gate_for_pair((1, 3))))
-        contribution_analysis(problem, topo, AngleVector(values=np.array([1.1, 0.7, 2.0])), GENE_MAP)
+        contribution_analysis(problem, with_angles(topo, [1.1, 0.7, 2.0]), GENE_MAP)
         assert calls == [len(topo) + 1]
 
     def test_gene_map_labels(self):
         rng = np.random.default_rng(3)
         problem = random_problem(rng)
-        topo = Topology((gate_for_pair((0, 2)),))
-        angles = AngleVector(values=np.array([1.0]))
+        circuit = Topology((gate_for_pair((0, 2)),))
         gene_map = {0: "Lgals1", 1: "x", 2: "Ptprc", 3: "y"}
-        table = contribution_analysis(problem, topo, angles, gene_map)
+        table = contribution_analysis(problem, circuit, gene_map)
         assert table.rows[0].source == "Lgals1"
         assert table.rows[0].target == "Ptprc"
 
@@ -182,14 +167,7 @@ class TestContributionAnalysis:
         problem = random_problem(rng)
         topo = Topology((gate_for_pair((0, 2)),))
         with pytest.raises(ValueError, match="qubit"):
-            contribution_analysis(problem, topo, AngleVector(values=np.array([1.0])), {0: "a"})
-
-    def test_angle_count_checked(self):
-        rng = np.random.default_rng(3)
-        problem = random_problem(rng)
-        topo = Topology((gate_for_pair((0, 2)),))
-        with pytest.raises(ValueError):
-            contribution_analysis(problem, topo, AngleVector(values=np.zeros(2)), GENE_MAP)
+            contribution_analysis(problem, topo, {0: "a"})
 
 
 class TestExportNetwork:
@@ -203,9 +181,8 @@ class TestExportNetwork:
                 gate_for_pair((3, 1)),  # CT2 -> CT1
             )
         )
-        angles = AngleVector(values=np.array([0.1, 0.2, 0.3, 0.4]))
         gene_map = {0: "a", 1: "b", 2: "c", 3: "d"}
-        edges = export_network(topo, angles, gene_map, layout)
+        edges = export_network(with_angles(topo, np.array([0.1, 0.2, 0.3, 0.4])), gene_map, layout)
         assert [e.edge_class for e in edges] == [
             "intracellular-ct1",
             "intracellular-ct2",
@@ -213,13 +190,13 @@ class TestExportNetwork:
             "intercellular",
         ]
         assert edges[2].source == "a" and edges[2].target == "c"
-        assert edges[3].angle == pytest.approx(0.4)
+        assert [e.angle for e in edges] == [0.1, 0.2, 0.3, 0.4]
+        assert all(type(e.angle) is float for e in edges)
 
-    def test_angle_count_checked(self):
+    def test_non_rotation_gate_rejected(self):
         layout = RegisterLayout(n_ct1=1, n_ct2=1)
-        topo = Topology((gate_for_pair((0, 1)),))
-        with pytest.raises(ValueError):
-            export_network(topo, AngleVector(values=np.zeros(2)), {0: "a", 1: "b"}, layout)
+        with pytest.raises(ValueError, match="non-rotation gate CNOT"):
+            export_network(Topology((GateSpec(kind="CNOT", target=1, control=0),)), {0: "a", 1: "b"}, layout)
 
 
 def test_tuning_and_vqe_solves_hash_no_gates(synth4, monkeypatch):
