@@ -53,6 +53,7 @@ GRAD_TOL = 1e-6
 DROP_TOL = 1e-12
 STEP_TOL = 1e-10
 MAX_ROUNDS = 300
+SEARCH_ANGLE = math.pi / 2.0
 # A gate's block keeps four axes of the folded amplitude axis (see _fold).
 _BLOCK_AXES = 4
 _H_ENTRIES = (np.diag(_H_MATRIX), _H_MATRIX[0, 1])  # (d, o), as from rotation()
@@ -374,9 +375,9 @@ class Kernel:
             self._pair_table = (lo, lo | (1 << target))
         return self._pair_table
 
-    def extend(self, states: np.ndarray, parents, pairs, angle: float) -> np.ndarray:
-        """Row r: row ``parents[r]`` of a (k, 2**n) stack followed by CRX(angle) on
-        the (control, target) pair ``pairs[r]``, as one gather over every row."""
+    def extend(self, states: np.ndarray, parents, pairs) -> np.ndarray:
+        """Row r: row ``parents[r]`` of a (k, 2**n) stack followed by CRX(``SEARCH_ANGLE``)
+        on the (control, target) pair ``pairs[r]``, as one gather over every row."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         control, target = pairs.T
         bad = (control == target) | ((pairs < 0) | (pairs >= self.n)).any(axis=1)
@@ -384,12 +385,9 @@ class Kernel:
             c, t = pairs[int(np.argmax(bad))].tolist()
             _check_qubits(GateSpec(kind="CRX", target=t, control=c, angle=0.0), self.n)
         out = states[np.asarray(parents, dtype=np.intp)]
-        lo, hi = self._table()
         offset = (np.arange(len(out)) * out.shape[1])[:, None]
-        lo, hi = lo[control, target], hi[control, target]
-        lo += offset
-        hi += offset
-        m00, m01, m10, m11 = _rotation_entries("CRX", angle)
+        lo, hi = (table[control, target] + offset for table in self._table())
+        m00, m01, m10, m11 = _rotation_entries("CRX", SEARCH_ANGLE)
         flat = out.reshape(-1)
         a0, a1 = flat.take(lo), flat.take(hi)
         update = m00 * a0

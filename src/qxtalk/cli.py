@@ -141,6 +141,11 @@ class RunReport:
     def ct2_genes(self) -> list[str]:
         return list(self.encoded.ct2_sel.genes)
 
+    @property
+    def registers(self) -> dict[str, list[str]]:
+        """The genes of both registers, as every artifact built on them records them."""
+        return {"ct1_genes": self.ct1_genes, "ct2_genes": self.ct2_genes}
+
 
 # --- configuration handling ----------------------------------------------
 
@@ -472,7 +477,7 @@ def _cost_dict(report: CostReport) -> dict:
 def report_to_dict(report: RunReport) -> dict:
     return {
         "config": dataclasses.asdict(report.cfg),
-        "registers": {"ct1_genes": report.ct1_genes, "ct2_genes": report.ct2_genes},
+        "registers": report.registers,
         "baseline": _cost_dict(report.baseline),
         "candidates": [list(p) for p in report.candidates.pairs],
         "search": {
@@ -588,34 +593,56 @@ def load_candidates(outdir: Path) -> prune.CandidateSet:
     return prune.CandidateSet(pairs=pairs, threshold_used=data["threshold"])
 
 
+def _read_built(outdir: Path, name: str, producer: str) -> tuple[dict, Topology]:
+    """Artifact ``name`` and the circuit it records, in topology.json's format; it fails
+    unless it was built on the registers of encoded.json."""
+    data = _read_json(outdir / name, producer)
+    encoded = _read_json(outdir / "encoded.json", "encode")
+    registers = {"ct1_genes": encoded["ct1"]["genes"], "ct2_genes": encoded["ct2"]["genes"]}
+    if data.get("registers") != registers:
+        raise ValueError(f"{name} was built on the registers {data.get('registers')}, but encoded.json holds "
+                         f"{registers}; run the {producer} stage again")
+    return data, Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
+
+
 def write_search(report: RunReport, outdir: Path) -> None:
     result = report.search_result
     _write_json(outdir / "topology.json", {
         "topology": [gate_to_dict(g) for g in result.topology],
         "cost": _cost_dict(result.cost),
         "evaluations": result.evaluations,
+        "registers": report.registers,
     })
     write_trace(result, outdir / "trace.jsonl")
 
 
 def load_topology(outdir: Path) -> Topology:
     """The searched topology, at its searched angles."""
-    data = _read_json(outdir / "topology.json", "search")
-    return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
+    return _read_built(outdir, "topology.json", "search")[1]
 
 
 def write_tuned(report: RunReport, outdir: Path) -> None:
-    angle_list = [float(g.angle) for g in report.circuit]
-    _write_json(outdir / "tuned.json", {"angles": angle_list, "cost": _cost_dict(report.tuned)})
+    _write_json(outdir / "tuned.json", {
+        "angles": [float(g.angle) for g in report.circuit],
+        "cost": _cost_dict(report.tuned),
+        "registers": report.registers,
+        "topology": [gate_to_dict(g) for g in report.circuit],
+    })
 
 
 def load_circuit(outdir: Path) -> Topology:
-    """The tuned circuit: the searched topology at the angles of ``tuned.json``, one per gate."""
-    topology = load_topology(outdir)
-    angles = _read_json(outdir / "tuned.json", "tune")["angles"]
-    if len(angles) != len(topology):
-        raise ValueError(f"tuned.json has {len(angles)} angles for the {len(topology)} gates of topology.json")
-    return tune.with_angles(topology, angles)
+    """The tuned circuit of ``tuned.json``: the gates of topology.json at their tuned angles,
+    which its ``angles`` list repeats."""
+    searched = load_topology(outdir)
+    data, circuit = _read_built(outdir, "tuned.json", "tune")
+    if search._pairs(circuit.gates) != search._pairs(searched.gates):
+        raise ValueError("tuned.json and topology.json hold different (control, target) gate sequences; "
+                         "run the tune stage again")
+    angles = data["angles"]
+    if angles != [g.angle for g in circuit]:
+        raise ValueError(f"tuned.json has {len(angles)} angles for the {len(circuit)} gates of topology.json"
+                         if len(angles) != len(circuit) else "tuned.json's angles are not those of its gates")
+    return circuit
 
 
 def write_contributions(report: RunReport, outdir: Path) -> None:

@@ -15,9 +15,9 @@ per-register KL):
 All tie-breaks follow candidate order, then position, so results are
 deterministic given the problem, the candidate order and the seeds.
 
-Every scored row goes through one entry, ``_score``: it takes the rows' final
-states as stacks in row order, returns their (kl_ct1, kl_ct2), and
-``History.add`` records them.
+Every scored row goes through one entry, ``_score``: it takes the rows in order, as
+stacks of final states or as (parent, pair) extensions that it builds itself, returns
+their (kl_ct1, kl_ct2), and ``History.add`` records them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .cost import CostReport, Problem
 from .prune import CandidateSet
 from .qsim import GateSpec, Topology
 
-SEARCH_ANGLE = math.pi / 2.0
+SEARCH_ANGLE = _kernel.SEARCH_ANGLE
 DEFAULT_KL_TOL = 0.01
 DEFAULT_EPS_PRUNE = 1e-4
 REFINE_FRACTION = 0.3
@@ -182,40 +182,41 @@ def _stack_rows(kernel) -> int:
     return max(1, _STACK_BYTES // (16 << kernel.n))
 
 
-def _score(kernel, stacks) -> tuple[np.ndarray, np.ndarray]:
-    """(kl_ct1, kl_ct2) of the final states of ``stacks``, (k, 2**n) arrays in row
-    order: the one scoring call behind every search row."""
-    parts = [kernel.divergences(stack) for stack in stacks]
+def _score(kernel, items) -> tuple[np.ndarray, np.ndarray]:
+    """(kl_ct1, kl_ct2) of the rows of ``items`` in order, the one scoring call behind every search
+    row.  An item is a (k, 2**n) stack of final states, or an extension triple (states, parents,
+    pairs) whose row r, row ``parents[r]`` of ``states`` followed by the search gate of ``pairs[r]``,
+    is built here, in stacks of at most ``_STACK_BYTES``."""
+    step, parts = _stack_rows(kernel), []
+    for item in items:
+        if isinstance(item, tuple):
+            states, parents, pairs = item
+            parts += [kernel.divergences(kernel.extend(states, parents[i : i + step], pairs[i : i + step]))
+                      for i in range(0, len(parents), step)]
+        else:
+            parts.append(kernel.divergences(item))
     return tuple(np.concatenate([part[r] for part in parts] or [np.empty(0)]) for r in range(2))
-
-
-def _extensions(kernel, states: np.ndarray, parents: np.ndarray, pairs: np.ndarray):
-    """Row ``parents[r]`` of ``states`` followed by the search gate of ``pairs[r]``,
-    for every r, as stacks of at most ``_STACK_BYTES``."""
-    step = _stack_rows(kernel)
-    for i in range(0, len(parents), step):
-        yield kernel.extend(states, parents[i : i + step], pairs[i : i + step], SEARCH_ANGLE)
 
 
 def _permutations(kernel, state: np.ndarray, pairs: list[tuple[int, int]], depth: int):
     """The final state ``state`` followed by each ordered ``depth``-tuple of ``pairs``'
-    search gates, in ``itertools.permutations(pairs, depth)`` order, as stacks.  The prefix
-    tree is walked breadth first, so each prefix gate is applied once for every tuple below it."""
+    search gates, in ``itertools.permutations(pairs, depth)`` order, as ``_score`` items.  The
+    prefix tree is walked breadth first, so each prefix gate is applied once for every tuple below it."""
     if depth == 0:
         return [state]
     return _walk(kernel, state, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.arange(len(pairs))[None], depth)
 
 
 def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, depth: int):
-    """The leaf stacks of the ``depth`` levels of the prefix tree below the nodes ``states``,
-    node r followed in turn by each pair of ``table`` that row r of ``unused`` indexes.
-    Children are listed node by node, which keeps the order of ``itertools.permutations``.
-    An inner level that would outgrow ``_STACK_BYTES`` is walked in groups of nodes, one
-    group at a time, down to a single node."""
+    """The leaves of the ``depth`` levels of the prefix tree below the nodes ``states``, node r
+    followed in turn by each pair of ``table`` that row r of ``unused`` indexes, as ``_score``'s
+    extension triples.  Children are listed node by node, which keeps the order of
+    ``itertools.permutations``.  An inner level that would outgrow ``_STACK_BYTES`` is walked in
+    groups of nodes, one group at a time, down to a single node."""
     nodes, width = unused.shape
     parents, pairs = np.repeat(np.arange(nodes), width), table[unused.reshape(-1)]
     if depth == 1:
-        yield from _extensions(kernel, states, parents, pairs)
+        yield states, parents, pairs
     elif nodes > 1 and nodes * width > _stack_rows(kernel):
         group = max(1, _stack_rows(kernel) // width)
         for i in range(0, nodes, group):
@@ -223,7 +224,7 @@ def _walk(kernel, states: np.ndarray, table: np.ndarray, unused: np.ndarray, dep
     else:
         # Child (r, j) keeps row r of unused without its column j.
         rest = np.broadcast_to(unused[:, None, :], (nodes, width, width))[:, ~np.eye(width, dtype=bool)]
-        children = kernel.extend(states, parents, pairs, SEARCH_ANGLE)
+        children = kernel.extend(states, parents, pairs)
         yield from _walk(kernel, children, table, rest.reshape(nodes * width, width - 1), depth - 1)
 
 
@@ -235,8 +236,7 @@ def _insertions(kernel, gates: tuple[GateSpec, ...], table: np.ndarray):
     prefixes = kernel.prefixes(gates)
     step = max(1, _stack_rows(kernel) // positions)
     for pairs in np.split(table, range(step, len(table), step)):
-        block = kernel.extend(prefixes, np.repeat(np.arange(positions), len(pairs)), np.tile(pairs, (positions, 1)),
-                              SEARCH_ANGLE)
+        block = kernel.extend(prefixes, np.repeat(np.arange(positions), len(pairs)), np.tile(pairs, (positions, 1)))
         for j, gate in enumerate(gates):
             kernel.apply(block[: (j + 1) * len(pairs)], gate)
         yield block.reshape(positions, len(pairs), -1).swapaxes(0, 1).reshape(len(block), -1)
@@ -356,7 +356,7 @@ def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, ba
         if not len(growing):
             break
         rows, cols = np.nonzero(~used[growing])
-        kl_ct1, kl_ct2 = _score(kernel, _extensions(kernel, states, rows, table[cols]))
+        kl_ct1, kl_ct2 = _score(kernel, [(states, rows, table[cols])])
         kept, picked = [], []
         phase = "forward" if depth else "epoch-start"
         for row, (path, end, count) in enumerate(zip(growing.tolist(), np.cumsum(counts).tolist(), counts.tolist())):
@@ -374,7 +374,7 @@ def _greedy_forward(kernel, pairs: list[tuple[int, int]], firsts: np.ndarray, ba
             used = ~used
         growing = growing[kept]
         used[growing, picked] = True
-        states = kernel.extend(states, kept, table[picked], SEARCH_ANGLE)
+        states = kernel.extend(states, kept, table[picked])
     return histories, paths
 
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import math
@@ -483,6 +484,20 @@ class TestStageChain:
             f"error in ablate: tuned.json has {gates + extra} angles for the {gates} gates of topology.json\n")
         assert not (out / "contributions.csv").exists()
 
+    def test_tuned_angles_checked_against_their_gates_in_ablate(self, tmp_path, capsys):
+        """tuned.json repeats its gates' angles in ``angles``; a copy that moved fails ablate."""
+        config = write_config(tmp_path)
+        out = tmp_path / "staged"
+        for cmd in ("simulate", "encode", "prune", "search", "tune"):
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        tuned = json.loads((out / "tuned.json").read_text(encoding="utf-8"))
+        tuned["angles"][0] += 1e-3
+        (out / "tuned.json").write_text(json.dumps(tuned), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error in ablate: tuned.json's angles are not those of its gates\n"
+        assert not (out / "contributions.csv").exists()
+
     # The default six-qubit tissue with local search at seed 0: twelve gates,
     # tuned from eight starts to a cost below the searched one.
     @pytest.mark.parametrize(
@@ -510,6 +525,58 @@ class TestStageChain:
         searched = json.loads((staged / "topology.json").read_text(encoding="utf-8"))
         tuned = json.loads((staged / "tuned.json").read_text(encoding="utf-8"))
         assert tuned["cost"]["total"] <= searched["cost"]["total"]
+
+    def test_ablate_after_a_second_search_fails_on_the_stale_tuning(self, tmp_path, capsys, monkeypatch):
+        """A second search of the same length leaves tuned.json tuning other gates; ablate
+        names both files and writes no table, instead of ablating the first search's angles."""
+        config = write_config(tmp_path, strategy_config("local", "eval_mode = shots\n"))
+        out = tmp_path / "staged"
+        for cmd in ("simulate", "encode", "prune", "search", "tune"):
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        first = json.loads((out / "topology.json").read_text(encoding="utf-8"))["topology"]
+        monkeypatch.setenv("QXTALK_N_CHOOSE", "1")
+        assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
+        second = json.loads((out / "topology.json").read_text(encoding="utf-8"))["topology"]
+        assert len(first) == len(second) == 12 and first != second
+        capsys.readouterr()
+        assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error in ablate: tuned.json and topology.json hold different "
+                                           "(control, target) gate sequences; run the tune stage again\n")
+        assert not (out / "contributions.csv").exists()
+
+    def test_tune_after_a_new_encoding_fails_on_the_stale_topology(self, tmp_path, capsys, monkeypatch):
+        """Encoding the 5-gene panel over a 4-gene search moves qubit 5 to another gene; tune
+        names topology.json and encoded.json and writes nothing."""
+        config = write_config(tmp_path, strategy_config("multi-epoch"))
+        out = tmp_path / "staged"
+        for cmd in ("simulate", "encode", "prune", "search"):
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        monkeypatch.setenv("QXTALK_FIVE_GENE_CT2", "true")
+        assert main(["encode", "--config", config, "--out", str(out)]) == EXIT_OK
+        monkeypatch.delenv("QXTALK_FIVE_GENE_CT2")
+        capsys.readouterr()
+        assert main(["tune", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error in tune: topology.json was built on the registers "
+                              "{'ct1_genes': ['g50', 'g90'], 'ct2_genes': ['g60', 'g70', 'g71', 'g80']}, "
+                              "but encoded.json holds "), err
+        assert err.endswith("; run the search stage again\n"), err
+        assert not (out / "tuned.json").exists()
+
+
+@pytest.mark.parametrize("strategy", ["multi-epoch", "local"])
+def test_run_passes_the_independent_reference_check(tmp_path, capsys, monkeypatch, strategy):
+    """``qxbench/reference.py`` recomputes the candidates and every KL value of a run with
+    numpy alone and cross-checks its artifacts; the default synthetic runs pass it."""
+    out = tmp_path / "out"
+    assert main(["run", "--synthetic", "--strategy", strategy, "--out", str(out)]) == EXIT_OK
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "qxbench"))
+    reference = importlib.import_module("reference")
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    registers = report["registers"]
+    ref = reference.Reference({key: out / f"{key}.csv" for key in MATRIX_KEYS}, registers["ct1_genes"],
+                              registers["ct2_genes"], report["config"]["threshold"])
+    assert reference.check_run(out, ref, intercellular_required=True) == ([], [])
 
 
 def _candidate_problem() -> Problem:

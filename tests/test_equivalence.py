@@ -224,7 +224,7 @@ def test_extensions_and_deletions_score_like_evaluate(data):
     parents = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=len(pairs), max_size=len(pairs)))
     kernel = problem.kernel
     stack = np.concatenate([kernel.run(s.gates) for s in seqs])
-    extended = kernel.reports(kernel.extend(stack, parents, pairs, search.SEARCH_ANGLE))
+    extended = kernel.reports(kernel.extend(stack, parents, pairs))
     assert extended == [
         evaluate(problem, Topology(seqs[r].gates + (gate_for_pair(p),))) for r, p in zip(parents, pairs)
     ]
@@ -326,7 +326,7 @@ def test_ordering_matches_topology_at_a_time_scoring(data):
 
 
 def extend_one(kernel, state, pairs):
-    return kernel.extend(state.reshape(1, -1), [0] * len(pairs), pairs, search.SEARCH_ANGLE)
+    return kernel.extend(state.reshape(1, -1), [0] * len(pairs), pairs)
 
 
 def serial_permutations(kernel, state, pairs, depth):
@@ -474,7 +474,7 @@ def object_path_insertion(problem, seq, cands):
     prefix = kernel.start()
     by_pos = []
     for pos in range(len(seq) + 1):
-        states = kernel.extend(prefix, [0] * len(unused), unused, search.SEARCH_ANGLE)
+        states = kernel.extend(prefix, [0] * len(unused), unused)
         for gate in seq.gates[pos:]:
             kernel.apply(states, gate)
         by_pos.append(kernel.divergences(states))

@@ -126,9 +126,9 @@ class TestKernelExtend:
     def test_bad_pairs_rejected_like_gates(self):
         kernel = product_problem(np.random.default_rng(1), 1, 2).kernel  # 3 qubits
         with pytest.raises(ValueError, match=r"gate CRX addresses qubit 3 outside 0\.\.2"):
-            kernel.extend(kernel.start(), [0, 0], [(0, 1), (0, 3)], SEARCH_ANGLE)
+            kernel.extend(kernel.start(), [0, 0], [(0, 1), (0, 3)])
         with pytest.raises(ValueError, match="control and target qubits must differ"):
-            kernel.extend(kernel.start(), [0], [(1, 1)], SEARCH_ANGLE)
+            kernel.extend(kernel.start(), [0], [(1, 1)])
 
 
 class TestBestInsertion:
@@ -461,8 +461,8 @@ class TestDefaultPanel:
         sizes = []
         extend = type(kernel).extend
 
-        def counted(self, states, parents, pairs, angle):
-            out = extend(self, states, parents, pairs, angle)
+        def counted(self, states, parents, pairs):
+            out = extend(self, states, parents, pairs)
             sizes.append(len(out))
             return out
 
