@@ -6,14 +6,17 @@ attributes of a :class:`RunReport`.  ``run`` walks them in memory; a stage
 subcommand walks its entry of one table, ``STAGE_COMMANDS``, on a staged
 report, which reads each input no stage of the process has set from the
 artifact an earlier command wrote.  Both write through the same writers, so
-a staged run leaves the same stage artifacts as ``run``.  Configuration is a
-flat ``key = value`` text file, overridable first by ``QXTALK_<KEY>``
-environment variables and then by command-line flags.
+a staged run leaves the same stage artifacts as ``run``, and each staged JSON
+artifact fails to load once an artifact it was built from (``BUILT_FROM``) has
+changed on disk.  Configuration is a flat ``key = value`` text file,
+overridable first by ``QXTALK_<KEY>`` environment variables and then by
+command-line flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -23,6 +26,7 @@ import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,11 +144,6 @@ class RunReport:
     @property
     def ct2_genes(self) -> list[str]:
         return list(self.encoded.ct2_sel.genes)
-
-    @property
-    def registers(self) -> dict[str, list[str]]:
-        """The genes of both registers, as every artifact built on them records them."""
-        return {"ct1_genes": self.ct1_genes, "ct2_genes": self.ct2_genes}
 
 
 # --- configuration handling ----------------------------------------------
@@ -477,7 +476,7 @@ def _cost_dict(report: CostReport) -> dict:
 def report_to_dict(report: RunReport) -> dict:
     return {
         "config": dataclasses.asdict(report.cfg),
-        "registers": report.registers,
+        "registers": {"ct1_genes": report.ct1_genes, "ct2_genes": report.ct2_genes},
         "baseline": _cost_dict(report.baseline),
         "candidates": [list(p) for p in report.candidates.pairs],
         "search": {
@@ -536,7 +535,17 @@ def write_matrix_csv(path: Path, matrix: ingest.ExpressionMatrix) -> None:
         fh.writelines(",".join(map(text.__getitem__, row)) + "\r\n" for row in bits.tolist())
 
 
+# Each staged JSON artifact: (the stage that writes it, the artifacts it is built from).
+BUILT_FROM = {"encoded.json": ("encode", ()), "candidates.json": ("prune", ("encoded.json",)),
+              "topology.json": ("search", ("encoded.json", "candidates.json")),
+              "tuned.json": ("tune", ("encoded.json", "topology.json"))}
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """``payload`` and, for a staged artifact, ``built_from``: the CRC-32 of each file it is built from."""
+    inputs = BUILT_FROM.get(path.name, ("", ()))[1]
+    if inputs:
+        payload = {**payload, "built_from": {name: zlib.crc32((path.parent / name).read_bytes()) for name in inputs}}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -545,9 +554,22 @@ def _require_artifact(path: Path, producer: str) -> None:
         raise ValueError(f"missing artifact {path.name} (run the {producer} stage first)")
 
 
-def _read_json(path: Path, producer: str) -> dict:
+@contextlib.contextmanager
+def _read_json(path: Path):
+    """The JSON of staged artifact ``path``, for a ``with`` body to parse; it fails once a file it is built
+    from has changed, and names ``path`` when it lacks a key or holds a wrongly typed value, in the body too."""
+    producer, inputs = BUILT_FROM[path.name]
     _require_artifact(path, producer)
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for name in inputs:
+            _require_artifact(path.parent / name, BUILT_FROM[name][0])
+            if data["built_from"][name] != zlib.crc32((path.parent / name).read_bytes()):
+                raise ValueError(f"{path.name} was built from another {name}; run the {producer} stage again")
+        yield data
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path.name} is malformed ({type(exc).__name__}: {exc}); "
+                         f"run the {producer} stage again") from exc
 
 
 def write_encoded(report: RunReport, outdir: Path) -> None:
@@ -562,18 +584,15 @@ def write_encoded(report: RunReport, outdir: Path) -> None:
 
 
 def load_encoded(outdir: Path) -> EncodedInputs:
-    data = _read_json(outdir / "encoded.json", "encode")
-    ct1_sel, ct2_sel = (
-        GeneSelection(cell_type_label=data[ct]["label"], genes=list(data[ct]["genes"]))
-        for ct in ("ct1", "ct2")
-    )
-    histograms = {}
-    for key in MATRIX_KEYS:
-        raw = data["histograms"][key]
-        histograms[key] = ingest.StateHistogram(
-            num_genes=raw["num_genes"], counts={k: int(v) for k, v in raw["counts"].items()}
-        )
-    return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
+    with _read_json(outdir / "encoded.json") as data:
+        ct1_sel, ct2_sel = (GeneSelection(cell_type_label=data[ct]["label"], genes=list(data[ct]["genes"]))
+                            for ct in ("ct1", "ct2"))
+        histograms = {}
+        for key in MATRIX_KEYS:
+            raw = data["histograms"][key]
+            histograms[key] = ingest.StateHistogram(num_genes=raw["num_genes"],
+                                                    counts={k: int(v) for k, v in raw["counts"].items()})
+        return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
 
 
 def write_candidates(report: RunReport, outdir: Path) -> None:
@@ -588,21 +607,8 @@ def write_candidates(report: RunReport, outdir: Path) -> None:
 
 
 def load_candidates(outdir: Path) -> prune.CandidateSet:
-    data = _read_json(outdir / "candidates.json", "prune")
-    pairs = [tuple(p) for p in data["pairs"]]
-    return prune.CandidateSet(pairs=pairs, threshold_used=data["threshold"])
-
-
-def _read_built(outdir: Path, name: str, producer: str) -> tuple[dict, Topology]:
-    """Artifact ``name`` and the circuit it records, in topology.json's format; it fails
-    unless it was built on the registers of encoded.json."""
-    data = _read_json(outdir / name, producer)
-    encoded = _read_json(outdir / "encoded.json", "encode")
-    registers = {"ct1_genes": encoded["ct1"]["genes"], "ct2_genes": encoded["ct2"]["genes"]}
-    if data.get("registers") != registers:
-        raise ValueError(f"{name} was built on the registers {data.get('registers')}, but encoded.json holds "
-                         f"{registers}; run the {producer} stage again")
-    return data, Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
+    with _read_json(outdir / "candidates.json") as data:
+        return prune.CandidateSet(pairs=[tuple(p) for p in data["pairs"]], threshold_used=data["threshold"])
 
 
 def write_search(report: RunReport, outdir: Path) -> None:
@@ -611,38 +617,29 @@ def write_search(report: RunReport, outdir: Path) -> None:
         "topology": [gate_to_dict(g) for g in result.topology],
         "cost": _cost_dict(result.cost),
         "evaluations": result.evaluations,
-        "registers": report.registers,
     })
     write_trace(result, outdir / "trace.jsonl")
 
 
 def load_topology(outdir: Path) -> Topology:
     """The searched topology, at its searched angles."""
-    return _read_built(outdir, "topology.json", "search")[1]
+    with _read_json(outdir / "topology.json") as data:
+        return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
 
 
 def write_tuned(report: RunReport, outdir: Path) -> None:
-    _write_json(outdir / "tuned.json", {
-        "angles": [float(g.angle) for g in report.circuit],
-        "cost": _cost_dict(report.tuned),
-        "registers": report.registers,
-        "topology": [gate_to_dict(g) for g in report.circuit],
-    })
+    _write_json(outdir / "tuned.json",
+                {"angles": [float(g.angle) for g in report.circuit], "cost": _cost_dict(report.tuned)})
 
 
 def load_circuit(outdir: Path) -> Topology:
-    """The tuned circuit of ``tuned.json``: the gates of topology.json at their tuned angles,
-    which its ``angles`` list repeats."""
-    searched = load_topology(outdir)
-    data, circuit = _read_built(outdir, "tuned.json", "tune")
-    if search._pairs(circuit.gates) != search._pairs(searched.gates):
-        raise ValueError("tuned.json and topology.json hold different (control, target) gate sequences; "
-                         "run the tune stage again")
-    angles = data["angles"]
-    if angles != [g.angle for g in circuit]:
-        raise ValueError(f"tuned.json has {len(angles)} angles for the {len(circuit)} gates of topology.json"
-                         if len(angles) != len(circuit) else "tuned.json's angles are not those of its gates")
-    return circuit
+    """The tuned circuit: the gates of topology.json at the angles of ``tuned.json``, one per gate."""
+    topology = load_topology(outdir)
+    with _read_json(outdir / "tuned.json") as data:
+        angles = data["angles"]
+        if len(angles) != len(topology):
+            raise ValueError(f"tuned.json has {len(angles)} angles for the {len(topology)} gates of topology.json")
+        return tune.with_angles(topology, angles)
 
 
 def write_contributions(report: RunReport, outdir: Path) -> None:
@@ -670,6 +667,7 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
         writer.writerow(["source", "target", "angle", "edge_class"])
         for edge in report.edges:
             writer.writerow([edge.source, edge.target, repr(edge.angle), edge.edge_class])
+    # In this order: each of these records the CRC-32 of the earlier ones it is built from, as read from disk.
     write_encoded(report, outdir)
     write_candidates(report, outdir)
     write_search(report, outdir)

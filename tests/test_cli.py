@@ -484,20 +484,6 @@ class TestStageChain:
             f"error in ablate: tuned.json has {gates + extra} angles for the {gates} gates of topology.json\n")
         assert not (out / "contributions.csv").exists()
 
-    def test_tuned_angles_checked_against_their_gates_in_ablate(self, tmp_path, capsys):
-        """tuned.json repeats its gates' angles in ``angles``; a copy that moved fails ablate."""
-        config = write_config(tmp_path)
-        out = tmp_path / "staged"
-        for cmd in ("simulate", "encode", "prune", "search", "tune"):
-            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
-        tuned = json.loads((out / "tuned.json").read_text(encoding="utf-8"))
-        tuned["angles"][0] += 1e-3
-        (out / "tuned.json").write_text(json.dumps(tuned), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error in ablate: tuned.json's angles are not those of its gates\n"
-        assert not (out / "contributions.csv").exists()
-
     # The default six-qubit tissue with local search at seed 0: twelve gates,
     # tuned from eight starts to a cost below the searched one.
     @pytest.mark.parametrize(
@@ -540,8 +526,8 @@ class TestStageChain:
         assert len(first) == len(second) == 12 and first != second
         capsys.readouterr()
         assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
-        assert capsys.readouterr().err == ("error in ablate: tuned.json and topology.json hold different "
-                                           "(control, target) gate sequences; run the tune stage again\n")
+        assert capsys.readouterr().err == ("error in ablate: tuned.json was built from another topology.json; "
+                                           "run the tune stage again\n")
         assert not (out / "contributions.csv").exists()
 
     def test_tune_after_a_new_encoding_fails_on_the_stale_topology(self, tmp_path, capsys, monkeypatch):
@@ -556,12 +542,57 @@ class TestStageChain:
         monkeypatch.delenv("QXTALK_FIVE_GENE_CT2")
         capsys.readouterr()
         assert main(["tune", "--config", config, "--out", str(out)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error in tune: topology.json was built on the registers "
-                              "{'ct1_genes': ['g50', 'g90'], 'ct2_genes': ['g60', 'g70', 'g71', 'g80']}, "
-                              "but encoded.json holds "), err
-        assert err.endswith("; run the search stage again\n"), err
+        assert capsys.readouterr().err == ("error in tune: topology.json was built from another encoded.json; "
+                                           "run the search stage again\n")
         assert not (out / "tuned.json").exists()
+
+    @pytest.mark.parametrize(
+        "chain,env,command,message",
+        [
+            pytest.param(("simulate", "encode", "prune", "encode"), {"QXTALK_FIVE_GENE_CT2": "true"}, "search",
+                         "candidates.json was built from another encoded.json; run the prune stage again",
+                         id="search-after-a-new-encoding"),
+            pytest.param(("simulate", "encode", "prune", "search", "prune"), {"QXTALK_THRESHOLD": "0.07"}, "tune",
+                         "topology.json was built from another candidates.json; run the search stage again",
+                         id="tune-after-a-new-prune"),
+            pytest.param(("simulate", "encode", "prune", "search", "tune", "search"), {"QXTALK_EVAL_MODE": "shots"},
+                         "ablate", "tuned.json was built from another topology.json; run the tune stage again",
+                         id="ablate-after-a-second-search-of-the-same-gates"),
+        ],
+    )
+    def test_a_stale_artifact_fails_the_next_stage_up_front(self, tmp_path, capsys, monkeypatch, chain, env,
+                                                             command, message):
+        """The last command of ``chain`` rewrites an artifact under ``env``, which leaves a later artifact
+        built from its old bytes; ``command`` reads that one, names both files and writes nothing.  In the
+        last case the second search selects the same gates as the first, at shot-sampled costs."""
+        config = write_config(tmp_path, strategy_config("local"))
+        out = tmp_path / "staged"
+        for cmd in chain[:-1]:
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        topology = out / "topology.json"
+        gates = lambda: [(g["control"], g["target"]) for g in json.loads(topology.read_bytes())["topology"]]
+        first = gates() if command == "ablate" else None
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([chain[-1], "--config", config, "--out", str(out)]) == EXIT_OK
+        if command == "ablate":  # the second search selects the first one's gates
+            assert gates() == first
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error in {command}: {message}\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def test_rerun_stages_with_the_same_config_keep_later_artifacts_current(self, tmp_path):
+        """Encoding and pruning again rewrites the same bytes, so the search before them stays
+        current: tune and ablate run and write run's bytes."""
+        config = write_config(tmp_path)
+        staged, full = tmp_path / "staged", tmp_path / "full"
+        for cmd in ("simulate", "encode", "prune", "search", "encode", "prune", "tune", "ablate"):
+            assert main([cmd, "--config", config, "--out", str(staged)]) == EXIT_OK
+        assert main(["run", "--config", config, "--out", str(full)]) == EXIT_OK
+        for path in staged.iterdir():
+            assert path.read_bytes() == (full / path.name).read_bytes(), path.name
 
 
 @pytest.mark.parametrize("strategy", ["multi-epoch", "local"])
@@ -789,6 +820,38 @@ class TestMissingArtifacts:
         code = main([command, "--config", config, "--out", str(out)])
         assert code == EXIT_ERROR
         assert f"missing artifact {missing} (run the {producer} stage first)\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact,edit,command,error",
+    [
+        ("encoded.json", lambda d: d.pop("histograms"), "prune", "KeyError: 'histograms'"),
+        ("candidates.json", lambda d: d.pop("threshold"), "search", "KeyError: 'threshold'"),
+        ("topology.json", lambda d: d.pop("topology"), "tune", "KeyError: 'topology'"),
+        ("tuned.json", lambda d: d.pop("angles"), "ablate", "KeyError: 'angles'"),
+        ("tuned.json", lambda d: d.update(angles=None), "ablate",
+         "TypeError: object of type 'NoneType' has no len()"),
+    ],
+    ids=["encoded", "candidates", "topology", "tuned", "tuned-angles-null"],
+)
+def test_a_malformed_artifact_fails_naming_it(tmp_path, capsys, artifact, edit, command, error):
+    """``command`` reads ``artifact`` first; a missing key or a wrongly typed value there is an
+    error line that names the file and its producer stage, not a traceback, and nothing is written."""
+    config = write_config(tmp_path)
+    out = tmp_path / "staged"
+    chain = ("simulate", "encode", "prune", "search", "tune", "ablate")
+    for cmd in chain[:chain.index(command)]:
+        assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+    data = json.loads((out / artifact).read_text(encoding="utf-8"))
+    edit(data)
+    (out / artifact).write_text(json.dumps(data), encoding="utf-8")
+    written = sorted(path.name for path in out.iterdir())
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_ERROR
+    producer = chain[chain.index(command) - 1]
+    assert capsys.readouterr().err == (
+        f"error in {command}: {artifact} is malformed ({error}); run the {producer} stage again\n")
+    assert sorted(path.name for path in out.iterdir()) == written
 
 
 class TestExitCodes:
