@@ -8,8 +8,9 @@ report, which reads each input no stage of the process has set from the
 artifact an earlier command wrote.  Both write through the same writers, so
 a staged run leaves the same stage artifacts as ``run``, and each staged JSON
 artifact fails to load once an artifact it was built from (``BUILT_FROM``) has
-changed on disk.  Configuration is a flat ``key = value`` text file,
-overridable first by ``QXTALK_<KEY>`` environment variables and then by
+changed on disk, and a scored one once the run's evaluation settings differ
+from those it was scored with.  Configuration is a flat ``key = value`` text
+file, overridable first by ``QXTALK_<KEY>`` environment variables and then by
 command-line flags.
 """
 
@@ -52,6 +53,10 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+class ArtifactError(ValueError):
+    """A staged artifact that is missing, stale or at odds with the run; raised as it is, not as malformed."""
 
 
 @dataclass(eq=False, repr=False)
@@ -120,7 +125,7 @@ class RunReport:
         if name == "problem":
             value = build_problem(self.encoded, self.cfg)
         elif name in ("encoded", "candidates", "topology", "circuit") and self.staged:
-            value = globals()[f"load_{name}"](Path(self.cfg.out))
+            value = globals()[f"load_{name}"](self.cfg)
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -237,10 +242,9 @@ def synthetic_matrices(cfg: RunConfig):
     tissue_cfg, _, truth = synth.benchmark_preset(five_gene_ct2=cfg.five_gene_ct2, seed=cfg.seed)
     mono = synth.simulate(tissue_cfg, interaction_enabled=False)
     co = synth.simulate(tissue_cfg, interaction_enabled=True)
-    sender_groups = (synth.GROUP_INTERACTING_SENDER, synth.GROUP_LONE_SENDER)
     receiver_groups = (synth.GROUP_INTERACTING_RECEIVER, synth.GROUP_LONE_RECEIVER)
     matrices = {
-        "mono_ct1": _cells_of(mono, sender_groups),
+        "mono_ct1": _cells_of(mono, synth.SENDER_GROUPS),
         "mono_ct2": _cells_of(mono, receiver_groups),
         "co_ct1": _cells_of(co, (synth.GROUP_INTERACTING_SENDER,)),
         "co_ct2": _cells_of(co, (synth.GROUP_INTERACTING_RECEIVER,)),
@@ -551,13 +555,21 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _require_artifact(path: Path, producer: str) -> None:
     if not path.exists():
-        raise ValueError(f"missing artifact {path.name} (run the {producer} stage first)")
+        raise ArtifactError(f"missing artifact {path.name} (run the {producer} stage first)")
+
+
+def _evaluation(cfg: RunConfig) -> dict:
+    """The settings a score depends on, which ``topology.json`` and ``tuned.json`` record."""
+    if cfg.eval_mode == "shots":
+        return {"eval_mode": "shots", "nshots": cfg.nshots, "seed": cfg.seed}
+    return {"eval_mode": "exact"}
 
 
 @contextlib.contextmanager
-def _read_json(path: Path):
+def _read_json(path: Path, evaluation: dict | None = None):
     """The JSON of staged artifact ``path``, for a ``with`` body to parse; it fails once a file it is built
-    from has changed, and names ``path`` when it lacks a key or holds a wrongly typed value, in the body too."""
+    from has changed or, given the run's ``evaluation`` settings, once ``path`` was scored with others,
+    and names ``path`` when it is malformed: a missing key, or a wrongly typed or invalid value, in the body too."""
     producer, inputs = BUILT_FROM[path.name]
     _require_artifact(path, producer)
     try:
@@ -565,9 +577,15 @@ def _read_json(path: Path):
         for name in inputs:
             _require_artifact(path.parent / name, BUILT_FROM[name][0])
             if data["built_from"][name] != zlib.crc32((path.parent / name).read_bytes()):
-                raise ValueError(f"{path.name} was built from another {name}; run the {producer} stage again")
+                raise ArtifactError(f"{path.name} was built from another {name}; run the {producer} stage again")
+        if evaluation is not None and data["evaluation"] != evaluation:
+            recorded, wanted = (", ".join(f"{k}={v}" for k, v in e.items()) for e in (data["evaluation"], evaluation))
+            raise ArtifactError(f"{path.name} was scored with {recorded}, not {wanted}; "
+                                f"run the {producer} stage again")
         yield data
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ArtifactError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path.name} is malformed ({type(exc).__name__}: {exc}); "
                          f"run the {producer} stage again") from exc
 
@@ -583,8 +601,8 @@ def write_encoded(report: RunReport, outdir: Path) -> None:
     })
 
 
-def load_encoded(outdir: Path) -> EncodedInputs:
-    with _read_json(outdir / "encoded.json") as data:
+def load_encoded(cfg: RunConfig) -> EncodedInputs:
+    with _read_json(Path(cfg.out) / "encoded.json") as data:
         ct1_sel, ct2_sel = (GeneSelection(cell_type_label=data[ct]["label"], genes=list(data[ct]["genes"]))
                             for ct in ("ct1", "ct2"))
         histograms = {}
@@ -606,8 +624,8 @@ def write_candidates(report: RunReport, outdir: Path) -> None:
             writer.writerow([gene_map[control], gene_map[target]])
 
 
-def load_candidates(outdir: Path) -> prune.CandidateSet:
-    with _read_json(outdir / "candidates.json") as data:
+def load_candidates(cfg: RunConfig) -> prune.CandidateSet:
+    with _read_json(Path(cfg.out) / "candidates.json") as data:
         return prune.CandidateSet(pairs=[tuple(p) for p in data["pairs"]], threshold_used=data["threshold"])
 
 
@@ -617,28 +635,29 @@ def write_search(report: RunReport, outdir: Path) -> None:
         "topology": [gate_to_dict(g) for g in result.topology],
         "cost": _cost_dict(result.cost),
         "evaluations": result.evaluations,
+        "evaluation": _evaluation(report.cfg),
     })
     write_trace(result, outdir / "trace.jsonl")
 
 
-def load_topology(outdir: Path) -> Topology:
+def load_topology(cfg: RunConfig) -> Topology:
     """The searched topology, at its searched angles."""
-    with _read_json(outdir / "topology.json") as data:
+    with _read_json(Path(cfg.out) / "topology.json", _evaluation(cfg)) as data:
         return Topology(gates=tuple(gate_from_dict(g) for g in data["topology"]))
 
 
 def write_tuned(report: RunReport, outdir: Path) -> None:
-    _write_json(outdir / "tuned.json",
-                {"angles": [float(g.angle) for g in report.circuit], "cost": _cost_dict(report.tuned)})
+    _write_json(outdir / "tuned.json", {"angles": [float(g.angle) for g in report.circuit],
+                                        "cost": _cost_dict(report.tuned), "evaluation": _evaluation(report.cfg)})
 
 
-def load_circuit(outdir: Path) -> Topology:
+def load_circuit(cfg: RunConfig) -> Topology:
     """The tuned circuit: the gates of topology.json at the angles of ``tuned.json``, one per gate."""
-    topology = load_topology(outdir)
-    with _read_json(outdir / "tuned.json") as data:
+    topology = load_topology(cfg)
+    with _read_json(Path(cfg.out) / "tuned.json", _evaluation(cfg)) as data:
         angles = data["angles"]
         if len(angles) != len(topology):
-            raise ValueError(f"tuned.json has {len(angles)} angles for the {len(topology)} gates of topology.json")
+            raise ArtifactError(f"tuned.json has {len(angles)} angles for the {len(topology)} gates of topology.json")
         return tune.with_angles(topology, angles)
 
 

@@ -583,6 +583,53 @@ class TestStageChain:
         assert capsys.readouterr().err == f"error in {command}: {message}\n"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
+    @pytest.mark.parametrize(
+        "mode,chain,env,command,message",
+        [
+            pytest.param("exact", ("simulate", "encode", "prune", "search", "tune"), {"QXTALK_EVAL_MODE": "shots"},
+                         "ablate",
+                         "topology.json was scored with eval_mode=exact, not eval_mode=shots, nshots=8192, seed=0; "
+                         "run the search stage again", id="shots-ablate-of-an-exact-tuning"),
+            pytest.param("shots", ("simulate", "encode", "prune", "search"), {"QXTALK_EVAL_MODE": "exact"}, "tune",
+                         "topology.json was scored with eval_mode=shots, nshots=8192, seed=0, not eval_mode=exact; "
+                         "run the search stage again", id="exact-tune-of-a-shots-search"),
+            pytest.param("shots", ("simulate", "encode", "prune", "search", "tune"), {"QXTALK_NSHOTS": "4096"},
+                         "ablate",
+                         "topology.json was scored with eval_mode=shots, nshots=8192, seed=0, not eval_mode=shots, "
+                         "nshots=4096, seed=0; run the search stage again", id="ablate-at-other-shots"),
+        ],
+    )
+    def test_a_stage_under_other_evaluation_settings_fails_up_front(self, tmp_path, capsys, monkeypatch, mode, chain,
+                                                                     env, command, message):
+        """topology.json and tuned.json record the settings they were scored with, and a stage run with other
+        ones names the file and its producer and writes nothing, instead of scoring the circuit otherwise."""
+        config = write_config(tmp_path, strategy_config("multi-epoch", f"eval_mode = {mode}\n"))
+        out = tmp_path / "staged"
+        for cmd in chain:
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error in {command}: {message}\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def test_ablate_names_a_tuning_scored_otherwise(self, tmp_path, capsys):
+        """ablate checks tuned.json's settings as well as topology.json's."""
+        config = write_config(tmp_path)
+        out = tmp_path / "staged"
+        for cmd in ("simulate", "encode", "prune", "search", "tune"):
+            assert main([cmd, "--config", config, "--out", str(out)]) == EXIT_OK
+        tuned = json.loads((out / "tuned.json").read_text(encoding="utf-8"))
+        tuned["evaluation"] = {"eval_mode": "shots", "nshots": 8192, "seed": 0}
+        (out / "tuned.json").write_text(json.dumps(tuned), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ablate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error in ablate: tuned.json was scored with eval_mode=shots, nshots=8192, "
+                                           "seed=0, not eval_mode=exact; run the tune stage again\n")
+        assert not (out / "contributions.csv").exists()
+
     def test_rerun_stages_with_the_same_config_keep_later_artifacts_current(self, tmp_path):
         """Encoding and pruning again rewrites the same bytes, so the search before them stays
         current: tune and ablate run and write run's bytes."""
@@ -831,8 +878,16 @@ class TestMissingArtifacts:
         ("tuned.json", lambda d: d.pop("angles"), "ablate", "KeyError: 'angles'"),
         ("tuned.json", lambda d: d.update(angles=None), "ablate",
          "TypeError: object of type 'NoneType' has no len()"),
+        ("encoded.json", lambda d: d["histograms"]["mono_ct1"].update(counts=[]), "prune",
+         "AttributeError: 'list' object has no attribute 'items'"),
+        ("encoded.json", lambda d: d["histograms"]["mono_ct1"]["counts"].update(
+            dict.fromkeys(d["histograms"]["mono_ct1"]["counts"], "x")), "prune",
+         "ValueError: invalid literal for int() with base 10: 'x'"),
+        ("topology.json", lambda d: d["topology"][0].update(kind="FOO"), "tune",
+         "ValueError: unknown gate kind 'FOO'"),
     ],
-    ids=["encoded", "candidates", "topology", "tuned", "tuned-angles-null"],
+    ids=["encoded", "candidates", "topology", "tuned", "tuned-angles-null", "encoded-counts-a-list",
+         "encoded-count-not-an-integer", "topology-unknown-gate-kind"],
 )
 def test_a_malformed_artifact_fails_naming_it(tmp_path, capsys, artifact, edit, command, error):
     """``command`` reads ``artifact`` first; a missing key or a wrongly typed value there is an
