@@ -5,6 +5,13 @@ index, i.e. qubit 0 is the least-significant bit.  Bitstrings are written
 qubit-0-first, so character k of a bitstring is the value of qubit k.
 """
 
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, as a qubit index or a count must be; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
 
 def bitstring_to_index(bits: str) -> int:
     """Basis-state index of a bitstring (character k -> bit k of the index)."""

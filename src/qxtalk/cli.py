@@ -20,10 +20,8 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -491,7 +489,7 @@ def report_to_dict(report: RunReport) -> dict:
         },
         "tuned": {
             "cost": _cost_dict(report.tuned),
-            "angles": [float(g.angle) for g in report.circuit],
+            "angles": [g.angle for g in report.circuit],
         },
         "contributions": {
             "baseline_kl": report.contributions.baseline_kl,
@@ -608,8 +606,7 @@ def load_encoded(cfg: RunConfig) -> EncodedInputs:
         histograms = {}
         for key in MATRIX_KEYS:
             raw = data["histograms"][key]
-            histograms[key] = ingest.StateHistogram(num_genes=raw["num_genes"],
-                                                    counts={k: int(v) for k, v in raw["counts"].items()})
+            histograms[key] = ingest.StateHistogram(num_genes=raw["num_genes"], counts=raw["counts"])
         return EncodedInputs(ct1_sel=ct1_sel, ct2_sel=ct2_sel, histograms=histograms)
 
 
@@ -647,7 +644,7 @@ def load_topology(cfg: RunConfig) -> Topology:
 
 
 def write_tuned(report: RunReport, outdir: Path) -> None:
-    _write_json(outdir / "tuned.json", {"angles": [float(g.angle) for g in report.circuit],
+    _write_json(outdir / "tuned.json", {"angles": [g.angle for g in report.circuit],
                                         "cost": _cost_dict(report.tuned), "evaluation": _evaluation(report.cfg)})
 
 
@@ -698,31 +695,13 @@ def write_report_files(report: RunReport, outdir: Path) -> None:
 
 
 def write_trace(result: SearchResult, path: Path) -> None:
-    """One line per history entry: the bytes of ``json.dumps`` with sorted keys
-    of {"phase", "cost", "sequence": [[kind, control, target, angle], ...]}, the
-    sequence listing the search gate of each (control, target) pair of the row.
-
-    Lines are written batch by batch from the history's columns: a batch's
-    phase is encoded, and its parent joined, once for all its rows, and each
-    pair's text is encoded once.  A finite cost is written as its ``repr``,
-    the text ``json`` writes for it.  Each batch is written with one
-    ``write``, so the trace is never held in memory whole.
-    """
-    encode = json.JSONEncoder(sort_keys=True).encode
-
-    @functools.lru_cache(maxsize=None)
-    def text(pair: tuple) -> str:
-        gate = search.gate_for_pair(pair)
-        return encode([gate.kind, gate.control, gate.target, gate.angle])
-
-    with path.open("w", encoding="utf-8") as fh:
-        for batch in result.history.batches:
-            head = ", ".join(map(text, batch.parent))
-            lead = head + ", " if head else ""
-            sequences = [lead + ", ".join(map(text, pairs)) if pairs else head for pairs in batch.appended]
-            middle = f', "phase": {encode(batch.phase)}, "sequence": ['
-            fh.write("".join(f'{{"cost": {repr(cost) if math.isfinite(cost) else encode(cost)}{middle}{sequence}]}}\n'
-                             for cost, sequence in zip(batch.total.tolist(), sequences)))
+    """One line per history batch, in scoring order: ``json.dumps`` with sorted keys of
+    {"phase", "parent", "appended", "total"}.  Row r of a line is the (control, target)
+    pairs ``parent + appended[r]``, each the search gate CRX(control, target) at pi/2,
+    scored at ``total[r]``."""
+    path.write_text("".join(json.dumps({"phase": b.phase, "parent": b.parent, "appended": b.appended,
+                                        "total": b.total.tolist()}, sort_keys=True) + "\n"
+                            for b in result.history.batches), encoding="utf-8")
 
 
 # --- stage subcommands ----------------------------------------------------

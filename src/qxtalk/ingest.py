@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import bitstring_to_index, index_to_bitstring
+from ._bits import bitstring_to_index, index_to_bitstring, is_integer
 
 MAX_GENES_PER_TYPE = 8
 
@@ -76,12 +76,14 @@ class StateHistogram:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.num_genes <= 0:
-            raise ValueError("num_genes must be positive")
+        if not is_integer(self.num_genes) or self.num_genes <= 0:
+            raise ValueError(f"num_genes must be a positive integer, got {self.num_genes!r}")
         for key, count in self.counts.items():
             if len(key) != self.num_genes:
                 raise ValueError(f"histogram key {key!r} does not have length {self.num_genes}")
             bitstring_to_index(key)  # validates characters
+            if not is_integer(count):
+                raise ValueError(f"count for state {key!r} must be an integer, got {count!r}")
             if count < 0:
                 raise ValueError(f"negative count for state {key!r}")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bits import is_integer
 from .qsim import RegisterLayout, StateVector
 
 
@@ -30,6 +31,8 @@ class CandidateSet:
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("candidate pairs must be unique")
         for control, target in self.pairs:
+            if not (is_integer(control) and is_integer(target)):
+                raise ValueError(f"candidate qubit indices must be integers, got ({control!r}, {target!r})")
             if control == target:
                 raise ValueError(f"degenerate candidate pair ({control}, {target})")
 

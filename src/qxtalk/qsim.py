@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from ._bits import bitstring_to_index, index_to_bitstring
+from ._bits import bitstring_to_index, index_to_bitstring, is_integer
 from .ingest import AmplitudeVector, StateHistogram, TargetDistribution
 
 __all__ = [
@@ -49,7 +50,7 @@ _NORM_TOL = 1e-10
 
 @dataclass(frozen=True, repr=False)
 class GateSpec:
-    """One gate: kind, optional control qubit, target qubit, optional rotation angle."""
+    """One gate: kind, optional control qubit, target qubit, optional rotation angle (held as a float)."""
 
     kind: str
     target: int
@@ -66,9 +67,15 @@ class GateSpec:
                 raise ValueError("control and target qubits must differ")
         elif self.control is not None:
             raise ValueError(f"{self.kind} is a single-qubit gate and takes no control")
+        for qubit in (self.target, self.control):
+            if qubit is not None and not is_integer(qubit):
+                raise ValueError(f"{self.kind} qubit indices must be integers, got {qubit!r}")
         if self.kind in ROTATION_KINDS:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
+            if not isinstance(self.angle, Real) or isinstance(self.angle, bool):
+                raise ValueError(f"{self.kind} angle must be a real number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 

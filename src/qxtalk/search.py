@@ -294,27 +294,31 @@ def local_search(problem: Problem, cands: CandidateSet, cfg: SearchConfig | None
 
     Each step takes the first lowest row of its batch.  Insertions and
     additions must beat the incumbent by more than kl_tol; deletions by more
-    than eps_prune.  Improvements are adopted immediately and the loop ends
-    after a full pass without change.  The history holds the empty baseline
-    and every batch the steps scored.
+    than eps_prune.  A step whose rows would be longer than max_depth is not
+    scored, as none of them could be taken.  Improvements are adopted
+    immediately and the loop ends after a full pass without change.  The
+    history holds the empty baseline and every batch the steps scored.
     """
     cfg = cfg or SearchConfig()
     history = History()
     best = history.add("baseline", (), _score(problem.kernel, [problem.kernel.start()]), [()]).best()
+    # Each step: its batch, the gates it adds to the incumbent and the margin its best row must win by.
     steps = (
-        (lambda seq: best_insertion(problem, seq, cands, history), cfg.kl_tol),
-        (lambda seq: best_permutation_addition(problem, seq, cands, cfg.n_choose, history), cfg.kl_tol),
-        (lambda seq: best_deletion(problem, seq, history), cfg.eps_prune),
+        (lambda seq: best_insertion(problem, seq, cands, history), 1, cfg.kl_tol),
+        (lambda seq: best_permutation_addition(problem, seq, cands, cfg.n_choose, history), cfg.n_choose, cfg.kl_tol),
+        (lambda seq: best_deletion(problem, seq, history), -1, cfg.eps_prune),
     )
     improved = True
     while improved:
         improved = False
-        for step, tol in steps:
+        for step, growth, tol in steps:
+            if len(best.topology) + growth > cfg.max_depth:
+                continue
             batch = step(best.topology)
             if batch is None:
                 continue
             move = batch.best()
-            if len(move.topology) <= cfg.max_depth and move.cost.total < best.cost.total - tol:
+            if move.cost.total < best.cost.total - tol:
                 best, improved = move, True
     return SearchResult(best.topology, best.cost, history)
 

@@ -70,8 +70,8 @@ def _check_rotations(topology: Topology) -> None:
 
 
 def with_angles(topology: Topology, angles) -> Topology:
-    """``topology`` with gate i at ``angles[i]``, as a Python float; the lengths are not checked."""
-    return Topology(tuple(GateSpec(g.kind, g.target, g.control, float(a)) for g, a in zip(topology, angles)))
+    """``topology`` with gate i at ``angles[i]``; the lengths are not checked."""
+    return Topology(tuple(GateSpec(g.kind, g.target, g.control, a) for g, a in zip(topology, angles)))
 
 
 def optimize_angles(problem: Problem, topology: Topology) -> tuple[Topology, CostReport]:
@@ -134,7 +134,7 @@ def contribution_analysis(problem: Problem, circuit: Topology, gene_map: dict[in
     kernel = problem.kernel
     totals = [r.total for r in kernel.reports(kernel.prefixes(circuit.gates))]
     baseline = totals[0]
-    rows = [ContributionRow(source=src, target=dst, angle=float(gate.angle), kl_after_prefix=kl, kl_delta=kl - previous,
+    rows = [ContributionRow(source=src, target=dst, angle=gate.angle, kl_after_prefix=kl, kl_delta=kl - previous,
                             percent_contribution=percent_of_baseline(kl - previous, baseline))
             for gate, (src, dst), previous, kl in zip(circuit, labels, totals, totals[1:])]
     return ContributionTable(baseline_kl=baseline, rows=rows)
@@ -153,5 +153,5 @@ def export_network(circuit: Topology, gene_map: dict[int, str], layout: Register
             edge_class = "intracellular-ct2"
         else:
             edge_class = "intercellular"
-        edges.append(NetworkEdge(source=src, target=dst, angle=float(gate.angle), edge_class=edge_class))
+        edges.append(NetworkEdge(source=src, target=dst, angle=gate.angle, edge_class=edge_class))
     return edges

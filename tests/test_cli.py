@@ -50,7 +50,7 @@ from qxtalk.cost import Problem
 from qxtalk.ingest import TargetDistribution
 from qxtalk.prune import CandidateSet
 from qxtalk.qsim import GateSpec, RegisterLayout, StateVector, Topology
-from qxtalk.search import History, SearchResult, multi_epoch
+from qxtalk.search import History, SearchResult
 
 SMALL_CONFIG = """\
 # four-qubit benchmark slice, kept small for fast runs
@@ -229,16 +229,18 @@ class TestGateSerialization:
         assert gate_from_dict(gate_to_dict(gate)) == gate
 
 
-def per_row_trace(result: SearchResult) -> str:
-    """The trace as one ``json.dumps`` per history entry."""
-    return "".join(
-        json.dumps({
-            "phase": entry.phase,
-            "cost": entry.cost.total,
-            "sequence": [[g.kind, g.control, g.target, g.angle] for g in entry.topology],
-        }, sort_keys=True) + "\n"
-        for entry in result.history
-    )
+def trace_rows(path: Path) -> list[tuple[str, tuple, float]]:
+    """The (phase, pairs, total) rows of a ``trace.jsonl``, one line per history batch:
+    row r of a line is its pairs ``parent + appended[r]``, scored at ``total[r]``."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        batch = json.loads(line)
+        assert sorted(batch) == ["appended", "parent", "phase", "total"]
+        assert len(batch["appended"]) == len(batch["total"])
+        parent = tuple(map(tuple, batch["parent"]))
+        rows += [(batch["phase"], parent + tuple(map(tuple, appended)), total)
+                 for appended, total in zip(batch["appended"], batch["total"])]
+    return rows
 
 
 @pytest.mark.parametrize("five_gene_ct2,threshold", [(False, 0.07), (True, 0.06)])
@@ -246,7 +248,7 @@ def per_row_trace(result: SearchResult) -> str:
 def test_every_scored_topology_is_one_history_entry_and_trace_line(tmp_path, strategy, five_gene_ct2, threshold):
     """On the 4-gene and 5-gene panels at 5 candidates each, a search's
     evaluations are its history's length and the kernel rows it scored, and its
-    trace has that many lines.  Each row's pairs are its entry's gates."""
+    trace has that many rows.  Each row's pairs are its entry's gates."""
     cfg = RunConfig(synthetic=True, five_gene_ct2=five_gene_ct2, threshold=threshold, strategy=strategy)
     panels = gene_panels(cfg)
     encoded = encode_inputs(panel_reads(synthetic_matrices(cfg)[0], panels), *panels)
@@ -259,10 +261,13 @@ def test_every_scored_topology_is_one_history_entry_and_trace_line(tmp_path, str
     lengths = np.concatenate([b.lengths() for b in result.history.batches])
     assert lengths.tolist() == [len(entry.topology) for entry in result.history]
     write_trace(result, tmp_path / "trace.jsonl")
-    assert len((tmp_path / "trace.jsonl").read_bytes().splitlines()) == result.evaluations
+    assert len(trace_rows(tmp_path / "trace.jsonl")) == result.evaluations
 
 
-def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
+def test_trace_rows_rebuild_the_history(tmp_path, synth4):
+    """Each trace line is one history batch, and the rows rebuilt from the lines are
+    the history's entries in order: phase, pairs and the bits of the total.  Every
+    entry's gate is the search gate of its pair, CRX at pi/2, which the trace leaves out."""
     # Rows of pairs: a parent with and without appended pairs, appended pairs alone, and
     # pairs that recur within a row, across rows and between parent and appended pairs.
     rows = [((), ()), ((), ((0, 1),)), (((0, 1),), ((1, 0),)), (((0, 1), (2, 3)), ()), (((3, 2),), ((3, 2), (0, 1))),
@@ -274,27 +279,23 @@ def test_trace_bytes_match_per_row_json_dumps(tmp_path, synth4):
     for (parent, appended), (kl_ct1, kl_ct2), phase in zip(rows, costs, phases):
         history.add(phase, parent, ([kl_ct1], [kl_ct2]), [appended])
     history.add("forward", ((1, 2),), ([0.25, 0.5, 0.75], [0.0, 1.0, 2.0]), [(), ((2, 1),), ((0, 3), (3, 0))])
-    rng = np.random.default_rng(7)
-    amps = rng.uniform(0.1, 1.0, size=16)
-    targets = [TargetDistribution(num_qubits=2, probabilities=t / t.sum()) for t in rng.uniform(0.1, 1.0, (2, 4))]
-    problem = Problem(initial_state=StateVector(4, amps / np.linalg.norm(amps)),
-                      layout=RegisterLayout(n_ct1=2, n_ct2=2), target_ct1=targets[0], target_ct2=targets[1])
-    searched = multi_epoch(problem, CandidateSet(pairs=[(0, 2), (2, 1), (1, 3), (3, 0)], threshold_used=0.01))
-    # Real histories of every strategy: rows that append pairs to a parent, or that are a whole
-    # sequence of pairs (insertions, deletions, refinements, pairwise rows, orderings).
-    strategies = ["local", "multi-epoch", "qubo-annealing", "qubo-exact", "qubo-vqe", "qubo-qaoa"]
-    real = [synth4.search(strategy) for strategy in strategies]
+    real = [synth4.search(strategy) for strategy in STRATEGIES]
     batches = [b for result in real for b in result.history.batches]
     assert {b.phase for b in batches} == {"baseline", "insertion", "addition", "deletion", "pairwise", "epoch-start",
                                           "forward", "refine", "ordering"}
     assert {bool(b.parent) for b in batches} == {False, True}
-    # Rows of no pair up to a whole identity ordering of 29 pairs.
-    assert {*range(6), 29} <= set(np.concatenate([b.lengths() for b in batches]).tolist())
-    for result in (SearchResult(Topology(()), history[0].cost, history), searched, *real):
+    for result in (SearchResult(Topology(()), history[0].cost, history), *real):
         path = tmp_path / "trace.jsonl"
         write_trace(result, path)
-        assert path.read_bytes() == per_row_trace(result).encode("utf-8")
-
+        assert len(path.read_bytes().splitlines()) == len(result.history.batches)
+        entries = list(result.history)
+        assert all(g == search.gate_for_pair((g.control, g.target)) for e in entries for g in e.topology)
+        got = trace_rows(path)
+        assert [(phase, pairs) for phase, pairs, _ in got] == [
+            (e.phase, tuple((g.control, g.target) for g in e.topology)) for e in entries]
+        bits = [np.array(totals, dtype=np.float64).view(np.uint64).tolist()
+                for totals in ([total for *_, total in got], [e.cost.total for e in entries])]
+        assert bits[0] == bits[1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -882,12 +883,23 @@ class TestMissingArtifacts:
          "AttributeError: 'list' object has no attribute 'items'"),
         ("encoded.json", lambda d: d["histograms"]["mono_ct1"]["counts"].update(
             dict.fromkeys(d["histograms"]["mono_ct1"]["counts"], "x")), "prune",
-         "ValueError: invalid literal for int() with base 10: 'x'"),
+         "ValueError: count for state '00' must be an integer, got 'x'"),
+        ("encoded.json", lambda d: d["histograms"]["mono_ct1"]["counts"].update({"00": 50.7}), "prune",
+         "ValueError: count for state '00' must be an integer, got 50.7"),
+        ("encoded.json", lambda d: d["histograms"]["mono_ct1"]["counts"].update({"00": True}), "prune",
+         "ValueError: count for state '00' must be an integer, got True"),
+        ("candidates.json", lambda d: d["pairs"][0].__setitem__(1, 1.0), "search",
+         "ValueError: candidate qubit indices must be integers, got (0, 1.0)"),
+        ("topology.json", lambda d: d["topology"][0].update(control=1.0), "tune",
+         "ValueError: CRX qubit indices must be integers, got 1.0"),
+        ("tuned.json", lambda d: d["angles"].__setitem__(0, "1.5"), "ablate",
+         "ValueError: CRX angle must be a real number, got '1.5'"),
         ("topology.json", lambda d: d["topology"][0].update(kind="FOO"), "tune",
          "ValueError: unknown gate kind 'FOO'"),
     ],
     ids=["encoded", "candidates", "topology", "tuned", "tuned-angles-null", "encoded-counts-a-list",
-         "encoded-count-not-an-integer", "topology-unknown-gate-kind"],
+         "encoded-count-not-an-integer", "encoded-count-fractional", "encoded-count-a-bool",
+         "candidates-qubit-a-float", "topology-qubit-a-float", "tuned-angle-a-string", "topology-unknown-gate-kind"],
 )
 def test_a_malformed_artifact_fails_naming_it(tmp_path, capsys, artifact, edit, command, error):
     """``command`` reads ``artifact`` first; a missing key or a wrongly typed value there is an

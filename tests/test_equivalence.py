@@ -506,7 +506,9 @@ def object_path_deletion(problem, seq):
 
 
 def object_path_local_search(problem, cands, cfg):
-    """(topology, cost, scored rows, no-op rows, accepted (phase, topology, cost) moves)."""
+    """(topology, cost, scored rows, no-op rows, accepted (phase, topology, cost) moves).
+
+    An insertion or addition whose rows would be longer than max_depth is not scored."""
     scored = problem.kernel.rows_scored
     seq = Topology(())
     cost = evaluate(problem, seq)
@@ -514,18 +516,20 @@ def object_path_local_search(problem, cands, cfg):
     improved = True
     while improved:
         improved = False
-        cand_seq, cand_cost = object_path_insertion(problem, seq, cands)
-        noops += cand_seq is seq
-        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
-            seq, cost = cand_seq, cand_cost
-            moves.append(("insertion", seq, cost))
-            improved = True
-        cand_seq, cand_cost = object_path_addition(problem, seq, cands, cfg.n_choose)
-        noops += cand_seq is seq
-        if len(cand_seq) <= cfg.max_depth and cand_cost.total < cost.total - cfg.kl_tol:
-            seq, cost = cand_seq, cand_cost
-            moves.append(("addition", seq, cost))
-            improved = True
+        if len(seq) + 1 <= cfg.max_depth:
+            cand_seq, cand_cost = object_path_insertion(problem, seq, cands)
+            noops += cand_seq is seq
+            if cand_cost.total < cost.total - cfg.kl_tol:
+                seq, cost = cand_seq, cand_cost
+                moves.append(("insertion", seq, cost))
+                improved = True
+        if len(seq) + cfg.n_choose <= cfg.max_depth:
+            cand_seq, cand_cost = object_path_addition(problem, seq, cands, cfg.n_choose)
+            noops += cand_seq is seq
+            if cand_cost.total < cost.total - cfg.kl_tol:
+                seq, cost = cand_seq, cand_cost
+                moves.append(("addition", seq, cost))
+                improved = True
         cand_seq, cand_cost = object_path_deletion(problem, seq)
         noops += cand_seq is seq
         if len(cand_seq) < len(seq) and cand_cost.total < cost.total - cfg.eps_prune:
@@ -545,10 +549,10 @@ def accepted_moves(result, cands, cfg):
         held = tuple((g.control, g.target) for g in best.topology)
         if batch.phase == "insertion":
             unused = [p for p in cands.pairs if p not in held]
-            assert (batch.parent, batch.appended) == (
+            assert len(held) + 1 <= cfg.max_depth and (batch.parent, batch.appended) == (
                 (), [held[:pos] + (p,) + held[pos:] for p in unused for pos in range(len(held) + 1)])
         elif batch.phase == "addition":
-            assert batch.parent == held
+            assert batch.parent == held and len(held) + cfg.n_choose <= cfg.max_depth
         else:
             assert (batch.parent, batch.appended) == ((), [held[:r] + held[r + 1 :] for r in range(len(held))])
         move = batch.best()

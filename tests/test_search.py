@@ -434,7 +434,7 @@ class TestDefaultPanel:
     """The 4-gene synthetic panel that ``qxtalk run --synthetic`` searches."""
 
     @pytest.mark.parametrize("strategy,evaluations,entries", [
-        ("local", 3447, 3447),
+        ("local", 2907, 2907),
         ("multi-epoch", 5773, 5773),
         ("qubo-annealing", 22891, 22891),
     ])
